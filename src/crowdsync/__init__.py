@@ -43,6 +43,7 @@ from .metrics import (
     pairwise_correlation,
     sync_report,
     trendiness,
+    window_sync,
 )
 from .scenarios import (
     GOLDEN_NAMES,

@@ -9,9 +9,19 @@ plus the crowd volatility sigma_c (std of the aggregate action), its
 observed counterpart sigma_O = a * sigma_c, and trendiness
 T_d = |sum dO| / sum |dO| over a window.
 
+rho_c and sigma_c have two forms. The direct form (`window_sync`) is
+the one every report computes: one pass over the centred N x w window,
+O(N*w) time and memory. The paper's volatility-weighted matrix form
+(`DecisionPanel`, `crowd_correlation`, `crowd_volatility`) builds the
+N x N correlation matrix, O(N^2*w); it is kept as the reference the
+direct form is tested against.
+
 Conventions for degenerate inputs (documented, tested): R and T_d are 0
 when every increment is zero; a correlation involving a constant series
-is 0. These keep the metrics total over everything a simulation emits.
+is 0, and constant agents count as 0 in the mean that gives rho_c; a
+window whose aggregate is constant (all agents constant, or live agents
+that cancel exactly) has sigma_c = 0 and rho_c = 0. These keep the
+metrics total over everything a simulation emits.
 """
 
 from __future__ import annotations
@@ -179,10 +189,6 @@ class DecisionPanel:
     def n(self) -> int:
         return self.series.shape[0]
 
-    @property
-    def aggregate_series(self) -> np.ndarray:
-        return self.series.sum(axis=0)
-
 
 def crowd_volatility(per_agent_sigma, corr) -> float:
     """Std of the aggregate action: sqrt(sum sigma_l^2 + 2 sum_{l>m} rho_lm sigma_l sigma_m)."""
@@ -206,11 +212,14 @@ def crowd_correlation(panel: DecisionPanel) -> float:
 
     rho_c = (1 / (N * sigma_c)) * sum_i sum_j rho_ij * sigma_j. Equals
     the direct form (mean correlation of each agent with the aggregate)
-    up to roundoff; both are exposed and the equality is tested.
+    up to roundoff; both are exposed and the equality is tested. Raises
+    InvalidPanelError when the aggregate is constant (sigma_c = 0).
     """
     if not np.any(panel.per_agent_sigma > 0):
         raise InvalidPanelError("all agents are constant; crowd correlation is undefined")
     sigma_c = crowd_volatility(panel.per_agent_sigma, panel.corr)
+    if sigma_c == 0.0:
+        raise InvalidPanelError("the agents cancel exactly; crowd correlation is undefined")
     weighted = float((panel.corr @ panel.per_agent_sigma).sum())
     return float(np.clip(weighted / (panel.n * sigma_c), -1.0, 1.0))
 
@@ -219,9 +228,31 @@ def crowd_correlation_direct(panel: DecisionPanel) -> float:
     """rho_c by definition: mean over agents of corr(dS_i, sum_j dS_j)."""
     if not np.any(panel.per_agent_sigma > 0):
         raise InvalidPanelError("all agents are constant; crowd correlation is undefined")
-    total = panel.aggregate_series
-    rhos = [pairwise_correlation(panel.series[i], total) for i in range(panel.n)]
-    return float(np.clip(np.mean(rhos), -1.0, 1.0))
+    return window_sync(panel.series)[0]
+
+
+def window_sync(actions) -> tuple[float, float]:
+    """(rho_c, sigma_c) of an N x w window in direct form, O(N*w).
+
+    With x_i the centred rows and dS = sum_i x_i the aggregate,
+    sigma_c = std(dS) and rho_c = (1/N) sum_i cov(x_i, dS) / (sigma_i sigma_c),
+    where constant agents (sigma_i = 0) count as 0. A constant aggregate
+    gives (0, 0). Agrees with the matrix form up to roundoff (tested).
+    """
+    arr = np.asarray(actions, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"window must be N x w with N, w >= 1, got shape {arr.shape}")
+    n, w = arr.shape
+    centered = arr - arr.mean(axis=1, keepdims=True)
+    agg = centered.sum(axis=0)
+    sigma_c = float(np.sqrt(agg @ agg / w))
+    if sigma_c == 0.0:
+        return 0.0, 0.0
+    sigma = np.sqrt(np.einsum("ij,ij->i", centered, centered) / w)
+    cov = centered @ agg / w
+    rho = np.zeros(n)
+    np.divide(cov, sigma * sigma_c, out=rho, where=sigma > 0.0)
+    return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c
 
 
 def trendiness(dO_series) -> float:
@@ -258,7 +289,11 @@ def observed_volatility_from_panel(a: float, per_agent_sigma, corr) -> float:
 
 @dataclass
 class SyncReport:
-    """Metrics for one analysis window of a run."""
+    """Metrics for one analysis window [start, stop) of a run.
+
+    rho_c and sigma_c come from the direct form (`window_sync`); both
+    are 0 when the window's aggregate action is constant.
+    """
 
     start: int
     stop: int
@@ -278,20 +313,16 @@ def sync_report(
 ) -> SyncReport:
     """Summarize one window of per-agent actions and observation increments.
 
-    A fully quiescent window reports rho_c = 0 (rather than raising, so
-    pipelines stay total); the raw crowd_correlation op still refuses
-    all-constant panels.
+    Costs O(N*w) time and memory for an N x w window; no N x N matrix is
+    built. A window with a constant aggregate (fully quiescent, or live
+    agents that cancel exactly) reports rho_c = sigma_c = 0 rather than
+    raising, so pipelines stay total; the raw crowd_correlation op still
+    refuses such panels.
     """
     actions = np.asarray(actions, dtype=np.float64)
     dO_window = np.asarray(dO_window, dtype=np.float64)
     stop = start + actions.shape[1]
-    panel = DecisionPanel.from_series(actions)
-    if np.any(panel.per_agent_sigma > 0):
-        rho_c = crowd_correlation(panel)
-        sigma_c = crowd_volatility(panel.per_agent_sigma, panel.corr)
-    else:
-        rho_c = 0.0
-        sigma_c = 0.0
+    rho_c, sigma_c = window_sync(actions)
     if r_instant is None:
         r_instant = np.array([order_parameter(actions[:, k]) for k in range(actions.shape[1])])
     return SyncReport(

@@ -30,12 +30,14 @@ from .dynamics import (
 )
 from .scenarios import (
     DEFAULT_DIVERGENCE_CEILING,
+    NAME_RULE,
     ForceProfile,
     RunSummary,
     ScenarioResult,
     ScenarioSpec,
     SweepPoint,
     build_profile,
+    is_safe_name,
 )
 from .switching import SwitchRule
 
@@ -221,6 +223,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     r = _Reader(raw, errors)
 
     name = r.str_("name", default="scenario")
+    if not is_safe_name(name):
+        r.fail("name", f"must be {NAME_RULE}; got {name!r}")
     n = r.int_("crowd.n", minimum=1)
     a = r.float_("crowd.a", required=True)
     if a is not None and not a > 0:

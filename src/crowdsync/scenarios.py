@@ -196,9 +196,23 @@ def _check_length(length: int) -> None:
 # Scenario spec and result
 # ---------------------------------------------------------------------------
 
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
+_NAME_CHARS = _NAME_START | frozenset(".-")
+NAME_RULE = "letters, digits, '_', '.' and '-', not starting with '.' or '-'"
+
+
+def is_safe_name(name: str) -> bool:
+    """Whether `name` can prefix output file names: [A-Za-z0-9_][A-Za-z0-9._-]*."""
+    return bool(name) and name[0] in _NAME_START and set(name) <= _NAME_CHARS
+
+
 @dataclass
 class ScenarioSpec:
-    """Everything needed to reproduce one run."""
+    """Everything needed to reproduce one run.
+
+    `name` prefixes the output files, so it must be a safe file-name
+    token (see `is_safe_name`); it can never point outside `--out`.
+    """
 
     name: str
     config: CrowdConfig
@@ -211,6 +225,8 @@ class ScenarioSpec:
     divergence_ceiling: float = DEFAULT_DIVERGENCE_CEILING
 
     def __post_init__(self) -> None:
+        if not is_safe_name(self.name):
+            raise ValueError(f"scenario name must be {NAME_RULE}; got {self.name!r}")
         if self.steps != self.profile.length:
             raise ValueError(
                 f"run steps ({self.steps}) must match profile length ({self.profile.length})"
@@ -549,14 +565,22 @@ class RunSummary:
 
 
 def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
-    """Digest a result: whole-run metrics plus divergence bookkeeping."""
+    """Digest a result: whole-run metrics plus divergence bookkeeping.
+
+    The whole-run report is reused from `result.summary` when one of its
+    windows covers every step run, and computed otherwise.
+    """
     if result.steps_run == 0:
         raise ValueError("cannot summarize an empty run")
     a = result.config.a
     if result.agent_actions is not None:
-        report = sync_report(
-            result.agent_actions, result.dO, a, start=0, r_instant=result.r_instant
+        report = next(
+            (r for r in result.summary if r.start == 0 and r.stop == result.steps_run), None
         )
+        if report is None:
+            report = sync_report(
+                result.agent_actions, result.dO, a, start=0, r_instant=result.r_instant
+            )
         rho_c, sigma_c, sigma_o = report.rho_c, report.sigma_c, report.sigma_o
     else:
         sigma_o = float(np.std(result.dO))
@@ -606,12 +630,19 @@ def apply_sweep_value(
     if param == "a":
         return replace(config, a=float(value)), rule
     if param == "n":
+        n = _crowd_size(value)
         tmpl = config.agents[0]
-        agents = homogeneous_agents(int(value), tmpl.b_low, tmpl.b_high, tmpl.c, tmpl.noise_amp)
-        return replace(config, n=int(value), agents=agents), rule
+        agents = homogeneous_agents(n, tmpl.b_low, tmpl.b_high, tmpl.c, tmpl.noise_amp)
+        return replace(config, n=n, agents=agents), rule
     field_name = {"b_high": "b_high", "b_low": "b_low", "noise_amp": "noise_amp"}[param]
     agents = [replace(ag, **{field_name: float(value)}) for ag in config.agents]
     return replace(config, agents=agents), rule
+
+
+def _crowd_size(value: float) -> int:
+    if not float(value).is_integer():
+        raise ValueError(f"sweep values of n must be whole numbers, got {value}")
+    return int(value)
 
 
 def _sweep_one(args) -> SweepPoint:
@@ -636,6 +667,8 @@ def sweep(
 
     seed_policy "fixed" reuses `seed` for every run; "per-value" uses
     seed + index. The seed actually used is recorded on each point.
+    Runs go to min(jobs, len(values), cpu_count) worker processes when
+    that is more than one.
     """
     if seed_policy not in ("fixed", "per-value"):
         raise ValueError(f"seed_policy must be 'fixed' or 'per-value', got {seed_policy!r}")
@@ -643,13 +676,21 @@ def sweep(
         raise ValueError(
             f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}"
         )
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if param == "n":
+        for v in values:
+            _crowd_size(v)
     seeds = [seed if seed_policy == "fixed" else seed + i for i in range(len(values))]
     tasks = [
         (config, rule, param, v, profile, s, divergence_ceiling)
         for v, s in zip(values, seeds)
     ]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    import os
+
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]
 

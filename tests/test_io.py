@@ -1,5 +1,7 @@
 """Scenario parsing/emission and result tables."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,21 @@ def test_canonical_form_stable_for_golden_specs():
 def test_comments_and_blank_lines_ignored():
     spec = parse_scenario("# header\n\n" + MINIMAL + "\n# trailing\n")
     assert spec.config.n == 10
+
+
+@pytest.mark.parametrize("bad", ["../escaped", "sub/run", ".hidden", "-flag", "two words"])
+def test_unsafe_name_rejected_with_line_number(bad):
+    with pytest.raises(ScenarioFormatError) as exc:
+        parse_scenario(MINIMAL.replace("name = minimal", f"name = {bad}"))
+    assert any(e.startswith("line 2: name:") for e in exc.value.errors)
+
+
+def test_name_survives_format_parse_or_is_refused():
+    spec = parse_scenario(MINIMAL)
+    with pytest.raises(ValueError, match="name"):
+        replace(spec, name="a#b")
+    safe = replace(spec, name="run_1.v-2")
+    assert parse_scenario(format_scenario(safe)).name == "run_1.v-2"
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Order parameter, crowd correlation, volatility, trendiness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crowdsync.metrics import (
     DecisionPanel,
@@ -19,6 +23,7 @@ from crowdsync.metrics import (
     pairwise_correlation,
     sync_report,
     trendiness,
+    window_sync,
 )
 from crowdsync.rng import make_generator
 
@@ -202,11 +207,46 @@ def test_two_independent_agents_sync_level():
     assert crowd_correlation(panel) == pytest.approx(1 / np.sqrt(2), rel=0.01)
 
 
-def test_weighted_and_direct_paths_agree():
-    rng = make_generator(47)
-    for _ in range(60):
-        panel = random_panel(rng)
-        assert abs(crowd_correlation(panel) - crowd_correlation_direct(panel)) <= 1e-9
+# Entries are 0 or of magnitude 1e-6..1e3: squares of much smaller values
+# underflow, and then neither form has the digits to compare.
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@st.composite
+def windows(draw):
+    """Bounded N x w windows with some constant rows and zeroed tails."""
+    n = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 40))
+    arr = draw(hnp.arrays(np.float64, (n, w), elements=_ENTRY))
+    frozen = draw(hnp.arrays(np.bool_, n))
+    arr[frozen] = arr[frozen, :1]
+    if draw(st.booleans()):
+        arr[:, draw(st.integers(0, w - 1)) :] = 0.0
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows())
+@example(np.array([[0.1, 0.7, 0.3], [0.3, 0.1, 0.9], [-0.4, -0.8, -1.2]]))
+def test_weighted_and_direct_paths_agree(arr):
+    """The direct kernel against the matrix form on the same window.
+
+    Both start from the same centred rows, so sigma_c^2 agrees to
+    rounding of sum_i sigma_i^2. When the agents cancel the aggregate
+    (sigma_c^2 below 1e-3 of that sum) the matrix form's sigma_c is the
+    square root of a cancelling sum and rho_c of either form is set by
+    rounding, so only the variances are compared there.
+    """
+    panel = DecisionPanel.from_series(arr)
+    rho_c, sigma_c = window_sync(arr)
+    sigma_ref = crowd_volatility(panel.per_agent_sigma, panel.corr)
+    scale = float(np.sum(panel.per_agent_sigma**2))
+    assert abs(sigma_c**2 - sigma_ref**2) <= 1e-12 * scale
+    if sigma_ref**2 >= 1e-3 * scale and sigma_ref > 0.0:
+        assert abs(sigma_c - sigma_ref) <= 1e-12 * np.sqrt(scale)
+        assert abs(rho_c - crowd_correlation(panel)) <= 1e-12
+    if scale == 0.0:
+        assert (rho_c, sigma_c) == (0.0, 0.0)
 
 
 def test_crowd_correlation_with_constant_agents_present():
@@ -215,6 +255,13 @@ def test_crowd_correlation_with_constant_agents_present():
     series[2, :] = 3.14  # one frozen agent
     panel = DecisionPanel.from_series(series)
     assert abs(crowd_correlation(panel) - crowd_correlation_direct(panel)) <= 1e-9
+
+
+def test_crowd_correlation_cancelling_agents_is_error():
+    panel = DecisionPanel.from_series(np.array([[1.0, -1, 1, -1], [-1, 1, -1, 1]]))
+    with pytest.raises(InvalidPanelError, match="cancel"):
+        crowd_correlation(panel)
+    assert crowd_correlation_direct(panel) == 0.0
 
 
 def test_crowd_correlation_all_zero_panel_is_error():
@@ -304,3 +351,28 @@ def test_sync_report_consistency():
     assert report.sigma_o == pytest.approx(0.3 * report.sigma_c, rel=1e-12)
     assert -1.0 <= report.rho_c <= 1.0
     assert np.all((report.r_instant >= 0) & (report.r_instant <= 1))
+
+
+def test_sync_report_cancelling_agents_is_total():
+    report = sync_report(np.array([[1.0, -1, 1, -1], [-1, 1, -1, 1]]), np.zeros(4), a=0.5)
+    assert report.rho_c == 0.0
+    assert report.sigma_c == 0.0
+    assert report.sigma_o == 0.0
+
+
+def test_sync_report_allocates_no_n_by_n_matrix():
+    n, w = 3000, 30
+    actions = make_generator(54).standard_normal((n, w))
+    dO = 0.01 * actions.sum(axis=0)
+    tracemalloc.start()
+    try:
+        sync_report(actions, dO, a=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * w * 8  # an N x N float64 matrix alone is 72 MB
+
+
+def test_window_sync_rejects_empty_window():
+    with pytest.raises(ValueError):
+        window_sync(np.zeros((3, 0)))

@@ -1,10 +1,12 @@
 """Profiles, the canonical step loop, sweeps, forced-ratio experiments."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import (
     CrowdConfig,
     AgentParams,
@@ -326,3 +328,68 @@ def test_sweep_parallel_matches_serial():
     parallel = sweep(cfg, rule, "a", [0.005, 0.01], prof, jobs=2)
     for s, p in zip(serial, parallel):
         assert s.summary == p.summary
+
+
+def test_sweep_rejects_fractional_population_size(monkeypatch):
+    cfg = simple_config(n=10)
+    rule = SwitchRule(saturation_scale=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(scenarios_module, "run", lambda *a, **kw: pytest.fail("ran before validating"))
+        with pytest.raises(ValueError, match="whole numbers"):
+            sweep(cfg, rule, "n", [10, 10.7], zero_profile(5))
+    with pytest.raises(ValueError, match="whole numbers"):
+        apply_sweep_value(cfg, rule, "n", 10.7)
+    assert apply_sweep_value(cfg, rule, "n", 12.0)[0].n == 12
+
+
+def test_sweep_rejects_jobs_below_one():
+    with pytest.raises(ValueError, match="jobs"):
+        sweep(simple_config(), SwitchRule(saturation_scale=1.0), "a", [0.01], zero_profile(5), jobs=0)
+
+
+def test_sweep_caps_worker_count(monkeypatch):
+    """Workers are min(jobs, runs, CPUs); the pool is a stand-in, so no process starts."""
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(scenarios_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    cfg = simple_config(n=5)
+    rule = SwitchRule(saturation_scale=1.0)
+    prof = zero_profile(5)
+    serial = sweep(cfg, rule, "a", [0.01] * 5, prof)
+    assert seen == []
+    assert sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64) == serial
+    sweep(cfg, rule, "a", [0.01] * 2, prof, jobs=64)
+    sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=2)
+    assert seen == [3, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64)
+    assert seen == [3, 2, 2]
+
+
+def test_summarize_reuses_whole_run_window(monkeypatch):
+    calls = []
+    original = scenarios_module.sync_report
+    monkeypatch.setattr(
+        scenarios_module, "sync_report", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    spec = golden_scenario("fig4-stable")
+    result = run_spec(spec, metric_window=None)
+    summary = summarize(result)
+    assert len(result.summary) == 1 and len(calls) == 1
+    assert (summary.rho_c, summary.sigma_c) == (result.summary[0].rho_c, result.summary[0].sigma_c)
+    windowed = run_spec(spec)
+    assert summarize(windowed) == summarize(result)
