@@ -9,44 +9,31 @@ volatility), a deterministic scenario engine, and a CLI.
 
 from .dynamics import (
     AgentParams,
-    AgentState,
     CrowdConfig,
     CrowdError,
     EmptyPopulationError,
-    Mode,
     NoNoise,
     SingularFeedbackError,
-    StepRecord,
     UniformNoise,
     WienerNoise,
-    agent_step,
-    aggregate,
     homogeneous_agents,
     instantaneous_response,
-    noise_increment,
-    observe,
     ordered_sum,
-    recurse_observation,
-    step_with_noise,
 )
 from .metrics import (
     DecisionPanel,
     SyncReport,
     crowd_correlation,
-    crowd_correlation_direct,
     crowd_volatility,
     observed_volatility,
-    observed_volatility_from_panel,
     order_parameter,
     order_parameter_closed_form,
-    order_parameter_with_noise,
     pairwise_correlation,
     sync_report,
     trendiness,
     window_sync,
 )
 from .scenarios import (
-    GOLDEN_NAMES,
     ForceProfile,
     RunSummary,
     ScenarioResult,
@@ -56,9 +43,7 @@ from .scenarios import (
     build_profile,
     bubble_profile,
     explicit_profile,
-    forced_ratio_run,
     forced_ratio_samples,
-    golden_scenario,
     ramp_profile,
     run,
     run_spec,
@@ -68,13 +53,10 @@ from .scenarios import (
     zero_profile,
 )
 from .switching import (
-    CouplingSummary,
     DegenerateCouplingError,
     Stability,
     SwitchRule,
     TippingPoint,
-    aggregate_coupling,
-    assign_states,
     classify_stability,
     critical_reactive_count,
     switch_priority,

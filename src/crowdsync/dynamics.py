@@ -1,4 +1,4 @@
-"""Core feedback dynamics of the crowd model.
+"""The crowd model's coefficients and its elementary operations.
 
 A crowd of N agents acts on a shared observation. Per step, agent i's
 action increment is
@@ -19,13 +19,16 @@ gives the one-step map
 
 whose gain a*B decides everything: |a*B| < 1 contracts, a*B = 1 is the
 singular point, a*B > 1 self-amplifies.
+
+`crowdsync.scenarios.run` is the one implementation of a step; this
+module holds what it is built from: agent and crowd parameters, the
+noise models, and the fixed-order sum every aggregate uses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
@@ -46,16 +49,15 @@ class EmptyPopulationError(CrowdError):
     """An operation that needs at least one agent got none."""
 
 
+def require_finite(what: str, value: float) -> None:
+    """Raise ValueError unless `value` is a finite number."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # Agents and configuration
 # ---------------------------------------------------------------------------
-
-class Mode(Enum):
-    """Behavioral mode of an agent."""
-
-    NORMAL = "normal"
-    REACTIVE = "reactive"
-
 
 @dataclass(frozen=True)
 class AgentParams:
@@ -75,6 +77,10 @@ class AgentParams:
     def __post_init__(self) -> None:
         if self.id < 0:
             raise ValueError(f"agent id must be >= 0, got {self.id}")
+        # inline, not require_finite per field: this runs for every agent of every crowd
+        if not (math.isfinite(self.b_low) and math.isfinite(self.b_high)
+                and math.isfinite(self.c) and math.isfinite(self.noise_amp)):
+            raise ValueError(f"agent {self.id}: coefficients must be finite, got {self}")
         if not self.b_high > 0:
             raise ValueError(f"agent {self.id}: b_high must be > 0, got {self.b_high}")
         if not self.b_high > self.b_low:
@@ -86,22 +92,10 @@ class AgentParams:
             raise ValueError(f"agent {self.id}: noise_amp must be >= 0")
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Current mode of an agent plus the coupling value it implies."""
-
-    mode: Mode
-    effective_b: float
-
-    @classmethod
-    def of(cls, params: AgentParams, mode: Mode) -> "AgentState":
-        b = params.b_high if mode is Mode.REACTIVE else params.b_low
-        return cls(mode=mode, effective_b=b)
-
-
 # Noise models. NoNoise keeps runs fully deterministic; UniformNoise is
-# per-agent i.i.d. action noise; WienerNoise is aggregate drift+diffusion
-# applied at the observation level (a*eps_total = mu*dt + sigma*dZ).
+# per-agent i.i.d. action noise of half-width AgentParams.noise_amp;
+# WienerNoise is aggregate drift+diffusion applied at the observation
+# level (a*eps_total = mu*dt + sigma*dZ).
 
 @dataclass(frozen=True)
 class NoNoise:
@@ -110,11 +104,7 @@ class NoNoise:
 
 @dataclass(frozen=True)
 class UniformNoise:
-    half_width: float
-
-    def __post_init__(self) -> None:
-        if self.half_width < 0:
-            raise ValueError("uniform noise half-width must be >= 0")
+    pass
 
 
 @dataclass(frozen=True)
@@ -123,6 +113,8 @@ class WienerNoise:
     sigma: float
 
     def __post_init__(self) -> None:
+        require_finite("wiener mu", self.mu)
+        require_finite("wiener sigma", self.sigma)
         if self.sigma < 0:
             raise ValueError("wiener sigma must be >= 0")
 
@@ -147,8 +139,10 @@ class CrowdConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"population n must be >= 1, got {self.n}")
+        require_finite("observation sensitivity a", self.a)
         if not self.a > 0:
             raise ValueError(f"observation sensitivity a must be > 0, got {self.a}")
+        require_finite("time step dt", self.dt)
         if not self.dt > 0:
             raise ValueError(f"time step dt must be > 0, got {self.dt}")
         if len(self.agents) != self.n:
@@ -156,19 +150,6 @@ class CrowdConfig:
         for i, ag in enumerate(self.agents):
             if ag.id != i:
                 raise ValueError(f"agents must be ordered by id 0..n-1; slot {i} holds id {ag.id}")
-
-    @property
-    def c_total(self) -> float:
-        return ordered_sum([ag.c for ag in self.agents])
-
-    @property
-    def b_high_total(self) -> float:
-        return ordered_sum([ag.b_high for ag in self.agents])
-
-    @property
-    def ab_max(self) -> float:
-        """Loop gain with every agent reactive, a * sum(b_high)."""
-        return self.a * self.b_high_total
 
 
 def homogeneous_agents(
@@ -178,36 +159,9 @@ def homogeneous_agents(
     return [AgentParams(id=i, b_low=b_low, b_high=b_high, c=c, noise_amp=noise_amp) for i in range(n)]
 
 
-@dataclass
-class StepRecord:
-    """Full output of one simulation step.
-
-    ``agent_actions`` holds the per-agent dS_i vector (None when a run
-    was asked not to record it). ``dS`` is its fixed-order sum, ``dO``
-    equals a*dS, ``O`` the running sum of dO.
-    """
-
-    t: int
-    dE: float
-    agent_actions: np.ndarray | None
-    dS: float
-    dO: float
-    O: float
-    n_reactive: int
-    b_total: float
-    ab: float
-
-
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
-
-def agent_step(
-    params: AgentParams, state: AgentState, dE: float, dO_prev: float, noise: float = 0.0
-) -> float:
-    """One agent's action increment: c*dE + b*dO_prev + noise."""
-    return params.c * dE + state.effective_b * dO_prev + noise
-
 
 def ordered_sum(values: Sequence[float] | np.ndarray) -> float:
     """Sum in ascending index order (left to right), no reassociation.
@@ -222,18 +176,6 @@ def ordered_sum(values: Sequence[float] | np.ndarray) -> float:
     return float(np.add.accumulate(arr)[-1])
 
 
-def aggregate(agent_actions: Sequence[float] | np.ndarray) -> float:
-    """Aggregate action increment dS = sum of per-agent dS_i."""
-    return ordered_sum(agent_actions)
-
-
-def observe(a: float, dS: float) -> float:
-    """Observation increment dO = a * dS."""
-    if not a > 0:
-        raise ValueError(f"observation sensitivity a must be > 0, got {a}")
-    return a * dS
-
-
 def instantaneous_response(a: float, b_total: float, c_total: float, dE: float) -> float:
     """Zero-delay closed form dO = a*C/(1 - a*B) * dE.
 
@@ -244,30 +186,3 @@ def instantaneous_response(a: float, b_total: float, c_total: float, dE: float) 
     if abs(1.0 - ab) < SINGULARITY_TOL:
         raise SingularFeedbackError(f"loop gain a*B = {ab!r} is at the singular point 1")
     return (a * c_total / (1.0 - ab)) * dE
-
-
-def recurse_observation(a: float, b_total: float, c_total: float, dE_t: float, dO_t: float) -> float:
-    """Delayed-response map: dO(t+1) = (a*C)*dE(t) + (a*B)*dO(t)."""
-    return a * c_total * dE_t + a * b_total * dO_t
-
-
-def noise_increment(model: NoiseModel, rng: np.random.Generator, dt: float = 1.0) -> float:
-    """Draw one noise term for the observation update.
-
-    NoNoise -> 0; UniformNoise(e) -> U[-e, +e]; WienerNoise(mu, sigma) ->
-    mu*dt + sigma*sqrt(dt)*z with z standard normal.
-    """
-    if isinstance(model, NoNoise):
-        return 0.0
-    if isinstance(model, UniformNoise):
-        return float(rng.uniform(-model.half_width, model.half_width))
-    if isinstance(model, WienerNoise):
-        return model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
-    raise TypeError(f"unknown noise model: {model!r}")
-
-
-def step_with_noise(
-    a: float, b_total: float, c_total: float, dE_t: float, dO_t: float, noise: float
-) -> float:
-    """Canonical per-step update: delayed-response map plus noise term."""
-    return recurse_observation(a, b_total, c_total, dE_t, dO_t) + noise

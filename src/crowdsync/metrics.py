@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import CrowdError, ordered_sum
-from .rng import make_generator
 
 
 class InvalidPanelError(CrowdError):
@@ -86,47 +85,6 @@ def order_parameter_closed_form(
     if not den > 0.0:
         raise DegenerateMixError(f"order-parameter denominator {den!r} is not positive")
     return float(np.clip(abs(num) / den, 0.0, 1.0))
-
-
-def noise_order_samples(
-    ratio: float,
-    b_high_avg: float,
-    dO: float,
-    e: float,
-    n: int,
-    trials: int,
-    seed: int,
-) -> np.ndarray:
-    """Per-trial order parameters of a noisy one-step crowd.
-
-    Reactive agents (first round(ratio*n) of them) respond b_high_avg*dO,
-    the rest 0; every agent adds i.i.d. uniform noise from [-e, +e].
-    Seeded and reproducible; one trial per row of draws.
-    """
-    if n < 1 or trials < 1:
-        raise ValueError("need n >= 1 and trials >= 1")
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"reactive ratio must be in [0, 1], got {ratio}")
-    if e < 0:
-        raise ValueError(f"noise half-width must be >= 0, got {e}")
-    n_reactive = min(int(np.floor(ratio * n + 0.5)), n)
-    b = np.zeros(n)
-    b[:n_reactive] = b_high_avg
-    rng = make_generator(seed)
-    eps = rng.uniform(-e, e, size=(trials, n))
-    actions = b * dO + eps
-    sums = np.abs(actions.sum(axis=1))
-    denoms = np.abs(actions).sum(axis=1)
-    out = np.zeros(trials)
-    np.divide(sums, denoms, out=out, where=denoms > 0)
-    return np.clip(out, 0.0, 1.0)
-
-
-def order_parameter_with_noise(
-    ratio: float, b_high_avg: float, dO: float, e: float, n: int, trials: int, seed: int
-) -> float:
-    """Monte-Carlo mean order parameter under uniform action noise."""
-    return float(noise_order_samples(ratio, b_high_avg, dO, e, n, trials, seed).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +169,8 @@ def crowd_correlation(panel: DecisionPanel) -> float:
     """Windowed synchronization rho_c via the volatility-weighted matrix form.
 
     rho_c = (1 / (N * sigma_c)) * sum_i sum_j rho_ij * sigma_j. Equals
-    the direct form (mean correlation of each agent with the aggregate)
-    up to roundoff; both are exposed and the equality is tested. Raises
+    the direct form `window_sync` (mean correlation of each agent with
+    the aggregate) up to roundoff, which is tested. Raises
     InvalidPanelError when the aggregate is constant (sigma_c = 0).
     """
     if not np.any(panel.per_agent_sigma > 0):
@@ -222,13 +180,6 @@ def crowd_correlation(panel: DecisionPanel) -> float:
         raise InvalidPanelError("the agents cancel exactly; crowd correlation is undefined")
     weighted = float((panel.corr @ panel.per_agent_sigma).sum())
     return float(np.clip(weighted / (panel.n * sigma_c), -1.0, 1.0))
-
-
-def crowd_correlation_direct(panel: DecisionPanel) -> float:
-    """rho_c by definition: mean over agents of corr(dS_i, sum_j dS_j)."""
-    if not np.any(panel.per_agent_sigma > 0):
-        raise InvalidPanelError("all agents are constant; crowd correlation is undefined")
-    return window_sync(panel.series)[0]
 
 
 def window_sync(actions) -> tuple[float, float]:
@@ -276,11 +227,6 @@ def observed_volatility(a: float, sigma_c: float) -> float:
     if sigma_c < 0:
         raise ValueError(f"sigma_c must be >= 0, got {sigma_c}")
     return a * sigma_c
-
-
-def observed_volatility_from_panel(a: float, per_agent_sigma, corr) -> float:
-    """sigma_O expanded from per-agent volatilities and correlations."""
-    return observed_volatility(a, crowd_volatility(per_agent_sigma, corr))
 
 
 # ---------------------------------------------------------------------------

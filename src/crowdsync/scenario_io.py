@@ -14,7 +14,6 @@ import csv
 import difflib
 import io
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,7 +30,6 @@ from .dynamics import (
 from .scenarios import (
     DEFAULT_DIVERGENCE_CEILING,
     NAME_RULE,
-    ForceProfile,
     RunSummary,
     ScenarioResult,
     ScenarioSpec,
@@ -86,17 +84,11 @@ class ScenarioFormatError(CrowdError):
 
     def __init__(self, errors: list[str]):
         self.errors = errors
-        super().__init__("invalid scenario:\n  " + "\n  ".join(errors))
+        super().__init__("invalid scenario: " + "; ".join(errors))
 
 
-@dataclass
-class _RawScenario:
-    """Key -> (line number, raw value text)."""
-
-    entries: dict[str, tuple[int, str]]
-
-
-def _tokenize(text: str) -> tuple[_RawScenario, list[str]]:
+def _tokenize(text: str) -> tuple[dict[str, tuple[int, str]], list[str]]:
+    """Key -> (line number, raw value text), plus the problems found."""
     entries: dict[str, tuple[int, str]] = {}
     errors: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -116,31 +108,26 @@ def _tokenize(text: str) -> tuple[_RawScenario, list[str]]:
             errors.append(f"line {lineno}: unknown key {key!r}{suffix}")
             continue
         entries[key] = (lineno, value)
-    return _RawScenario(entries), errors
+    return entries, errors
 
 
 class _Reader:
     """Typed access to raw entries, accumulating errors instead of raising."""
 
-    def __init__(self, raw: _RawScenario, errors: list[str]):
-        self.raw = raw
+    def __init__(self, entries: dict[str, tuple[int, str]], errors: list[str]):
+        self.entries = entries
         self.errors = errors
-        self.used: set[str] = set()
 
     def has(self, key: str) -> bool:
-        return key in self.raw.entries
-
-    def _take(self, key: str) -> tuple[int, str] | None:
-        self.used.add(key)
-        return self.raw.entries.get(key)
+        return key in self.entries
 
     def fail(self, key: str, msg: str) -> None:
-        entry = self.raw.entries.get(key)
+        entry = self.entries.get(key)
         where = f"line {entry[0]}: " if entry else ""
         self.errors.append(f"{where}{key}: {msg}")
 
     def str_(self, key: str, default: str | None = None, choices: Iterable[str] | None = None):
-        entry = self._take(key)
+        entry = self.entries.get(key)
         if entry is None:
             if default is None:
                 self.errors.append(f"missing required key {key!r}")
@@ -152,7 +139,7 @@ class _Reader:
         return value
 
     def int_(self, key: str, default: int | None = None, minimum: int | None = None):
-        entry = self._take(key)
+        entry = self.entries.get(key)
         if entry is None:
             if default is None and minimum is not None:
                 self.errors.append(f"missing required key {key!r}")
@@ -168,19 +155,23 @@ class _Reader:
         return value
 
     def float_(self, key: str, default: float | None = None, required: bool = False):
-        entry = self._take(key)
+        entry = self.entries.get(key)
         if entry is None:
             if required:
                 self.errors.append(f"missing required key {key!r}")
             return default
         try:
-            return float(entry[1])
+            value = float(entry[1])
         except ValueError:
             self.fail(key, f"expected a number, got {entry[1]!r}")
             return default
+        if not math.isfinite(value):
+            self.fail(key, f"must be finite, got {entry[1]!r}")
+            return default
+        return value
 
     def bool_(self, key: str, default: bool) -> bool:
-        entry = self._take(key)
+        entry = self.entries.get(key)
         if entry is None:
             return default
         text = entry[1].lower()
@@ -193,7 +184,7 @@ class _Reader:
 
     def float_list(self, key: str, n: int | None, default: float | None = None, required: bool = False):
         """A scalar (expanded to n copies) or a comma list of exactly n values."""
-        entry = self._take(key)
+        entry = self.entries.get(key)
         if entry is None:
             if required:
                 self.errors.append(f"missing required key {key!r}")
@@ -204,6 +195,9 @@ class _Reader:
             values = [float(p) for p in parts]
         except ValueError:
             self.fail(key, f"expected a number or comma-separated numbers, got {entry[1]!r}")
+            return None
+        if not all(math.isfinite(v) for v in values):
+            self.fail(key, f"must be finite, got {entry[1]!r}")
             return None
         if len(values) == 1 and n is not None:
             return values * n
@@ -219,8 +213,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     Raises ScenarioFormatError carrying every problem found, each with
     its line number where one applies.
     """
-    raw, errors = _tokenize(text)
-    r = _Reader(raw, errors)
+    entries, errors = _tokenize(text)
+    r = _Reader(entries, errors)
 
     name = r.str_("name", default="scenario")
     if not is_safe_name(name):
@@ -269,8 +263,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if noise_kind == "none":
         noise_model = NoNoise()
     elif noise_kind == "uniform":
-        if noise_amp is not None:
-            noise_model = UniformNoise(half_width=max(noise_amp))
+        noise_model = UniformNoise()
     elif noise_kind == "wiener":
         if sigma is not None and sigma < 0:
             r.fail("crowd.sigma", f"must be >= 0, got {sigma}")
@@ -286,12 +279,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     steps = r.int_("run.steps", minimum=1)
     seed = r.int_("run.seed", default=0)
     metric_window = None
-    if r.has("run.metric_window"):
-        entry = raw.entries["run.metric_window"][1]
-        if entry.lower() != "none":
-            metric_window = r.int_("run.metric_window", minimum=1)
-        else:
-            r.used.add("run.metric_window")
+    if r.has("run.metric_window") and entries["run.metric_window"][1].lower() != "none":
+        metric_window = r.int_("run.metric_window", minimum=1)
     overlap = r.bool_("run.overlap", default=False)
     ceiling = r.float_("run.divergence_ceiling", default=DEFAULT_DIVERGENCE_CEILING)
     if ceiling is not None and not ceiling > 0:
@@ -428,14 +417,26 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def format_table(result: ScenarioResult) -> str:
-    """TimeSeriesTable as CSV text: one row per executed step."""
+def _csv(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(TABLE_COLUMNS)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _write(text: str, destination: str | Path) -> Path:
+    path = Path(destination)
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return path
+
+
+def format_table(result: ScenarioResult) -> str:
+    """TimeSeriesTable as CSV text: one row per executed step."""
     n = result.config.n
-    for k in range(result.steps_run):
-        w.writerow(
+    return _csv(
+        TABLE_COLUMNS,
+        (
             [
                 int(result.t[k]),
                 _g17(result.E[k]),
@@ -451,23 +452,18 @@ def format_table(result: ScenarioResult) -> str:
                 _g17(result.r_instant[k]),
                 result.stability_trace[k].value,
             ]
-        )
-    return buf.getvalue()
+            for k in range(result.steps_run)
+        ),
+    )
 
 
 def emit_table(result: ScenarioResult, destination: str | Path) -> Path:
     """Write the time-series table; identical results give identical bytes."""
-    path = Path(destination)
-    path.write_text(format_table(result), encoding="utf-8", newline="\n")
-    return path
+    return _write(format_table(result), destination)
 
 
 def format_summary(summary: RunSummary) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SUMMARY_COLUMNS)
-    w.writerow(_summary_row(summary))
-    return buf.getvalue()
+    return _csv(SUMMARY_COLUMNS, [_summary_row(summary)])
 
 
 def _summary_row(s: RunSummary) -> list:
@@ -491,39 +487,18 @@ def _summary_row(s: RunSummary) -> list:
 
 
 def emit_summary(summary: RunSummary, destination: str | Path) -> Path:
-    path = Path(destination)
-    path.write_text(format_summary(summary), encoding="utf-8", newline="\n")
-    return path
-
-
-def format_sweep_table(param: str, points: Sequence[SweepPoint]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["param", "param_value"] + SUMMARY_COLUMNS[1:])
-    for pt in points:
-        w.writerow([param, _g17(pt.value)] + _summary_row(pt.summary)[1:])
-    return buf.getvalue()
+    return _write(format_summary(summary), destination)
 
 
 def emit_sweep_table(param: str, points: Sequence[SweepPoint], destination: str | Path) -> Path:
-    path = Path(destination)
-    path.write_text(format_sweep_table(param, points), encoding="utf-8", newline="\n")
-    return path
-
-
-def format_curve_table(xs, means, stderrs) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(CURVE_COLUMNS)
-    for x, m, s in zip(xs, means, stderrs):
-        w.writerow([_g17(x), _g17(m), _g17(s)])
-    return buf.getvalue()
+    header = ["param", "param_value"] + SUMMARY_COLUMNS[1:]
+    rows = ([param, _g17(pt.value)] + _summary_row(pt.summary)[1:] for pt in points)
+    return _write(_csv(header, rows), destination)
 
 
 def emit_curve_table(xs, means, stderrs, destination: str | Path) -> Path:
-    path = Path(destination)
-    path.write_text(format_curve_table(xs, means, stderrs), encoding="utf-8", newline="\n")
-    return path
+    rows = ([_g17(x), _g17(m), _g17(s)] for x, m, s in zip(xs, means, stderrs))
+    return _write(_csv(CURVE_COLUMNS, rows), destination)
 
 
 def read_table(path: str | Path) -> dict[str, np.ndarray]:

@@ -27,14 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
-    AgentParams,
     CrowdConfig,
-    NoNoise,
-    StepRecord,
     UniformNoise,
     WienerNoise,
     homogeneous_agents,
     ordered_sum,
+    require_finite,
 )
 from .metrics import SyncReport, sync_report, trendiness
 from .rng import make_generator
@@ -50,6 +48,9 @@ PROFILE_KINDS = ("zero", "step", "ramp", "bubble", "explicit")
 SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 
 DEFAULT_DIVERGENCE_CEILING = 1e12
+
+#: Uniform draws per block in `forced_ratio_samples`; bounds its memory.
+_DRAW_BLOCK = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +270,6 @@ class ScenarioResult:
     def steps_run(self) -> int:
         return len(self.t)
 
-    @property
-    def ratio(self) -> np.ndarray:
-        return self.n_reactive / self.config.n
-
-    def record(self, k: int) -> StepRecord:
-        """Materialize step k as a StepRecord."""
-        actions = self.agent_actions[:, k] if self.agent_actions is not None else None
-        return StepRecord(
-            t=int(self.t[k]),
-            dE=float(self.dE[k]),
-            agent_actions=actions,
-            dS=float(self.dS[k]),
-            dO=float(self.dO[k]),
-            O=float(self.O[k]),
-            n_reactive=int(self.n_reactive[k]),
-            b_total=float(self.b_total[k]),
-            ab=float(self.ab[k]),
-        )
-
-    @property
-    def records(self) -> list[StepRecord]:
-        return [self.record(k) for k in range(self.steps_run)]
-
 
 # ---------------------------------------------------------------------------
 # The canonical loop
@@ -316,6 +294,9 @@ def run(
     count fixed (threshold experiments); `initial_dO` seeds the
     endogenous feedback with a nonzero observation increment.
 
+    A run stops, marked diverged, at the first step whose |O| exceeds
+    `divergence_ceiling` or is NaN.
+
     Noise models: per-agent uniform noise enters each agent's action;
     aggregate drift+diffusion noise enters the observation update and is
     attributed equally across agents so dS = sum dS_i and dO = a*dS stay
@@ -324,12 +305,10 @@ def run(
     n, a, dt = config.n, config.a, config.dt
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
         raise ValueError(f"pinned_reactive={pinned_reactive} outside [0, {n}]")
-    b_low = np.array([ag.b_low for ag in config.agents])
-    b_high = np.array([ag.b_high for ag in config.agents])
+    require_finite("divergence_ceiling", divergence_ceiling)
+    b_low, b_high, rank = _switch_order(config)
     c_vec = np.array([ag.c for ag in config.agents])
     amp = np.array([ag.noise_amp for ag in config.agents])
-    rank = np.empty(n, dtype=np.intp)
-    rank[switch_priority(config.agents)] = np.arange(n)
 
     model = config.noise_model
     uniform = isinstance(model, UniformNoise)
@@ -385,7 +364,7 @@ def run(
 
         history.append(dO)
         dO_prev = dO
-        if abs(O) > divergence_ceiling:
+        if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
             diverged = True
             truncated_at = t
             steps_run = t + 1
@@ -420,6 +399,18 @@ def run(
     return result
 
 
+def _switch_order(config: CrowdConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(b_low, b_high, rank) of a crowd; rank[i] is agent i's place in switch priority.
+
+    With n_h agents reactive the couplings are np.where(rank < n_h, b_high, b_low).
+    """
+    b_low = np.array([ag.b_low for ag in config.agents])
+    b_high = np.array([ag.b_high for ag in config.agents])
+    rank = np.empty(config.n, dtype=np.intp)
+    rank[switch_priority(config.agents)] = np.arange(config.n)
+    return b_low, b_high, rank
+
+
 def _window_reports(
     result: ScenarioResult, metric_window: int | None, overlap: bool
 ) -> list[SyncReport]:
@@ -445,7 +436,7 @@ def _window_reports(
 
 
 def run_spec(spec: ScenarioSpec, seed: int | None = None, **overrides) -> ScenarioResult:
-    """Run a parsed or golden scenario; keyword overrides win over the spec."""
+    """Run a parsed scenario; keyword overrides win over the spec."""
     kwargs = {
         "metric_window": spec.metric_window,
         "overlap": spec.overlap,
@@ -489,7 +480,6 @@ def forced_ratio_samples(
     noise_amp: float = 0.0,
     trials: int = 1,
     seed: int = 0,
-    _block: int = 2_000_000,
 ) -> np.ndarray:
     """Order parameter of one driven step at a pinned reactive fraction.
 
@@ -505,15 +495,12 @@ def forced_ratio_samples(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = config.n
     n_h = min(int(math.floor(ratio * n + 0.5)), n)
-    b_low = np.array([ag.b_low for ag in config.agents])
-    b_high = np.array([ag.b_high for ag in config.agents])
-    rank = np.empty(n, dtype=np.intp)
-    rank[switch_priority(config.agents)] = np.arange(n)
+    b_low, b_high, rank = _switch_order(config)
     base = np.where(rank < n_h, b_high, b_low) * dO_drive
 
     rng = make_generator(seed)
     out = np.empty(trials)
-    per_block = max(1, _block // n)
+    per_block = max(1, _DRAW_BLOCK // n)
     done = 0
     while done < trials:
         k = min(per_block, trials - done)
@@ -525,18 +512,6 @@ def forced_ratio_samples(
         out[done : done + k] = blk
         done += k
     return np.clip(out, 0.0, 1.0)
-
-
-def forced_ratio_run(
-    config: CrowdConfig,
-    ratio: float,
-    dO_drive: float = 1.0,
-    noise_amp: float = 0.0,
-    trials: int = 1,
-    seed: int = 0,
-) -> float:
-    """Mean order parameter over trials at a pinned reactive fraction."""
-    return float(forced_ratio_samples(config, ratio, dO_drive, noise_amp, trials, seed).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +609,7 @@ def apply_sweep_value(
         tmpl = config.agents[0]
         agents = homogeneous_agents(n, tmpl.b_low, tmpl.b_high, tmpl.c, tmpl.noise_amp)
         return replace(config, n=n, agents=agents), rule
-    field_name = {"b_high": "b_high", "b_low": "b_low", "noise_amp": "noise_amp"}[param]
-    agents = [replace(ag, **{field_name: float(value)}) for ag in config.agents]
+    agents = [replace(ag, **{param: float(value)}) for ag in config.agents]
     return replace(config, agents=agents), rule
 
 
@@ -693,62 +667,3 @@ def sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]
-
-
-# ---------------------------------------------------------------------------
-# Golden scenarios: the three regression-locked regimes
-# ---------------------------------------------------------------------------
-
-GOLDEN_NAMES = ("fig4-stable", "fig5-unstable", "fig6-bubble")
-
-
-def golden_scenario(name: str) -> ScenarioSpec:
-    """Named reference scenarios for the three coupling regimes.
-
-    fig4-stable: peak loop gain 0.5; a step of news excites the crowd,
-    which relaxes back to fully normal once the force stabilizes.
-    fig5-unstable: peak loop gain 1.35; the same step tips the crowd
-    past its critical reactive count and it self-amplifies (diverges).
-    fig6-bubble: peak loop gain exactly 1; a build-crash-confusion story
-    inflates a bubble that crashes and settles at a lower level.
-    """
-    if name == "fig4-stable":
-        return ScenarioSpec(
-            name=name,
-            config=CrowdConfig(n=100, a=0.01, agents=homogeneous_agents(100, 0.0, 0.5, 1.0)),
-            rule=SwitchRule(saturation_scale=0.54, window=5),
-            profile=step_profile(80, height=1.0, onset=10),
-            steps=80,
-            seed=0,
-            metric_window=20,
-        )
-    if name == "fig5-unstable":
-        return ScenarioSpec(
-            name=name,
-            config=CrowdConfig(n=100, a=0.01, agents=homogeneous_agents(100, 0.0, 1.35, 1.0)),
-            rule=SwitchRule(saturation_scale=0.26, window=5),
-            profile=step_profile(150, height=1.0, onset=10),
-            steps=150,
-            seed=0,
-            metric_window=25,
-        )
-    if name == "fig6-bubble":
-        return ScenarioSpec(
-            name=name,
-            config=CrowdConfig(n=100, a=0.01, agents=homogeneous_agents(100, 0.0, 1.0, 1.0)),
-            rule=SwitchRule(saturation_scale=0.25, window=5),
-            profile=bubble_profile(
-                240,
-                build_slope=0.05,
-                peak_step=150,
-                crash_slope=-0.4,
-                stabilize_step=155,
-                confusion_scale=0.85,
-                confusion_decay=0.7,
-                confusion_wobble=0.35,
-            ),
-            steps=240,
-            seed=0,
-            metric_window=30,
-        )
-    raise ValueError(f"unknown golden scenario {name!r}; valid: {', '.join(GOLDEN_NAMES)}")

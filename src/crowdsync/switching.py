@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
-from .dynamics import AgentParams, AgentState, CrowdError, EmptyPopulationError, Mode, ordered_sum
+from .dynamics import AgentParams, CrowdError, ordered_sum, require_finite
 
 #: Band around loop gain 1 classified as marginal.
 MARGINAL_TOL = 1e-9
@@ -57,25 +55,11 @@ class SwitchRule:
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
+        require_finite("saturation_scale", self.saturation_scale)
         if not self.saturation_scale > 0:
             raise ValueError(f"saturation_scale must be > 0, got {self.saturation_scale}")
         if self.mode != PROPORTIONAL_TRAILING_MEAN:
             raise ValueError(f"unknown switch-rule mode: {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class CouplingSummary:
-    """Aggregate coupling state of the population at one instant."""
-
-    n_reactive: int
-    n_normal: int
-    b_total: float
-    b_high_avg: float
-    b_low_avg: float
-    b_abs_low_avg: float
-    ab: float
-    ab_max: float
-    ab_min: float
 
 
 @dataclass(frozen=True)
@@ -96,37 +80,6 @@ class Stability(Enum):
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def aggregate_coupling(
-    agents: Sequence[AgentParams], states: Sequence[AgentState], a: float
-) -> CouplingSummary:
-    """Sum per-agent effective couplings and derive the loop-gain summary.
-
-    ``a`` is the observation sensitivity; it only enters the ab fields.
-    b_total is the exact ascending-id sum of effective_b.
-    """
-    if len(agents) == 0:
-        raise EmptyPopulationError("aggregate_coupling needs at least one agent")
-    if len(agents) != len(states):
-        raise ValueError(f"{len(agents)} agents but {len(states)} states")
-    n = len(agents)
-    b_total = ordered_sum([st.effective_b for st in states])
-    n_reactive = sum(1 for st in states if st.mode is Mode.REACTIVE)
-    b_high_avg = ordered_sum([ag.b_high for ag in agents]) / n
-    b_low_avg = ordered_sum([ag.b_low for ag in agents]) / n
-    b_abs_low_avg = ordered_sum([abs(ag.b_low) for ag in agents]) / n
-    return CouplingSummary(
-        n_reactive=n_reactive,
-        n_normal=n - n_reactive,
-        b_total=b_total,
-        b_high_avg=b_high_avg,
-        b_low_avg=b_low_avg,
-        b_abs_low_avg=b_abs_low_avg,
-        ab=a * b_total,
-        ab_max=a * n * b_high_avg,
-        ab_min=a * n * b_low_avg,
-    )
-
 
 def critical_reactive_count(a: float, n: int, b_high_avg: float, b_low_avg: float) -> TippingPoint:
     """Reactive count at which the loop gain reaches 1.
@@ -153,23 +106,13 @@ def update_reactive_count(dO_history: Sequence[float], rule: SwitchRule, n: int)
         return 0
     mean_mag = ordered_sum([abs(x) for x in hist]) / len(hist)
     raw = n * mean_mag / rule.saturation_scale
-    return min(max(int(math.floor(raw + 0.5)), 0), n)  # round half away from zero
+    # capped before rounding, because a tiny saturation_scale can make raw inf
+    return int(math.floor(min(raw, n) + 0.5))  # round half away from zero
 
 
 def switch_priority(agents: Sequence[AgentParams]) -> list[int]:
     """Order in which agents switch: largest b_high first, then ascending id."""
     return sorted(range(len(agents)), key=lambda i: (-agents[i].b_high, agents[i].id))
-
-
-def assign_states(agents: Sequence[AgentParams], n_reactive: int) -> list[AgentState]:
-    """Deterministically mark the first n_reactive agents (by switch priority) reactive."""
-    if not 0 <= n_reactive <= len(agents):
-        raise ValueError(f"n_reactive={n_reactive} outside [0, {len(agents)}]")
-    reactive_ids = set(switch_priority(agents)[:n_reactive])
-    return [
-        AgentState.of(ag, Mode.REACTIVE if i in reactive_ids else Mode.NORMAL)
-        for i, ag in enumerate(agents)
-    ]
 
 
 def classify_stability(ab: float) -> Stability:

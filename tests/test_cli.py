@@ -53,3 +53,35 @@ def test_sweep_rejects_fractional_n(tmp_path, capsys):
     assert main(argv) == 1
     assert "whole numbers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def assert_one_line_error(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_validate_rejects_infinite_sensitivity(tmp_path, capsys):
+    path = tmp_path / "inf.scenario"
+    path.write_text(SCENARIO.format(name="cli").replace("crowd.a = 0.05", "crowd.a = inf"))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert_one_line_error(capsys, "line 4: crowd.a:", "finite")
+
+
+def test_run_rejects_nan_coefficient(tmp_path, capsys):
+    path = tmp_path / "nan.scenario"
+    path.write_text(SCENARIO.format(name="cli").replace("crowd.c = 1.0", "crowd.c = nan"))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert_one_line_error(capsys, "line 7: crowd.c:", "finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_infinite_divergence_ceiling(tmp_path, capsys, scenario_dir):
+    text = (scenario_dir / "fig5-unstable.scenario").read_text(encoding="utf-8")
+    text = text.replace("run.steps = 150", "run.steps = 3000")
+    text = text.replace("run.divergence_ceiling = 1000000000000.0", "run.divergence_ceiling = inf")
+    path = tmp_path / "fig5-inf.scenario"
+    path.write_text(text, encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert_one_line_error(capsys, "run.divergence_ceiling:", "finite")

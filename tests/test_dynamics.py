@@ -1,4 +1,10 @@
-"""Core feedback dynamics: per-agent steps, aggregation, the one-step map."""
+"""Core feedback dynamics: the per-agent response, aggregation, the one-step map.
+
+Every step is taken by `scenarios.run`, so these tests drive it directly:
+`pinned_reactive` fixes who is reactive, `initial_dO` sets the previous
+observation increment of the first step, and an explicit profile supplies
+the force increments.
+"""
 
 import math
 
@@ -7,25 +13,21 @@ import pytest
 
 from crowdsync.dynamics import (
     AgentParams,
-    AgentState,
     CrowdConfig,
     EmptyPopulationError,
-    Mode,
     NoNoise,
     SingularFeedbackError,
     UniformNoise,
     WienerNoise,
-    agent_step,
-    aggregate,
     homogeneous_agents,
     instantaneous_response,
-    noise_increment,
-    observe,
     ordered_sum,
-    recurse_observation,
-    step_with_noise,
 )
 from crowdsync.rng import make_generator
+from crowdsync.scenarios import explicit_profile, run
+from crowdsync.switching import SwitchRule
+
+RULE = SwitchRule(saturation_scale=1.0)
 
 
 def fixed_point_response(a, b, c, dE, tol=1e-12, max_iter=10_000):
@@ -51,48 +53,70 @@ def kahan_sum(values):
     return total
 
 
-def _state(b_low, b_high, mode):
-    params = AgentParams(0, b_low, b_high, c=1.0)
-    return params, AgentState.of(params, mode)
+def crowd(b_low, b_high, c, a=1.0, noise_amp=0.0, noise_model=None, dt=1.0):
+    """A crowd from per-agent coefficient lists (scalars mean one agent)."""
+    b_low, b_high, c, amp = np.broadcast_arrays(b_low, b_high, c, noise_amp)
+    agents = [
+        AgentParams(i, float(lo), float(hi), float(ci), float(ai))
+        for i, (lo, hi, ci, ai) in enumerate(zip(b_low.ravel(), b_high.ravel(), c.ravel(), amp.ravel()))
+    ]
+    return CrowdConfig(n=len(agents), a=a, agents=agents, noise_model=noise_model or NoNoise(), dt=dt)
+
+
+def drive(cfg, dE, dO_prev=0.0, reactive=0, seed=0, ceiling=1e300):
+    """run() with the switch rule bypassed: `reactive` agents pinned, dE as the profile."""
+    return run(cfg, RULE, explicit_profile(len(dE), dE), seed, pinned_reactive=reactive,
+               initial_dO=dO_prev, divergence_ceiling=ceiling)
+
+
+def gains(cfg, steps, dO_prev, reactive):
+    """dO series of a crowd with no force, seeded with dO_prev."""
+    return drive(cfg, np.zeros(steps), dO_prev, reactive).dO
 
 
 # ---------------------------------------------------------------------------
-# agent_step
+# one agent's response dS_i = c*dE + b*dO_prev (+ noise)
 # ---------------------------------------------------------------------------
 
 def test_agent_step_pure_exogenous():
-    params = AgentParams(0, b_low=0.0, b_high=1.0, c=1.0)
-    state = AgentState.of(params, Mode.NORMAL)
-    assert agent_step(params, state, dE=2.0, dO_prev=5.0) == 2.0
+    result = drive(crowd(0.0, 1.0, 1.0), [2.0], dO_prev=5.0)
+    assert result.agent_actions[0, 0] == 2.0
 
 
 def test_agent_step_with_coupling():
-    params = AgentParams(0, b_low=0.2, b_high=1.0, c=0.5)
-    state = AgentState.of(params, Mode.NORMAL)
-    assert agent_step(params, state, dE=2.0, dO_prev=5.0) == 2.0
+    result = drive(crowd(0.2, 1.0, 0.5), [2.0], dO_prev=5.0)
+    assert result.agent_actions[0, 0] == 2.0
 
 
 def test_agent_step_additive_noise():
-    params = AgentParams(0, b_low=0.2, b_high=1.0, c=0.5)
-    state = AgentState.of(params, Mode.NORMAL)
-    assert agent_step(params, state, dE=2.0, dO_prev=5.0, noise=0.3) == 2.3
+    """Uniform noise adds a draw of half-width noise_amp to the noise-free action."""
+    quiet = drive(crowd(0.2, 1.0, 0.5), [2.0] * 50, dO_prev=5.0)
+    noisy_cfg = crowd(0.2, 1.0, 0.5, noise_amp=0.3, noise_model=UniformNoise())
+    noisy = drive(noisy_cfg, [2.0] * 50, dO_prev=5.0, seed=4)
+    assert quiet.agent_actions[0, 0] == 2.0
+    eps = noisy.agent_actions[0, 0] - 2.0
+    assert eps != 0.0 and abs(eps) <= 0.3
+    # later steps feed the noisy dO back; the action still equals c*dE + b*dO_prev + eps
+    expected = 0.5 * 2.0 + 0.2 * noisy.dO[:-1]
+    assert np.all(np.abs(noisy.agent_actions[0, 1:] - expected) <= 0.3 + 1e-12)
 
 
 def test_agent_step_linearity_in_inputs():
-    params = AgentParams(0, b_low=0.3, b_high=0.9, c=0.7)
-    state = AgentState.of(params, Mode.REACTIVE)
+    cfg = crowd([0.3, -0.2], [0.9, 1.4], [0.7, -1.1])
     rng = make_generator(11)
-    for _ in range(200):
+    for _ in range(50):
         dE, dO, alpha = rng.uniform(-5, 5, 3)
-        scaled = agent_step(params, state, alpha * dE, alpha * dO)
-        base = agent_step(params, state, dE, dO)
+        scaled = drive(cfg, [alpha * dE], alpha * dO, reactive=1).agent_actions[:, 0]
+        base = drive(cfg, [dE], dO, reactive=1).agent_actions[:, 0]
         assert scaled == pytest.approx(alpha * base, rel=1e-12, abs=1e-12)
 
 
 def test_agent_state_tracks_mode():
-    params = AgentParams(3, b_low=-0.1, b_high=0.8, c=1.0)
-    assert AgentState.of(params, Mode.NORMAL).effective_b == -0.1
-    assert AgentState.of(params, Mode.REACTIVE).effective_b == 0.8
+    """A normal agent couples with b_low, a reactive one with b_high."""
+    cfg = crowd(-0.1, 0.8, 1.0)
+    assert drive(cfg, [0.0], 1.0, reactive=0).b_total[0] == -0.1
+    assert drive(cfg, [0.0], 1.0, reactive=1).b_total[0] == 0.8
+    assert drive(cfg, [0.0], 1.0, reactive=1).agent_actions[0, 0] == 0.8
 
 
 def test_agent_params_invariants():
@@ -102,26 +126,34 @@ def test_agent_params_invariants():
         AgentParams(0, b_low=-1.0, b_high=-0.5, c=1.0)
     with pytest.raises(ValueError):
         AgentParams(0, b_low=0.0, b_high=1.0, c=1.0, noise_amp=-0.1)
+    for bad in (math.inf, -math.inf, math.nan):
+        for field in ("b_low", "c", "noise_amp"):
+            kwargs = {"b_low": 0.0, "b_high": 1.0, "c": 1.0, "noise_amp": 0.0, field: bad}
+            with pytest.raises(ValueError, match="finite"):
+                AgentParams(0, **kwargs)
+    with pytest.raises(ValueError, match="finite"):
+        AgentParams(0, b_low=0.0, b_high=math.inf, c=1.0)
 
 
 # ---------------------------------------------------------------------------
-# aggregate / observe
+# aggregation dS = sum dS_i and observation dO = a*dS
 # ---------------------------------------------------------------------------
 
 def test_aggregate_examples():
-    assert aggregate([1.0, 2.0, 3.0]) == 6.0
-    assert aggregate([1.0, -1.0]) == 0.0
+    assert drive(crowd(0.0, 1.0, [1.0, 2.0, 3.0]), [1.0]).dS[0] == 6.0
+    assert drive(crowd(0.0, 1.0, [1.0, -1.0]), [1.0]).dS[0] == 0.0
 
 
 def test_aggregate_thousand_small_actions_vs_compensated_oracle():
-    values = [0.001] * 1000
-    assert aggregate(values) == pytest.approx(kahan_sum(values), abs=1e-12)
-    assert aggregate(values) == pytest.approx(1.0, abs=1e-12)
+    result = drive(crowd(0.0, 1.0, np.full(1000, 0.001)), [1.0])
+    values = list(result.agent_actions[:, 0])
+    assert result.dS[0] == pytest.approx(kahan_sum(values), abs=1e-12)
+    assert result.dS[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_aggregate_empty_is_error():
     with pytest.raises(EmptyPopulationError):
-        aggregate([])
+        ordered_sum([])
 
 
 def test_ordered_sum_is_left_to_right():
@@ -135,14 +167,22 @@ def test_ordered_sum_is_left_to_right():
 
 
 def test_observe_examples():
-    assert observe(1.0, 5.0) == 5.0
-    assert observe(0.01, 100.0) == 1.0
-    assert observe(2.0, -3.0) == -6.0  # sign preserved
+    """dO = a*dS on every step, sign preserved, and O is the running sum of dO."""
+    assert drive(crowd(0.0, 1.0, 5.0), [1.0]).dO[0] == 5.0
+    assert drive(crowd(0.0, 1.0, 100.0, a=0.01), [1.0]).dO[0] == 1.0
+    assert drive(crowd(0.0, 1.0, -3.0, a=2.0), [1.0]).dO[0] == -6.0
+    rng = make_generator(6)
+    cfg = crowd(rng.uniform(-0.2, 0.2, 20), 1.0, rng.uniform(-1, 1, 20), a=0.04)
+    result = drive(cfg, rng.uniform(-1, 1, 60), reactive=7)
+    assert np.array_equal(result.dO, cfg.a * result.dS)
+    assert np.array_equal(result.O, np.cumsum(result.dO))
 
 
 def test_observe_requires_positive_sensitivity():
-    with pytest.raises(ValueError):
-        observe(0.0, 1.0)
+    agents = homogeneous_agents(1, 0.0, 1.0, 1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="sensitivity a"):
+            CrowdConfig(n=1, a=bad, agents=agents)
 
 
 def test_superposition_of_agent_steps():
@@ -152,7 +192,7 @@ def test_superposition_of_agent_steps():
         b = rng.uniform(-0.5, 1.5, n)
         c = rng.uniform(-1.0, 2.0, n)
         dE, dO = rng.uniform(-3, 3, 2)
-        per_agent = aggregate(c * dE + b * dO)
+        per_agent = drive(crowd(b, b + 1.0, c), [dE], dO).dS[0]
         combined = ordered_sum(c) * dE + ordered_sum(b) * dO
         scale = max(1.0, abs(per_agent))
         assert abs(per_agent - combined) <= 1e-12 * scale
@@ -191,47 +231,33 @@ def test_instantaneous_response_random_contracting_gains():
 
 
 # ---------------------------------------------------------------------------
-# delayed-response recursion
+# delayed-response recursion dO(t+1) = (a*C)*dE(t) + (a*B)*dO(t)
 # ---------------------------------------------------------------------------
 
 def test_recurse_observation_examples():
-    assert recurse_observation(1.0, 0.0, 1.0, 3.0, 5.0) == 3.0  # no endogenous reaction
-    assert recurse_observation(1.0, 0.5, 1.0, 0.0, 2.0) == 1.0  # pure endogenous decay
+    assert drive(crowd(0.0, 1.0, 1.0), [3.0], 5.0).dO[0] == 3.0  # no endogenous reaction
+    assert drive(crowd(0.0, 0.5, 1.0), [0.0], 2.0, reactive=1).dO[0] == 1.0  # pure decay
 
 
 def test_recursion_doubles_per_step_at_gain_two():
-    dO = 1.0
-    for _ in range(2):
-        dO = recurse_observation(1.0, 2.0, 1.0, 0.0, dO)
-    assert dO == 4.0
+    assert gains(crowd(0.0, 2.0, 1.0), 2, 1.0, reactive=1)[-1] == 4.0
 
 
 @pytest.mark.parametrize("a,b", [(0.5, 4.0), (1.0, 0.5), (0.25, 8.0), (1.0, 2.0)])
 def test_geometric_regime_bit_exact_for_dyadic_gain(a, b):
-    ab = a * b
-    dO = 1.0
-    for n in range(2, 51):
-        dO = recurse_observation(a, b, 1.0, 0.0, dO)
-        assert dO == ab ** (n - 1)
+    dO = gains(crowd(0.0, b, 1.0, a=a), 49, 1.0, reactive=1)
+    assert np.array_equal(dO, (a * b) ** np.arange(1.0, 50.0))
 
 
 def test_geometric_regime_decays_below_threshold():
-    dO = 1.0
-    steps = 0
-    while abs(dO) >= 1e-10:
-        dO = recurse_observation(1.0, 0.5, 1.0, 0.0, dO)
-        steps += 1
-        assert steps < 200
-    assert abs(dO) < 1e-10
+    dO = gains(crowd(0.0, 0.5, 1.0), 200, 1.0, reactive=1)
+    assert np.all(np.diff(np.abs(dO)) < 0)
+    assert abs(dO[-1]) < 1e-10
 
 
 def test_geometric_regime_grows_monotonically_when_super_unit():
-    dO = 0.1
-    prev = abs(dO)
-    for _ in range(40):
-        dO = recurse_observation(1.0, 1.2, 1.0, 0.0, dO)
-        assert abs(dO) > prev
-        prev = abs(dO)
+    dO = gains(crowd(0.0, 1.2, 1.0), 40, 0.1, reactive=1)
+    assert np.all(np.diff(np.abs(np.concatenate([[0.1], dO]))) > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -239,27 +265,46 @@ def test_geometric_regime_grows_monotonically_when_super_unit():
 # ---------------------------------------------------------------------------
 
 def test_no_noise_is_zero_always():
-    rng = make_generator(0)
-    assert all(noise_increment(NoNoise(), rng) == 0.0 for _ in range(100))
+    """Without noise every action is exactly c*dE + b*dO_prev, whatever the seed."""
+    cfg = crowd([0.1, -0.3], [0.9, 0.5], [1.0, 2.0], a=0.2)
+    dE = make_generator(0).uniform(-1, 1, 100)
+    first = drive(cfg, dE, 0.5, reactive=1, seed=1)
+    second = drive(cfg, dE, 0.5, reactive=1, seed=2)
+    assert np.array_equal(first.agent_actions, second.agent_actions)
+    dO_prev = np.concatenate([[0.5], first.dO[:-1]])
+    b = np.array([[0.9], [-0.3]])  # agent 0 is reactive (largest b_high)
+    c = np.array([[1.0], [2.0]])
+    assert np.array_equal(first.agent_actions, c * dE + b * dO_prev)
+
+
+def _wiener_increments(mu, sigma, steps, seed, dt=1.0):
+    """dO of one agent with no coupling and no force: the Wiener noise alone.
+
+    a = 0.5, so the noise must be attributed to the agent as eps/a for dO to be eps.
+    """
+    cfg = crowd(0.0, 1.0, 0.0, a=0.5, noise_model=WienerNoise(mu=mu, sigma=sigma), dt=dt)
+    return drive(cfg, np.zeros(steps), seed=seed)
+
+
+@pytest.fixture(scope="module")
+def wiener_path():
+    """One run of 2*10^4 Wiener increments: mu = 0.05, sigma = 0.2, dt = 0.25."""
+    return _wiener_increments(0.05, 0.2, 20_000, seed=1234, dt=0.25).dO
 
 
 def test_wiener_pure_drift_is_exact():
-    rng = make_generator(0)
-    assert noise_increment(WienerNoise(mu=0.1, sigma=0.0), rng) == 0.1
+    assert np.all(_wiener_increments(0.1, 0.0, 10, seed=0).dO == 0.1)
 
 
-def test_wiener_mean_statistics():
-    rng = make_generator(99)
-    model = WienerNoise(mu=0.0, sigma=1.0)
-    draws = np.array([noise_increment(model, rng) for _ in range(100_000)])
-    assert abs(draws.mean()) <= 4.0 / math.sqrt(100_000)
+def test_wiener_mean_statistics(wiener_path):
+    # increments are mu*dt + sigma*sqrt(dt)*z
+    assert abs(wiener_path.mean() - 0.05 * 0.25) <= 4.0 * 0.2 * 0.5 / math.sqrt(wiener_path.size)
 
 
 def test_uniform_noise_bounds_and_moments():
     e = 0.7
-    rng = make_generator(21)
-    model = UniformNoise(e)
-    draws = np.array([noise_increment(model, rng) for _ in range(100_000)])
+    cfg = crowd(np.zeros(100), 1.0, 0.0, noise_amp=e, noise_model=UniformNoise())
+    draws = drive(cfg, np.zeros(1000), seed=21).agent_actions.ravel()
     assert np.all(draws >= -e) and np.all(draws <= e)
     n = draws.size
     se_mean = (e / math.sqrt(3)) / math.sqrt(n)
@@ -267,40 +312,30 @@ def test_uniform_noise_bounds_and_moments():
     var_target = e**2 / 3
     se_var = e**2 * math.sqrt(4.0 / 45.0 / n)
     assert abs(draws.var() - var_target) <= 4 * se_var
+    with pytest.raises(TypeError):
+        UniformNoise(e)  # the half-width is each agent's noise_amp, not the model's
 
 
 def test_step_with_noise_reduces_to_recursion_without_noise():
-    rng = make_generator(3)
-    for _ in range(50):
-        a, b, c, dE, dO = rng.uniform(-1, 1, 5)
-        assert step_with_noise(a, b, c, dE, dO, 0.0) == recurse_observation(a, b, c, dE, dO)
+    cfg = crowd([0.1, -0.3], [0.9, 0.5], [1.0, 2.0], a=0.2)
+    silent = crowd([0.1, -0.3], [0.9, 0.5], [1.0, 2.0], a=0.2,
+                   noise_model=WienerNoise(mu=0.0, sigma=0.0))
+    dE = make_generator(3).uniform(-1, 1, 50)
+    assert np.array_equal(drive(cfg, dE, 0.5, reactive=1).dO, drive(silent, dE, 0.5, reactive=1).dO)
 
 
 def test_step_with_noise_pure_drift_accumulation():
-    model = WienerNoise(mu=0.05, sigma=0.0)
-    rng = make_generator(0)
-    dO = 0.0
-    O = 0.0
-    for _ in range(100):
-        dO = step_with_noise(1.0, 0.0, 0.0, 0.0, dO, noise_increment(model, rng))
-        O += dO
-    assert O == pytest.approx(5.0, rel=1e-12)
+    result = _wiener_increments(0.05, 0.0, 100, seed=0)
+    assert result.O[-1] == pytest.approx(5.0, rel=1e-12)
 
 
-def test_step_with_noise_brownian_variance():
-    """Monte-Carlo check of Var[O(T)] = sigma^2 * T with the loop gain off."""
-    model = WienerNoise(mu=0.0, sigma=0.2)
-    finals = np.empty(10_000)
-    for p in range(10_000):
-        rng = make_generator(1234, p)
-        dO = 0.0
-        O = 0.0
-        for _ in range(100):
-            dO = step_with_noise(1.0, 0.0, 0.0, 0.0, dO, noise_increment(model, rng))
-            O += dO
-        finals[p] = O
-    target = 0.2**2 * 100
-    assert finals.var() == pytest.approx(target, rel=0.15)
+def test_step_with_noise_brownian_variance(wiener_path):
+    """Increments are i.i.d. with variance sigma^2*dt, so Var[O] = sigma^2 * elapsed time."""
+    var = 0.2**2 * 0.25
+    assert abs(wiener_path.var() - var) <= 4 * var * math.sqrt(2.0 / wiener_path.size)
+    # no feedback: successive increments are uncorrelated
+    lag1 = np.corrcoef(wiener_path[:-1], wiener_path[1:])[0, 1]
+    assert abs(lag1) <= 4.0 / math.sqrt(wiener_path.size)
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +352,18 @@ def test_crowd_config_validation():
         CrowdConfig(n=3, a=1.0, agents=agents, dt=0.0)
     with pytest.raises(ValueError):
         CrowdConfig(n=3, a=1.0, agents=list(reversed(agents)))
+    with pytest.raises(ValueError):
+        CrowdConfig(n=0, a=1.0, agents=[])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            CrowdConfig(n=3, a=1.0, agents=agents, dt=bad)
+        with pytest.raises(ValueError, match="finite"):
+            WienerNoise(mu=bad, sigma=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            WienerNoise(mu=0.0, sigma=bad)
 
 
 def test_crowd_config_ab_max():
+    """Loop gain with every agent reactive is a * sum(b_high)."""
     cfg = CrowdConfig(n=100, a=0.01, agents=homogeneous_agents(100, 0.0, 1.35, 1.0))
-    assert cfg.ab_max == pytest.approx(1.35, rel=1e-12)
+    assert drive(cfg, [0.0], reactive=100).ab[0] == pytest.approx(1.35, rel=1e-12)

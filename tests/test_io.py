@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from crowdsync.dynamics import NoNoise, UniformNoise, WienerNoise
+from crowdsync.dynamics import AgentParams, NoNoise, UniformNoise, WienerNoise
 from crowdsync.scenario_io import (
     ScenarioFormatError,
     TABLE_COLUMNS,
@@ -17,7 +18,15 @@ from crowdsync.scenario_io import (
     parse_scenario,
     read_table,
 )
-from crowdsync.scenarios import GOLDEN_NAMES, golden_scenario, run_spec, summarize, run, zero_profile
+from crowdsync.scenarios import (
+    PROFILE_KINDS,
+    ScenarioSpec,
+    build_profile,
+    run_spec,
+    summarize,
+    run,
+    zero_profile,
+)
 from crowdsync.switching import SwitchRule
 from crowdsync.dynamics import CrowdConfig, homogeneous_agents
 
@@ -120,6 +129,32 @@ run.steps = 5
     assert all(ag.b_high == 1.0 for ag in spec.config.agents)
 
 
+NON_FINITE = [
+    ("crowd.a", "inf", 4),
+    ("crowd.b_low", "-inf", 5),
+    ("crowd.c", "nan", 7),
+    ("rule.saturation_scale", "nan", 8),
+    ("crowd.noise_amp", ", ".join(["0.1"] * 9 + ["nan"]), 11),
+    ("crowd.dt", "-inf", 11),
+    ("run.divergence_ceiling", "inf", 11),
+]
+
+
+@pytest.mark.parametrize("key,value,line", NON_FINITE, ids=[case[0] for case in NON_FINITE])
+def test_non_finite_numbers_rejected_with_line_number(key, value, line):
+    lines = MINIMAL.split("\n")
+    for i, text in enumerate(lines):
+        if text.startswith(f"{key} ="):
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        lines.insert(line - 1, f"{key} = {value}")
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario("\n".join(lines))
+    [error] = exc_info.value.errors
+    assert error.startswith(f"line {line}: {key}: must be finite")
+
+
 def test_wrong_list_length_rejected():
     text = MINIMAL.replace("crowd.c = 1.0", "crowd.c = 1.0, 2.0")
     with pytest.raises(ScenarioFormatError, match="expected 1 or 10 values"):
@@ -151,24 +186,10 @@ def test_uniform_noise_sets_agent_amplitudes():
     assert all(ag.noise_amp == 0.3 for ag in spec.config.agents)
 
 
-def test_golden_file_matches_registry(scenario_dir):
-    for name in GOLDEN_NAMES:
-        spec = load_scenario(scenario_dir / f"{name}.scenario")
-        reference = golden_scenario(name)
-        assert spec.name == reference.name
-        assert spec.config == reference.config
-        assert spec.rule == reference.rule
-        assert spec.steps == reference.steps
-        assert spec.seed == reference.seed
-        assert spec.profile.kind == reference.profile.kind
-        assert np.array_equal(spec.profile.increments, reference.profile.increments)
-
-
-def test_golden_fig5_arithmetic(scenario_dir):
-    spec = load_scenario(scenario_dir / "fig5-unstable.scenario")
-    cfg = spec.config
-    ab_max = cfg.a * cfg.n * cfg.agents[0].b_high
-    assert ab_max == pytest.approx(1.35, rel=1e-12)
+def test_golden_fig5_arithmetic(golden):
+    cfg = golden("fig5-unstable").config
+    peak_gain = cfg.a * cfg.n * cfg.agents[0].b_high
+    assert peak_gain == pytest.approx(1.35, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +202,15 @@ def test_canonical_form_is_parse_stable():
     assert first == second
 
 
-def test_canonical_form_stable_for_golden_specs():
-    for name in GOLDEN_NAMES:
-        text = format_scenario(golden_scenario(name))
+def test_canonical_form_stable_for_golden_specs(scenario_dir):
+    paths = sorted(scenario_dir.glob("*.scenario"))
+    assert [p.stem for p in paths] == ["fig4-stable", "fig5-unstable", "fig6-bubble"]
+    for path in paths:
+        text = format_scenario(load_scenario(path))
         assert format_scenario(parse_scenario(text)) == text
+        # the files are the canonical form under their comment header
+        body = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+        assert body == text.splitlines()
 
 
 def test_comments_and_blank_lines_ignored():
@@ -228,15 +254,15 @@ def test_quiescent_table_layout():
         assert fields[-1] == "contracting"
 
 
-def test_table_emission_is_deterministic(tmp_path):
-    result = run_spec(golden_scenario("fig4-stable"))
+def test_table_emission_is_deterministic(tmp_path, golden):
+    result = run_spec(golden("fig4-stable"))
     p1 = emit_table(result, tmp_path / "a.csv")
     p2 = emit_table(result, tmp_path / "b.csv")
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_table_round_trips_floats_exactly(tmp_path):
-    result = run_spec(golden_scenario("fig6-bubble"))
+def test_table_round_trips_floats_exactly(tmp_path, golden):
+    result = run_spec(golden("fig6-bubble"))
     path = emit_table(result, tmp_path / "t.csv")
     table = read_table(path)
     assert np.array_equal(table["O"], result.O)
@@ -245,14 +271,14 @@ def test_table_round_trips_floats_exactly(tmp_path):
     assert np.array_equal(table["N_H"], result.n_reactive)
 
 
-def test_bubble_table_peak_exceeds_final(tmp_path):
-    result = run_spec(golden_scenario("fig6-bubble"))
+def test_bubble_table_peak_exceeds_final(tmp_path, golden):
+    result = run_spec(golden("fig6-bubble"))
     table = read_table(emit_table(result, tmp_path / "bubble.csv"))
     assert table["O"].max() > table["O"][-1]
 
 
-def test_summary_row_shape():
-    result = run_spec(golden_scenario("fig5-unstable"))
+def test_summary_row_shape(golden):
+    result = run_spec(golden("fig5-unstable"))
     text = format_summary(summarize(result, name="fig5-unstable"))
     lines = text.strip().split("\n")
     assert len(lines) == 2
@@ -269,3 +295,89 @@ def test_read_table_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ScenarioFormatError):
         read_table(path)
+
+
+# ---------------------------------------------------------------------------
+# parse . format on generated specs
+# ---------------------------------------------------------------------------
+
+_ANY = st.floats(-1e6, 1e6)
+_POSITIVE = st.floats(1e-6, 1e3)
+_UNIT_OPEN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+
+
+def _per_agent(draw, n, values):
+    """One value for the whole crowd, or one per agent."""
+    if draw(st.booleans()):
+        return [draw(values)] * n
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+def _profile_params(draw, kind, steps):
+    if kind == "step":
+        return {"height": draw(_ANY), "onset": draw(st.integers(0, steps - 1))}
+    if kind == "ramp":
+        start = draw(st.integers(0, steps - 1))
+        return {"slope": draw(_ANY), "start": start, "end": draw(st.integers(start + 1, steps))}
+    if kind == "bubble":
+        peak = draw(st.integers(1, steps - 2))
+        return {
+            "build_slope": draw(_POSITIVE),
+            "peak_step": peak,
+            "crash_slope": -draw(_POSITIVE),
+            "stabilize_step": draw(st.integers(peak + 1, steps - 1)),
+            "confusion_scale": draw(st.floats(0.0, 1.0, exclude_max=True)),
+            "confusion_decay": draw(_UNIT_OPEN),
+            "confusion_wobble": draw(st.floats(0.0, 1.0, exclude_max=True)),
+        }
+    if kind == "explicit":
+        return {"series": draw(st.lists(_ANY, min_size=steps, max_size=steps))}
+    return {}
+
+
+@st.composite
+def specs(draw):
+    """Valid specs over every profile kind, noise kind and per-agent list shape."""
+    n = draw(st.integers(1, 5))
+    steps = draw(st.integers(3, 30))
+    b_low = _per_agent(draw, n, st.floats(-10.0, 10.0))
+    floor = [max(lo, 0.0) for lo in b_low]
+    if draw(st.booleans()):
+        b_high = [max(floor) + draw(st.floats(1e-3, 10.0))] * n
+    else:
+        b_high = [f + draw(st.floats(1e-3, 10.0)) for f in floor]
+    c = _per_agent(draw, n, _ANY)
+    amp = _per_agent(draw, n, st.floats(0.0, 10.0))
+    noise = draw(st.sampled_from([NoNoise(), UniformNoise(), None]))
+    if noise is None:
+        noise = WienerNoise(mu=draw(_ANY), sigma=draw(st.floats(0.0, 1e3)))
+    agents = [AgentParams(i, b_low[i], b_high[i], c[i], amp[i]) for i in range(n)]
+    config = CrowdConfig(n=n, a=draw(_POSITIVE), agents=agents, noise_model=noise, dt=draw(_POSITIVE))
+    rule = SwitchRule(saturation_scale=draw(_POSITIVE), window=draw(st.integers(1, 50)))
+    kind = draw(st.sampled_from(PROFILE_KINDS))
+    return ScenarioSpec(
+        name=draw(st.sampled_from(_NAME_START)) + draw(st.text(_NAME_START + ".-", max_size=12)),
+        config=config,
+        rule=rule,
+        profile=build_profile(kind, _profile_params(draw, kind, steps), steps),
+        steps=steps,
+        seed=draw(st.integers(0, 2**63)),
+        metric_window=draw(st.none() | st.integers(1, 100)),
+        overlap=draw(st.booleans()),
+        divergence_ceiling=draw(st.floats(1e-6, 1e300)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(specs())
+def test_parse_format_round_trip(spec):
+    text = format_scenario(spec)
+    parsed = parse_scenario(text)
+    assert format_scenario(parsed) == text
+    assert parsed.config == spec.config
+    assert parsed.rule == spec.rule
+    fields = ("name", "steps", "seed", "metric_window", "overlap", "divergence_ceiling")
+    assert [getattr(parsed, f) for f in fields] == [getattr(spec, f) for f in fields]
+    assert parsed.profile.kind == spec.profile.kind
+    assert np.array_equal(parsed.profile.increments, spec.profile.increments)

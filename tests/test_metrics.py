@@ -7,25 +7,24 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from crowdsync.dynamics import CrowdConfig, homogeneous_agents
 from crowdsync.metrics import (
     DecisionPanel,
     DegenerateMixError,
     InvalidCorrelationError,
     InvalidPanelError,
     crowd_correlation,
-    crowd_correlation_direct,
     crowd_volatility,
     observed_volatility,
-    observed_volatility_from_panel,
     order_parameter,
     order_parameter_closed_form,
-    order_parameter_with_noise,
     pairwise_correlation,
     sync_report,
     trendiness,
     window_sync,
 )
 from crowdsync.rng import make_generator
+from crowdsync.scenarios import forced_ratio_samples
 
 
 def random_panel(rng, n=None, t=None):
@@ -110,19 +109,22 @@ def test_closed_form_rejects_inconsistent_low_stats():
         order_parameter_closed_form(0.5, 1.0, 0.3, 0.2)
 
 
+def noisy_order_parameter(n, noise_amp, trials, seed):
+    """Mean R of one step of a fully reactive crowd (b_high = 1) driven by dO = 1."""
+    cfg = CrowdConfig(n=n, a=0.01, agents=homogeneous_agents(n, 0.0, 1.0, 1.0))
+    return float(forced_ratio_samples(cfg, 1.0, 1.0, noise_amp, trials, seed).mean())
+
+
 def test_noisy_order_parameter_reduces_to_exact_at_zero_noise():
-    assert order_parameter_with_noise(1.0, 1.0, 1.0, 0.0, 100, 10, seed=1) == 1.0
+    assert noisy_order_parameter(100, 0.0, 10, seed=1) == 1.0
 
 
 def test_noisy_order_parameter_single_agent_is_always_one():
-    assert order_parameter_with_noise(1.0, 1.0, 1.0, 5.0, 1, 200, seed=2) == 1.0
+    assert noisy_order_parameter(1, 5.0, 200, seed=2) == 1.0
 
 
 def test_noisy_order_parameter_degrades_with_noise():
-    means = [
-        order_parameter_with_noise(1.0, 1.0, 1.0, e, 500, 400, seed=5)
-        for e in (0.0, 2.0, 5.0, 10.0)
-    ]
+    means = [noisy_order_parameter(500, e, 400, seed=5) for e in (0.0, 2.0, 5.0, 10.0)]
     assert means[0] == 1.0
     assert all(b <= a + 1e-9 for a, b in zip(means, means[1:]))
     assert means[-1] < 0.3
@@ -196,7 +198,7 @@ def test_single_agent_is_perfectly_synchronized():
     series = make_generator(45).standard_normal((1, 100))
     panel = DecisionPanel.from_series(series)
     assert crowd_correlation(panel) == pytest.approx(1.0, abs=1e-12)
-    assert crowd_correlation_direct(panel) == pytest.approx(1.0, abs=1e-12)
+    assert window_sync(series)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_two_independent_agents_sync_level():
@@ -254,22 +256,21 @@ def test_crowd_correlation_with_constant_agents_present():
     series = rng.standard_normal((4, 500))
     series[2, :] = 3.14  # one frozen agent
     panel = DecisionPanel.from_series(series)
-    assert abs(crowd_correlation(panel) - crowd_correlation_direct(panel)) <= 1e-9
+    assert abs(crowd_correlation(panel) - window_sync(series)[0]) <= 1e-9
 
 
 def test_crowd_correlation_cancelling_agents_is_error():
-    panel = DecisionPanel.from_series(np.array([[1.0, -1, 1, -1], [-1, 1, -1, 1]]))
+    series = np.array([[1.0, -1, 1, -1], [-1, 1, -1, 1]])
     with pytest.raises(InvalidPanelError, match="cancel"):
-        crowd_correlation(panel)
-    assert crowd_correlation_direct(panel) == 0.0
+        crowd_correlation(DecisionPanel.from_series(series))
+    assert window_sync(series) == (0.0, 0.0)
 
 
 def test_crowd_correlation_all_zero_panel_is_error():
     panel = DecisionPanel.from_series(np.zeros((3, 50)))
     with pytest.raises(InvalidPanelError):
         crowd_correlation(panel)
-    with pytest.raises(InvalidPanelError):
-        crowd_correlation_direct(panel)
+    assert window_sync(np.zeros((3, 50))) == (0.0, 0.0)
 
 
 def test_panel_matrix_invariants():
@@ -323,14 +324,12 @@ def test_observed_volatility():
 
 
 def test_observed_volatility_expansion_path():
-    sigma = np.ones(2)
-    corr = np.ones((2, 2))
-    assert observed_volatility_from_panel(2.0, sigma, corr) == 4.0
-    # dual-path consistency on a random panel
+    """sigma_O expanded from per-agent volatilities and correlations matches the report."""
+    assert observed_volatility(2.0, crowd_volatility(np.ones(2), np.ones((2, 2)))) == 4.0
     panel = random_panel(make_generator(52), n=6, t=200)
-    direct = observed_volatility(0.7, crowd_volatility(panel.per_agent_sigma, panel.corr))
-    expanded = observed_volatility_from_panel(0.7, panel.per_agent_sigma, panel.corr)
-    assert direct == expanded
+    expanded = observed_volatility(0.7, crowd_volatility(panel.per_agent_sigma, panel.corr))
+    report = sync_report(panel.series, 0.7 * panel.series.sum(axis=0), a=0.7)
+    assert report.sigma_o == pytest.approx(expanded, rel=1e-12)
 
 
 def test_sync_report_quiescent_window_is_total():

@@ -5,25 +5,25 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import (
     CrowdConfig,
     AgentParams,
+    NoNoise,
     UniformNoise,
     WienerNoise,
     homogeneous_agents,
 )
 from crowdsync.metrics import order_parameter_closed_form
 from crowdsync.scenarios import (
-    GOLDEN_NAMES,
     aggregate_trajectory,
     apply_sweep_value,
     bubble_profile,
     build_profile,
     explicit_profile,
-    forced_ratio_run,
-    golden_scenario,
+    forced_ratio_samples,
     ramp_profile,
     run,
     run_spec,
@@ -38,6 +38,10 @@ from crowdsync.rng import make_generator
 
 def simple_config(n=100, a=0.01, b_low=0.0, b_high=0.5, c=1.0, **kw):
     return CrowdConfig(n=n, a=a, agents=homogeneous_agents(n, b_low, b_high, c), **kw)
+
+
+def forced_ratio_mean(config, ratio, **kw):
+    return float(forced_ratio_samples(config, ratio, **kw).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -122,21 +126,21 @@ def test_quiescence():
     assert result.peak_ratio == 0.0
 
 
-def test_step_records_are_internally_consistent():
-    spec = golden_scenario("fig4-stable")
+def test_step_records_are_internally_consistent(golden):
+    spec = golden("fig4-stable")
     result = run_spec(spec)
-    a = spec.config.a
-    for k in range(result.steps_run):
-        rec = result.record(k)
-        assert rec.dS == pytest.approx(float(rec.agent_actions.sum()), rel=1e-12, abs=1e-15)
-        assert rec.dO == a * rec.dS
-        assert 0 <= rec.n_reactive <= spec.config.n
+    sums = result.agent_actions.sum(axis=0)
+    assert np.allclose(result.dS, sums, rtol=1e-12, atol=1e-15)
+    assert np.array_equal(result.dO, spec.config.a * result.dS)
+    assert np.all((0 <= result.n_reactive) & (result.n_reactive <= spec.config.n))
     assert np.array_equal(result.O, np.cumsum(result.dO))
+    assert np.array_equal(result.S, np.cumsum(result.dS))
+    assert np.array_equal(result.t, np.arange(result.steps_run))
 
 
-def test_delayed_response_recursion_holds_in_engine():
+def test_delayed_response_recursion_holds_in_engine(golden):
     """Each dO equals (a*C)*dE + (a*B)*dO_prev with that step's coupling."""
-    spec = golden_scenario("fig4-stable")
+    spec = golden("fig4-stable")
     result = run_spec(spec)
     a = spec.config.a
     C = sum(ag.c for ag in spec.config.agents)
@@ -163,7 +167,7 @@ def test_run_is_bit_deterministic():
         n=100,
         a=0.01,
         agents=homogeneous_agents(100, 0.0, 0.5, 1.0, noise_amp=0.05),
-        noise_model=UniformNoise(0.05),
+        noise_model=UniformNoise(),
     )
     rule = SwitchRule(saturation_scale=0.5)
     prof = step_profile(40, 1.0, 5)
@@ -180,9 +184,8 @@ def test_run_is_bit_deterministic():
 def test_wiener_noise_preserves_record_invariants():
     cfg = simple_config(n=10, noise_model=WienerNoise(mu=0.01, sigma=0.1))
     result = run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(50), seed=7)
-    for k in range(result.steps_run):
-        rec = result.record(k)
-        assert rec.dO == cfg.a * rec.dS
+    assert np.array_equal(result.dO, cfg.a * result.dS)
+    assert np.allclose(result.dS, result.agent_actions.sum(axis=0), rtol=1e-12, atol=1e-15)
     assert np.any(result.dO != 0.0)
 
 
@@ -197,6 +200,23 @@ def test_divergence_truncates_and_marks():
     assert result.stability_trace[-1] is Stability.AMPLIFYING
 
 
+def test_nan_observation_counts_as_divergence():
+    """Opposite overflowing agents make dS = inf - inf; the run stops there."""
+    agents = [AgentParams(0, 0.0, 1.0, 1e308), AgentParams(1, 0.0, 1.0, -1e308)]
+    cfg = CrowdConfig(n=2, a=1.0, agents=agents)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+        result = run(cfg, SwitchRule(saturation_scale=1.0), explicit_profile(3, [10.0, 0.0, 0.0]))
+    assert math.isnan(result.O[0])
+    assert result.diverged and result.truncated_at == 0 and result.steps_run == 1
+
+
+@pytest.mark.parametrize("ceiling", [math.inf, math.nan])
+def test_non_finite_divergence_ceiling_rejected(ceiling):
+    with pytest.raises(ValueError, match="divergence_ceiling"):
+        run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5),
+            divergence_ceiling=ceiling)
+
+
 def test_pinned_reactive_bypasses_rule():
     cfg = simple_config(b_high=1.0)
     result = run(cfg, SwitchRule(saturation_scale=1e9), zero_profile(20),
@@ -207,8 +227,8 @@ def test_pinned_reactive_bypasses_rule():
     assert result.dO[5] == pytest.approx(0.3 ** 6, rel=1e-9)
 
 
-def test_metric_windows_nonoverlapping_and_overlapping():
-    spec = golden_scenario("fig4-stable")
+def test_metric_windows_nonoverlapping_and_overlapping(golden):
+    spec = golden("fig4-stable")
     result = run_spec(spec)
     assert len(result.summary) == 80 // 20
     assert [w.start for w in result.summary] == [0, 20, 40, 60]
@@ -226,25 +246,59 @@ def test_record_agents_off_skips_window_reports():
     assert math.isnan(summary.rho_c)
 
 
+_COEF = st.floats(-2.0, 2.0)
+
+
+@st.composite
+def small_runs(draw):
+    """A small random crowd, rule and force profile, plus run() keywords."""
+    n = draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 30))
+    agents = []
+    for i in range(n):
+        b_low = draw(_COEF)
+        b_high = max(b_low, 0.0) + draw(st.floats(0.01, 2.0))
+        agents.append(AgentParams(i, b_low, b_high, draw(_COEF), draw(st.floats(0.0, 1.0))))
+    noise = draw(st.sampled_from([NoNoise(), UniformNoise(), WienerNoise(mu=0.01, sigma=0.1)]))
+    cfg = CrowdConfig(n=n, a=draw(st.floats(0.01, 1.0)), agents=agents, noise_model=noise)
+    rule = SwitchRule(saturation_scale=draw(st.floats(0.01, 10.0)), window=draw(st.integers(1, 6)))
+    profile = explicit_profile(steps, draw(st.lists(_COEF, min_size=steps, max_size=steps)))
+    kw = {
+        "seed": draw(st.integers(0, 2**32)),
+        "metric_window": draw(st.none() | st.integers(1, steps)),
+        "overlap": draw(st.booleans()),
+    }
+    return cfg, rule, profile, kw
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_runs())
+def test_metrics_stay_in_range_on_generated_crowds(case):
+    cfg, rule, profile, kw = case
+    result = run(cfg, rule, profile, **kw)
+    assert np.all((result.r_instant >= 0.0) & (result.r_instant <= 1.0))
+    assert result.summary
+    for report in result.summary:
+        assert 0.0 <= report.t_d <= 1.0
+        assert abs(report.rho_c) <= 1.0
+        assert report.sigma_c >= 0.0
+        assert report.sigma_o == cfg.a * report.sigma_c
+    summary = summarize(result)
+    assert 0.0 <= summary.t_d <= 1.0 and 0.0 <= summary.mean_R <= 1.0
+
+
 # ---------------------------------------------------------------------------
 # golden regimes (full assertions live in the acceptance suite)
 # ---------------------------------------------------------------------------
 
-def test_golden_names_and_unknown():
-    for name in GOLDEN_NAMES:
-        assert golden_scenario(name).name == name
-    with pytest.raises(ValueError):
-        golden_scenario("fig7-mystery")
-
-
-def test_golden_regimes_qualitative():
-    stable = run_spec(golden_scenario("fig4-stable"))
+def test_golden_regimes_qualitative(golden):
+    stable = run_spec(golden("fig4-stable"))
     assert not stable.diverged and stable.final_ratio == 0.0
 
-    unstable = run_spec(golden_scenario("fig5-unstable"))
+    unstable = run_spec(golden("fig5-unstable"))
     assert unstable.diverged and unstable.peak_ratio == 1.0
 
-    bubble = run_spec(golden_scenario("fig6-bubble"))
+    bubble = run_spec(golden("fig6-bubble"))
     assert not bubble.diverged
     assert bubble.O.max() > bubble.O[-1] > 0.0
 
@@ -255,7 +309,7 @@ def test_golden_regimes_qualitative():
 
 def test_forced_ratio_fully_reactive_noiseless():
     cfg = simple_config(n=50, b_high=1.0)
-    assert forced_ratio_run(cfg, 1.0) == 1.0
+    assert forced_ratio_mean(cfg, 1.0) == 1.0
 
 
 def test_forced_ratio_zero_with_symmetric_normals_decays_with_n():
@@ -263,7 +317,7 @@ def test_forced_ratio_zero_with_symmetric_normals_decays_with_n():
     signs = make_generator(8).choice([-1.0, 1.0], n)
     agents = [AgentParams(i, 0.2 * float(signs[i]), 1.0, 1.0) for i in range(n)]
     cfg = CrowdConfig(n=n, a=0.001, agents=agents)
-    assert forced_ratio_run(cfg, 0.0, seed=3) < 0.05
+    assert forced_ratio_mean(cfg, 0.0, seed=3) < 0.05
 
 
 def test_forced_ratio_half_matches_closed_form():
@@ -271,7 +325,7 @@ def test_forced_ratio_half_matches_closed_form():
     signs = make_generator(9).choice([-1.0, 1.0], n)
     agents = [AgentParams(i, 0.2 * float(signs[i]), 1.0, 1.0) for i in range(n)]
     cfg = CrowdConfig(n=n, a=0.001, agents=agents)
-    simulated = forced_ratio_run(cfg, 0.5, seed=4)
+    simulated = forced_ratio_mean(cfg, 0.5, seed=4)
     b_low_avg = float(np.mean([ag.b_low for ag in agents]))
     assert simulated == pytest.approx(
         order_parameter_closed_form(0.5, 1.0, b_low_avg, 0.2), abs=0.02
@@ -282,9 +336,9 @@ def test_forced_ratio_half_matches_closed_form():
 def test_forced_ratio_validation():
     cfg = simple_config(n=10)
     with pytest.raises(ValueError):
-        forced_ratio_run(cfg, 1.5)
+        forced_ratio_samples(cfg, 1.5)
     with pytest.raises(ValueError):
-        forced_ratio_run(cfg, 0.5, trials=0)
+        forced_ratio_samples(cfg, 0.5, trials=0)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +434,13 @@ def test_sweep_caps_worker_count(monkeypatch):
     assert seen == [3, 2, 2]
 
 
-def test_summarize_reuses_whole_run_window(monkeypatch):
+def test_summarize_reuses_whole_run_window(monkeypatch, golden):
     calls = []
     original = scenarios_module.sync_report
     monkeypatch.setattr(
         scenarios_module, "sync_report", lambda *a, **kw: calls.append(1) or original(*a, **kw)
     )
-    spec = golden_scenario("fig4-stable")
+    spec = golden("fig4-stable")
     result = run_spec(spec, metric_window=None)
     summary = summarize(result)
     assert len(result.summary) == 1 and len(calls) == 1

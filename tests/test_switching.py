@@ -1,17 +1,20 @@
-"""Two-state coupling: aggregation, switch rule, tipping point, stability."""
+"""Two-state coupling: aggregation, switch rule, tipping point, stability.
+
+The coupling a run uses at a given reactive count is read from
+`run(..., pinned_reactive=k)`, which bypasses the switch rule.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from crowdsync.dynamics import AgentParams, EmptyPopulationError, Mode, homogeneous_agents
+from crowdsync.dynamics import AgentParams, CrowdConfig, homogeneous_agents
+from crowdsync.scenarios import run, zero_profile
 from crowdsync.switching import (
     DegenerateCouplingError,
     Stability,
     SwitchRule,
-    aggregate_coupling,
-    assign_states,
     classify_stability,
     critical_reactive_count,
     switch_priority,
@@ -19,53 +22,55 @@ from crowdsync.switching import (
 )
 
 
-def brute_force_b_total(agents, states):
-    """Per-agent oracle for the aggregate coupling."""
-    return sum(st.effective_b for st in states)
+def pinned(agents, a, n_reactive, dO_prev=0.0):
+    """One step of a run with `n_reactive` agents held reactive."""
+    cfg = CrowdConfig(n=len(agents), a=a, agents=list(agents))
+    return run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(1),
+               pinned_reactive=n_reactive, initial_dO=dO_prev)
+
+
+def brute_force_b_total(agents, n_reactive):
+    """Per-agent oracle: b_high for the first n_reactive by priority, b_low for the rest."""
+    reactive = set(sorted(range(len(agents)), key=lambda i: (-agents[i].b_high, i))[:n_reactive])
+    return sum(ag.b_high if i in reactive else ag.b_low for i, ag in enumerate(agents))
 
 
 def sweep_for_critical_count(a, n, b_high, b_low):
     """Oracle: smallest integer reactive count whose loop gain reaches 1."""
     agents = homogeneous_agents(n, b_low, b_high, 1.0)
     for nh in range(n + 1):
-        summary = aggregate_coupling(agents, assign_states(agents, nh), a)
-        if summary.ab >= 1.0:
+        if pinned(agents, a, nh).ab[0] >= 1.0:
             return nh
     return None
 
 
 # ---------------------------------------------------------------------------
-# aggregate_coupling
+# aggregate coupling B(N_H) = N_H * B_H + (N - N_H) * B_L
 # ---------------------------------------------------------------------------
 
 def test_all_normal_coupling():
-    agents = homogeneous_agents(100, 0.01, 1.0, 1.0)
-    summary = aggregate_coupling(agents, assign_states(agents, 0), a=0.01)
-    assert summary.b_total == pytest.approx(1.0, rel=1e-12)
-    assert summary.n_reactive == 0
-    assert summary.n_normal == 100
+    result = pinned(homogeneous_agents(100, 0.01, 1.0, 1.0), 0.01, 0)
+    assert result.b_total[0] == pytest.approx(1.0, rel=1e-12)
+    assert result.n_reactive[0] == 0
 
 
 def test_all_reactive_reaches_max_coupling():
-    agents = homogeneous_agents(100, 0.0, 1.0, 1.0)
-    summary = aggregate_coupling(agents, assign_states(agents, 100), a=0.01)
-    assert summary.b_total == 100.0
-    assert summary.ab == summary.ab_max == pytest.approx(1.0)
+    result = pinned(homogeneous_agents(100, 0.0, 1.0, 1.0), 0.01, 100)
+    assert result.b_total[0] == 100.0
+    assert result.ab[0] == pytest.approx(1.0)
 
 
 def test_half_reactive_matches_brute_force_oracle():
     agents = homogeneous_agents(100, 0.0, 0.02, 1.0)
-    states = assign_states(agents, 50)
-    summary = aggregate_coupling(agents, states, a=0.01)
-    assert summary.b_total == pytest.approx(brute_force_b_total(agents, states), rel=1e-12)
-    assert summary.b_total == pytest.approx(1.0, rel=1e-12)
+    b_total = pinned(agents, 0.01, 50).b_total[0]
+    assert b_total == pytest.approx(brute_force_b_total(agents, 50), rel=1e-12)
+    assert b_total == pytest.approx(1.0, rel=1e-12)
 
 
 def test_linear_form_equals_brute_force_exactly_for_dyadic_values():
     agents = homogeneous_agents(100, 0.25, 0.5, 1.0)
     for nh in range(101):
-        summary = aggregate_coupling(agents, assign_states(agents, nh), a=0.5)
-        assert summary.b_total == nh * 0.5 + (100 - nh) * 0.25
+        assert pinned(agents, 0.5, nh).b_total[0] == nh * 0.5 + (100 - nh) * 0.25
 
 
 def test_b_total_monotone_in_reactive_count():
@@ -76,22 +81,23 @@ def test_b_total_monotone_in_reactive_count():
     ]
     prev = -math.inf
     for nh in range(41):
-        summary = aggregate_coupling(agents, assign_states(agents, nh), a=1.0)
-        assert summary.b_total >= prev
-        prev = summary.b_total
+        b_total = pinned(agents, 1.0, nh).b_total[0]
+        assert b_total == pytest.approx(brute_force_b_total(agents, nh), rel=1e-12)
+        assert b_total >= prev
+        prev = b_total
 
 
 def test_summary_population_invariants():
     agents = homogeneous_agents(10, -0.1, 0.9, 1.0)
-    summary = aggregate_coupling(agents, assign_states(agents, 4), a=2.0)
-    assert summary.n_reactive + summary.n_normal == 10
-    assert summary.ab_min <= summary.ab <= summary.ab_max
-    assert summary.b_abs_low_avg == pytest.approx(0.1)
+    result = pinned(agents, 2.0, 4)
+    assert result.n_reactive[0] == 4
+    assert 2.0 * 10 * -0.1 <= result.ab[0] <= 2.0 * 10 * 0.9
+    assert result.ab[0] == 2.0 * result.b_total[0]
 
 
 def test_aggregate_coupling_empty_population():
-    with pytest.raises(EmptyPopulationError):
-        aggregate_coupling([], [], a=1.0)
+    with pytest.raises(ValueError, match="population"):
+        CrowdConfig(n=0, a=1.0, agents=[])
 
 
 # ---------------------------------------------------------------------------
@@ -126,17 +132,15 @@ def test_degenerate_states_error():
 
 
 def test_threshold_consistency_with_aggregate_coupling():
-    """ab crosses 1 exactly between floor and ceil of the critical count."""
+    """The run's loop gain crosses 1 between floor and ceil of the critical count."""
     for a, bh, bl in [(0.0135, 1.0, 0.0), (0.02, 0.9, -0.05), (0.011, 1.2, 0.1)]:
         n = 100
         tp = critical_reactive_count(a, n, bh, bl)
         if not tp.reachable:
             continue
         agents = homogeneous_agents(n, bl, bh, 1.0)
-        above = aggregate_coupling(agents, assign_states(agents, math.ceil(tp.count)), a)
-        below = aggregate_coupling(agents, assign_states(agents, math.floor(tp.count) - 1), a)
-        assert above.ab >= 1.0 - 1e-9
-        assert below.ab < 1.0
+        assert pinned(agents, a, math.ceil(tp.count)).ab[0] >= 1.0 - 1e-9
+        assert pinned(agents, a, math.floor(tp.count) - 1).ab[0] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +198,24 @@ def test_switch_rule_validation():
         SwitchRule(saturation_scale=0.0)
     with pytest.raises(ValueError):
         SwitchRule(saturation_scale=1.0, window=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SwitchRule(saturation_scale=bad)
+
+
+def test_tiny_saturation_scale_saturates_instead_of_overflowing():
+    rule = SwitchRule(saturation_scale=1e-320)
+    assert update_reactive_count([0.01], rule, 100) == 100
 
 
 # ---------------------------------------------------------------------------
-# assign_states
+# who is reactive: switch priority
 # ---------------------------------------------------------------------------
 
 def test_assign_states_extremes():
     agents = homogeneous_agents(5, 0.0, 1.0, 1.0)
-    assert all(st.mode is Mode.NORMAL for st in assign_states(agents, 0))
-    assert all(st.mode is Mode.REACTIVE for st in assign_states(agents, 5))
+    assert np.all(pinned(agents, 1.0, 0, dO_prev=1.0).agent_actions == 0.0)
+    assert np.all(pinned(agents, 1.0, 5, dO_prev=1.0).agent_actions == 1.0)
 
 
 def test_assign_states_picks_strongest_couplers_first():
@@ -212,37 +224,36 @@ def test_assign_states_picks_strongest_couplers_first():
         AgentParams(1, 0.0, 1.0, 1.0),
         AgentParams(2, 0.0, 0.7, 1.0),
     ]
-    states = assign_states(agents, 2)
-    modes = [st.mode for st in states]
-    assert modes == [Mode.NORMAL, Mode.REACTIVE, Mode.REACTIVE]
-    # ranking oracle
-    order = sorted(range(3), key=lambda i: (-agents[i].b_high, i))
-    assert order[:2] == [1, 2]
+    assert switch_priority(agents) == [1, 2, 0]
+    actions = pinned(agents, 1.0, 2, dO_prev=1.0).agent_actions[:, 0]
+    assert list(actions) == [0.0, 1.0, 0.7]
 
 
 def test_assign_states_tie_break_ascending_id():
     agents = homogeneous_agents(4, 0.0, 1.0, 1.0)
-    states = assign_states(agents, 2)
-    assert [st.mode for st in states] == [Mode.REACTIVE, Mode.REACTIVE, Mode.NORMAL, Mode.NORMAL]
     assert switch_priority(agents) == [0, 1, 2, 3]
+    mixed = [AgentParams(i, 0.0, bh, 1.0) for i, bh in enumerate([0.5, 1.0, 0.5, 1.0])]
+    assert switch_priority(mixed) == [1, 3, 0, 2]
+    actions = pinned(agents, 1.0, 2, dO_prev=1.0).agent_actions[:, 0]
+    assert list(actions) == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_assign_states_deterministic_and_idempotent():
     rng = np.random.default_rng(23)
-    agents = [
-        AgentParams(i, 0.0, float(rng.uniform(0.1, 2.0)), 1.0) for i in range(30)
-    ]
-    first = assign_states(agents, 13)
-    second = assign_states(agents, 13)
-    assert first == second
+    agents = [AgentParams(i, 0.0, float(rng.uniform(0.1, 2.0)), 1.0) for i in range(30)]
+    order = switch_priority(agents)
+    assert sorted(order) == list(range(30))
+    assert order == switch_priority(agents)
+    first = pinned(agents, 0.01, 13, dO_prev=1.0).agent_actions
+    assert np.array_equal(first, pinned(agents, 0.01, 13, dO_prev=1.0).agent_actions)
+    assert set(np.flatnonzero(first[:, 0])) == set(order[:13])
 
 
 def test_assign_states_bounds():
     agents = homogeneous_agents(3, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        assign_states(agents, 4)
-    with pytest.raises(ValueError):
-        assign_states(agents, -1)
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match="pinned_reactive"):
+            pinned(agents, 1.0, bad)
 
 
 # ---------------------------------------------------------------------------
