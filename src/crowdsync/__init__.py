@@ -50,6 +50,7 @@ from .scenarios import (
     step_profile,
     summarize,
     sweep,
+    window_reports,
     zero_profile,
 )
 from .switching import (

@@ -22,6 +22,8 @@ from .scenario_io import (
     emit_summary,
     emit_sweep_table,
     emit_table,
+    emit_window_table,
+    format_window_table,
     load_scenario,
     read_table,
 )
@@ -78,13 +80,7 @@ def _cmd_run(args) -> int:
     spec = load_scenario(args.scenario)
     seed = spec.seed if args.seed is None else args.seed
     result = run_scenario(
-        spec.config,
-        spec.rule,
-        spec.profile,
-        seed,
-        metric_window=spec.metric_window,
-        overlap=spec.overlap,
-        divergence_ceiling=spec.divergence_ceiling,
+        spec.config, spec.rule, spec.profile, seed, divergence_ceiling=spec.divergence_ceiling
     )
     summary = summarize(result, name=spec.name)
     out = Path(args.out)
@@ -125,28 +121,22 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    table = read_table(args.table)
     w = args.window
     if w < 1:
         print(f"error: --window must be >= 1, got {w}", file=sys.stderr)
         return 1
+    table = read_table(args.table)
     dO = table["dO"]
     r_col = table["R"]
-    lines = ["window_start,window_stop,t_d,sigma_o,mean_R"]
+    rows = []
     for start in range(0, len(dO) - w + 1, w):
-        stop = start + w
-        t_d = trendiness(dO[start:stop])
-        sigma_o = float(np.std(dO[start:stop]))
-        mean_r = float(np.mean(r_col[start:stop]))
-        lines.append(
-            f"{start},{stop},{format(t_d, '.17g')},{format(sigma_o, '.17g')},{format(mean_r, '.17g')}"
-        )
-    text = "\n".join(lines) + "\n"
+        seg = slice(start, start + w)
+        rows.append((start, start + w, trendiness(dO[seg]), float(np.std(dO[seg])),
+                     float(np.mean(r_col[seg]))))
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(format_window_table(rows))
     else:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-        print(f"wrote {args.out}")
+        print(f"wrote {emit_window_table(rows, args.out)}")
     return 0
 
 
@@ -154,13 +144,13 @@ def _cmd_curve(args) -> int:
     spec = load_scenario(args.scenario)
     seed = spec.seed if args.seed is None else args.seed
     cfg = spec.config
-    noise_amp = cfg.agents[0].noise_amp
+    noise_amp = np.array([ag.noise_amp for ag in cfg.agents])
     b_high_avg = float(np.mean([ag.b_high for ag in cfg.agents]))
     xs: list[float] = []
     means: list[float] = []
     stderrs: list[float] = []
     if args.kind == "order-vs-ratio":
-        trials = args.trials if args.trials is not None else (1 if noise_amp == 0 else 200)
+        trials = args.trials if args.trials is not None else (200 if np.any(noise_amp) else 1)
         for i, ratio in enumerate(np.linspace(0.0, 1.0, args.points)):
             samples = forced_ratio_samples(
                 cfg, float(ratio), dO_drive=args.drive, noise_amp=noise_amp,

@@ -49,6 +49,8 @@ SUMMARY_COLUMNS = [
 
 CURVE_COLUMNS = ["x", "mean_R", "stderr_R"]
 
+WINDOW_COLUMNS = ["window_start", "window_stop", "t_d", "sigma_o", "mean_R"]
+
 _CROWD_KEYS = {"n", "a", "b_low", "b_high", "c", "noise_amp", "noise", "mu", "sigma", "dt"}
 _RULE_KEYS = {"window", "saturation_scale"}
 _PROFILE_KEYS = {
@@ -499,6 +501,15 @@ def emit_sweep_table(param: str, points: Sequence[SweepPoint], destination: str 
 def emit_curve_table(xs, means, stderrs, destination: str | Path) -> Path:
     rows = ([_g17(x), _g17(m), _g17(s)] for x, m, s in zip(xs, means, stderrs))
     return _write(_csv(CURVE_COLUMNS, rows), destination)
+
+
+def format_window_table(rows: Iterable[tuple[int, int, float, float, float]]) -> str:
+    """Windowed metrics of a time-series table, one (start, stop, t_d, sigma_o, mean_R) a row."""
+    return _csv(WINDOW_COLUMNS, ([start, stop, *map(_g17, vals)] for start, stop, *vals in rows))
+
+
+def emit_window_table(rows, destination: str | Path) -> Path:
+    return _write(format_window_table(rows), destination)
 
 
 def read_table(path: str | Path) -> dict[str, np.ndarray]:

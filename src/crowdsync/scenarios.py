@@ -14,6 +14,10 @@ Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). Amplifying configurations are expected to blow up;
 a run truncates once |O| crosses the divergence ceiling and is marked
 diverged rather than failing.
+
+The loop records the trajectory and the per-step order parameter only:
+`summarize` computes the whole-run metric report, and `window_reports`
+the per-window ones for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .dynamics import (
     ordered_sum,
     require_finite,
 )
-from .metrics import SyncReport, sync_report, trendiness
+from .metrics import SyncReport, sync_report
 from .rng import make_generator
 from .switching import (
     Stability,
@@ -213,6 +217,8 @@ class ScenarioSpec:
 
     `name` prefixes the output files, so it must be a safe file-name
     token (see `is_safe_name`); it can never point outside `--out`.
+    `metric_window` and `overlap` are the arguments of `window_reports`
+    for this scenario; no CLI command reads them.
     """
 
     name: str
@@ -236,11 +242,11 @@ class ScenarioSpec:
 
 @dataclass
 class ScenarioResult:
-    """Trajectory of one run, as parallel arrays plus window summaries.
+    """Trajectory of one run, as parallel arrays.
 
     Arrays cover the steps actually executed; a diverged run stops at
     `truncated_at` (inclusive). `agent_actions` is the N x steps matrix
-    of per-agent increments, or None when recording was off.
+    of per-agent increments.
     """
 
     config: CrowdConfig
@@ -259,8 +265,7 @@ class ScenarioResult:
     ab: np.ndarray
     r_instant: np.ndarray
     stability_trace: list[Stability]
-    agent_actions: np.ndarray | None
-    summary: list[SyncReport]
+    agent_actions: np.ndarray
     peak_ratio: float
     final_ratio: float
     diverged: bool
@@ -281,9 +286,6 @@ def run(
     profile: ForceProfile,
     seed: int = 0,
     *,
-    record_agents: bool = True,
-    metric_window: int | None = None,
-    overlap: bool = False,
     divergence_ceiling: float = DEFAULT_DIVERGENCE_CEILING,
     pinned_reactive: int | None = None,
     initial_dO: float = 0.0,
@@ -295,7 +297,7 @@ def run(
     endogenous feedback with a nonzero observation increment.
 
     A run stops, marked diverged, at the first step whose |O| exceeds
-    `divergence_ceiling` or is NaN.
+    `divergence_ceiling` (finite and > 0) or is NaN.
 
     Noise models: per-agent uniform noise enters each agent's action;
     aggregate drift+diffusion noise enters the observation update and is
@@ -306,6 +308,8 @@ def run(
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
         raise ValueError(f"pinned_reactive={pinned_reactive} outside [0, {n}]")
     require_finite("divergence_ceiling", divergence_ceiling)
+    if not divergence_ceiling > 0:
+        raise ValueError(f"divergence_ceiling must be > 0, got {divergence_ceiling}")
     b_low, b_high, rank = _switch_order(config)
     c_vec = np.array([ag.c for ag in config.agents])
     amp = np.array([ag.noise_amp for ag in config.agents])
@@ -324,7 +328,7 @@ def run(
     out_b = np.zeros(T)
     out_ab = np.zeros(T)
     out_r = np.zeros(T)
-    actions = np.zeros((n, T)) if record_agents else None
+    actions = np.zeros((n, T))
 
     history: deque[float] = deque(maxlen=rule.window)
     dO_prev = initial_dO
@@ -359,8 +363,7 @@ def run(
         out_b[t] = b_tot
         out_ab[t] = a * b_tot
         out_r[t] = abs(dS) / denom if denom > 0.0 else 0.0
-        if actions is not None:
-            actions[:, t] = ds_i
+        actions[:, t] = ds_i
 
         history.append(dO)
         dO_prev = dO
@@ -371,7 +374,7 @@ def run(
             break
 
     sl = slice(0, steps_run)
-    result = ScenarioResult(
+    return ScenarioResult(
         config=config,
         rule=rule,
         profile=profile,
@@ -388,15 +391,12 @@ def run(
         ab=out_ab[sl],
         r_instant=out_r[sl],
         stability_trace=[classify_stability(x) for x in out_ab[sl]],
-        agent_actions=actions[:, sl] if actions is not None else None,
-        summary=[],
+        agent_actions=actions[:, sl],
         peak_ratio=float(out_nh[sl].max()) / n if steps_run else 0.0,
         final_ratio=float(out_nh[steps_run - 1]) / n if steps_run else 0.0,
         diverged=diverged,
         truncated_at=truncated_at,
     )
-    result.summary = _window_reports(result, metric_window, overlap)
-    return result
 
 
 def _switch_order(config: CrowdConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -411,17 +411,20 @@ def _switch_order(config: CrowdConfig) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return b_low, b_high, rank
 
 
-def _window_reports(
-    result: ScenarioResult, metric_window: int | None, overlap: bool
+def window_reports(
+    result: ScenarioResult, window: int | None = None, overlap: bool = False
 ) -> list[SyncReport]:
-    """Per-window metric reports; needs recorded agent actions."""
-    if result.agent_actions is None or result.steps_run == 0:
-        return []
+    """Metric reports of a run's windows of `window` steps (None: the whole run).
+
+    Windows start every step when `overlap`, else every `window` steps;
+    a window longer than the run is cut to it. A run of no steps has none.
+    """
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
     T = result.steps_run
-    w = metric_window if metric_window is not None else T
-    w = min(w, T)
-    if w < 1:
+    if T == 0:
         return []
+    w = T if window is None else min(window, T)
     starts = range(0, T - w + 1) if overlap else range(0, T - w + 1, w)
     return [
         sync_report(
@@ -437,12 +440,7 @@ def _window_reports(
 
 def run_spec(spec: ScenarioSpec, seed: int | None = None, **overrides) -> ScenarioResult:
     """Run a parsed scenario; keyword overrides win over the spec."""
-    kwargs = {
-        "metric_window": spec.metric_window,
-        "overlap": spec.overlap,
-        "divergence_ceiling": spec.divergence_ceiling,
-    }
-    kwargs.update(overrides)
+    kwargs = {"divergence_ceiling": spec.divergence_ceiling, **overrides}
     return run(spec.config, spec.rule, spec.profile, spec.seed if seed is None else seed, **kwargs)
 
 
@@ -477,7 +475,7 @@ def forced_ratio_samples(
     config: CrowdConfig,
     ratio: float,
     dO_drive: float = 1.0,
-    noise_amp: float = 0.0,
+    noise_amp: float | np.ndarray = 0.0,
     trials: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
@@ -486,8 +484,8 @@ def forced_ratio_samples(
     Bypasses the switch rule: the first round(ratio*N) agents in switch
     priority are reactive, the rest normal. Each trial drives one step
     with observation increment `dO_drive`, zero external force, and
-    i.i.d. uniform noise of half-width `noise_amp`; returns the
-    per-trial order parameters.
+    i.i.d. uniform noise of half-width `noise_amp` (one value, or one
+    per agent); returns the per-trial order parameters.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
@@ -540,27 +538,12 @@ class RunSummary:
 
 
 def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
-    """Digest a result: whole-run metrics plus divergence bookkeeping.
-
-    The whole-run report is reused from `result.summary` when one of its
-    windows covers every step run, and computed otherwise.
-    """
+    """Digest a result: whole-run metrics plus divergence bookkeeping."""
     if result.steps_run == 0:
         raise ValueError("cannot summarize an empty run")
-    a = result.config.a
-    if result.agent_actions is not None:
-        report = next(
-            (r for r in result.summary if r.start == 0 and r.stop == result.steps_run), None
-        )
-        if report is None:
-            report = sync_report(
-                result.agent_actions, result.dO, a, start=0, r_instant=result.r_instant
-            )
-        rho_c, sigma_c, sigma_o = report.rho_c, report.sigma_c, report.sigma_o
-    else:
-        sigma_o = float(np.std(result.dO))
-        sigma_c = sigma_o / a
-        rho_c = float("nan")
+    report = sync_report(
+        result.agent_actions, result.dO, result.config.a, r_instant=result.r_instant
+    )
     return RunSummary(
         name=name,
         steps_run=result.steps_run,
@@ -572,10 +555,10 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
         peak_ratio=result.peak_ratio,
         final_ratio=result.final_ratio,
         mean_R=float(result.r_instant.mean()),
-        rho_c=rho_c,
-        sigma_c=sigma_c,
-        sigma_o=sigma_o,
-        t_d=trendiness(result.dO) if np.any(result.dO != 0) else 0.0,
+        rho_c=report.rho_c,
+        sigma_c=report.sigma_c,
+        sigma_o=report.sigma_o,
+        t_d=report.t_d,
         stability_final=result.stability_trace[-1],
     )
 

@@ -1,5 +1,8 @@
 """The command-line entry point: exit codes, error lines, output locations."""
 
+import csv
+
+import crowdsync.scenarios as scenarios_module
 from crowdsync.cli import main
 
 SCENARIO = """
@@ -27,6 +30,32 @@ def test_run_writes_inside_out(tmp_path):
     out = tmp_path / "a" / "out"
     assert main(["run", "--scenario", write_scenario(tmp_path), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["cli_summary.csv", "cli_timeseries.csv"]
+
+
+def test_run_computes_the_whole_run_report_once(tmp_path, monkeypatch, scenario_dir):
+    calls = []
+    original = scenarios_module.sync_report
+    monkeypatch.setattr(
+        scenarios_module, "sync_report", lambda *a, **kw: calls.append(1) or original(*a, **kw)
+    )
+    scenario = str(scenario_dir / "fig4-stable.scenario")
+    assert main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def test_order_vs_ratio_curve_uses_each_agents_noise(tmp_path):
+    path = tmp_path / "noisy.scenario"
+    path.write_text(
+        SCENARIO.format(name="noisy").replace("crowd.n = 10", "crowd.n = 4")
+        + "crowd.noise = uniform\ncrowd.noise_amp = 0.0, 5.0, 5.0, 5.0\n",
+        encoding="utf-8",
+    )
+    argv = ["curve", "--scenario", str(path), "--kind", "order-vs-ratio",
+            "--points", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "noisy_curve_order-vs-ratio.csv", newline="", encoding="utf-8") as fh:
+        rows = {float(r["x"]): r for r in csv.DictReader(fh)}
+    assert float(rows[0.5]["mean_R"]) < 1.0 and float(rows[0.5]["stderr_R"]) > 0.0
 
 
 def test_run_refuses_name_that_leaves_out(tmp_path, capsys):
@@ -85,3 +114,9 @@ def test_run_rejects_infinite_divergence_ceiling(tmp_path, capsys, scenario_dir)
     path.write_text(text, encoding="utf-8")
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
     assert_one_line_error(capsys, "run.divergence_ceiling:", "finite")
+
+
+def test_metrics_checks_window_before_reading_table(tmp_path, capsys):
+    argv = ["metrics", "--table", str(tmp_path / "missing.csv"), "--window", "0"]
+    assert main(argv) == 1
+    assert "--window must be >= 1" in capsys.readouterr().err

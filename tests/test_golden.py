@@ -1,4 +1,5 @@
-"""Pinned outputs of `crowdsync run` for the three golden scenarios.
+"""Pinned outputs of `crowdsync run` for the three golden scenarios,
+and of `crowdsync metrics` on one of them.
 
 `golden/golden.json` holds, per scenario, the sha256 of the time-series
 CSV and the cells of the summary row, with the numpy and Python versions
@@ -49,3 +50,20 @@ def test_golden_run_outputs_are_pinned(name, pins, scenario_dir, tmp_path, capsy
         else:
             ok = got[column] == want
         assert ok, f"{name} summary {column}: {got[column]} != pinned {want} ({built_with})"
+
+
+# sha256 of `crowdsync metrics --window 30` on the fig6-bubble time series
+# (numpy 2.4.6 / Python 3.11.7); no BLAS call feeds these cells.
+FIG6_METRICS_W30_SHA256 = "2e1315eca57490b71f7d264a772afe5f7adea4cac4f6d5d017f62ea50b4995a5"
+
+
+def test_metrics_table_is_pinned(scenario_dir, tmp_path, capsys):
+    assert main(["run", "--scenario", str(scenario_dir / "fig6-bubble.scenario"),
+                 "--out", str(tmp_path)]) == 0
+    table = str(tmp_path / "fig6-bubble_timeseries.csv")
+    out = tmp_path / "metrics.csv"
+    assert main(["metrics", "--table", table, "--window", "30", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == FIG6_METRICS_W30_SHA256
+    capsys.readouterr()
+    assert main(["metrics", "--table", table, "--window", "30"]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()

@@ -30,6 +30,7 @@ from crowdsync.scenarios import (
     step_profile,
     summarize,
     sweep,
+    window_reports,
     zero_profile,
 )
 from crowdsync.switching import Stability, SwitchRule
@@ -210,7 +211,7 @@ def test_nan_observation_counts_as_divergence():
     assert result.diverged and result.truncated_at == 0 and result.steps_run == 1
 
 
-@pytest.mark.parametrize("ceiling", [math.inf, math.nan])
+@pytest.mark.parametrize("ceiling", [math.inf, math.nan, 0.0, -1.0])
 def test_non_finite_divergence_ceiling_rejected(ceiling):
     with pytest.raises(ValueError, match="divergence_ceiling"):
         run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5),
@@ -230,20 +231,16 @@ def test_pinned_reactive_bypasses_rule():
 def test_metric_windows_nonoverlapping_and_overlapping(golden):
     spec = golden("fig4-stable")
     result = run_spec(spec)
-    assert len(result.summary) == 80 // 20
-    assert [w.start for w in result.summary] == [0, 20, 40, 60]
-    overlapping = run_spec(spec, overlap=True)
-    assert len(overlapping.summary) == 80 - 20 + 1
-
-
-def test_record_agents_off_skips_window_reports():
-    cfg = simple_config()
-    result = run(cfg, SwitchRule(saturation_scale=0.5), step_profile(30, 1.0, 2),
-                 record_agents=False, metric_window=10)
-    assert result.agent_actions is None
-    assert result.summary == []
+    reports = window_reports(result, spec.metric_window, spec.overlap)
+    assert [(w.start, w.stop) for w in reports] == [(0, 20), (20, 40), (40, 60), (60, 80)]
+    assert len(window_reports(result, spec.metric_window, overlap=True)) == 80 - 20 + 1
+    (whole,) = window_reports(result)
     summary = summarize(result)
-    assert math.isnan(summary.rho_c)
+    assert (whole.rho_c, whole.sigma_c, whole.sigma_o) == (
+        summary.rho_c, summary.sigma_c, summary.sigma_o)
+    assert [(w.start, w.stop) for w in window_reports(result, 500)] == [(0, 80)]
+    with pytest.raises(ValueError, match="window"):
+        window_reports(result, 0)
 
 
 _COEF = st.floats(-2.0, 2.0)
@@ -251,7 +248,7 @@ _COEF = st.floats(-2.0, 2.0)
 
 @st.composite
 def small_runs(draw):
-    """A small random crowd, rule and force profile, plus run() keywords."""
+    """A small random crowd, rule and force profile, a seed and window_reports() arguments."""
     n = draw(st.integers(1, 6))
     steps = draw(st.integers(1, 30))
     agents = []
@@ -263,22 +260,20 @@ def small_runs(draw):
     cfg = CrowdConfig(n=n, a=draw(st.floats(0.01, 1.0)), agents=agents, noise_model=noise)
     rule = SwitchRule(saturation_scale=draw(st.floats(0.01, 10.0)), window=draw(st.integers(1, 6)))
     profile = explicit_profile(steps, draw(st.lists(_COEF, min_size=steps, max_size=steps)))
-    kw = {
-        "seed": draw(st.integers(0, 2**32)),
-        "metric_window": draw(st.none() | st.integers(1, steps)),
-        "overlap": draw(st.booleans()),
-    }
-    return cfg, rule, profile, kw
+    seed = draw(st.integers(0, 2**32))
+    window = draw(st.none() | st.integers(1, steps))
+    return cfg, rule, profile, seed, window, draw(st.booleans())
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_runs())
 def test_metrics_stay_in_range_on_generated_crowds(case):
-    cfg, rule, profile, kw = case
-    result = run(cfg, rule, profile, **kw)
+    cfg, rule, profile, seed, window, overlap = case
+    result = run(cfg, rule, profile, seed)
     assert np.all((result.r_instant >= 0.0) & (result.r_instant <= 1.0))
-    assert result.summary
-    for report in result.summary:
+    reports = window_reports(result, window, overlap)
+    assert reports
+    for report in reports:
         assert 0.0 <= report.t_d <= 1.0
         assert abs(report.rho_c) <= 1.0
         assert report.sigma_c >= 0.0
@@ -331,6 +326,16 @@ def test_forced_ratio_half_matches_closed_form():
         order_parameter_closed_form(0.5, 1.0, b_low_avg, 0.2), abs=0.02
     )
     assert simulated == pytest.approx(0.8333, abs=0.02)
+
+
+def test_forced_ratio_per_agent_noise_amplitudes():
+    cfg = simple_config(n=7)
+    scalar = forced_ratio_samples(cfg, 0.5, noise_amp=0.3, trials=500, seed=2)
+    per_agent = forced_ratio_samples(cfg, 0.5, noise_amp=np.full(7, 0.3), trials=500, seed=2)
+    assert np.array_equal(per_agent, scalar)
+    assert np.all(forced_ratio_samples(cfg, 1.0, noise_amp=np.zeros(7), trials=50) == 1.0)
+    last_noisy = np.array([0.0] * 6 + [5.0])  # only the last agent's draws can break the sync
+    assert forced_ratio_samples(cfg, 1.0, noise_amp=last_noisy, trials=50).mean() < 1.0
 
 
 def test_forced_ratio_validation():
@@ -432,18 +437,3 @@ def test_sweep_caps_worker_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64)
     assert seen == [3, 2, 2]
-
-
-def test_summarize_reuses_whole_run_window(monkeypatch, golden):
-    calls = []
-    original = scenarios_module.sync_report
-    monkeypatch.setattr(
-        scenarios_module, "sync_report", lambda *a, **kw: calls.append(1) or original(*a, **kw)
-    )
-    spec = golden("fig4-stable")
-    result = run_spec(spec, metric_window=None)
-    summary = summarize(result)
-    assert len(result.summary) == 1 and len(calls) == 1
-    assert (summary.rho_c, summary.sigma_c) == (result.summary[0].rho_c, result.summary[0].sigma_c)
-    windowed = run_spec(spec)
-    assert summarize(windowed) == summarize(result)
