@@ -8,7 +8,6 @@ volatility), a deterministic scenario engine, and a CLI.
 """
 
 from .dynamics import (
-    AgentParams,
     CrowdConfig,
     CrowdError,
     EmptyPopulationError,
@@ -16,7 +15,6 @@ from .dynamics import (
     SingularFeedbackError,
     UniformNoise,
     WienerNoise,
-    homogeneous_agents,
     instantaneous_response,
     ordered_sum,
 )

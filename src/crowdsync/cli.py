@@ -144,16 +144,14 @@ def _cmd_curve(args) -> int:
     spec = load_scenario(args.scenario)
     seed = spec.seed if args.seed is None else args.seed
     cfg = spec.config
-    noise_amp = np.array([ag.noise_amp for ag in cfg.agents])
-    b_high_avg = float(np.mean([ag.b_high for ag in cfg.agents]))
     xs: list[float] = []
     means: list[float] = []
     stderrs: list[float] = []
     if args.kind == "order-vs-ratio":
-        trials = args.trials if args.trials is not None else (200 if np.any(noise_amp) else 1)
+        trials = args.trials if args.trials is not None else (200 if np.any(cfg.noise_amp) else 1)
         for i, ratio in enumerate(np.linspace(0.0, 1.0, args.points)):
             samples = forced_ratio_samples(
-                cfg, float(ratio), dO_drive=args.drive, noise_amp=noise_amp,
+                cfg, float(ratio), dO_drive=args.drive, noise_amp=cfg.noise_amp,
                 trials=trials, seed=seed + i,
             )
             xs.append(float(ratio))
@@ -161,7 +159,7 @@ def _cmd_curve(args) -> int:
             stderrs.append(_stderr(samples))
     else:
         trials = args.trials if args.trials is not None else 1000
-        e_max = 10.0 * b_high_avg * abs(args.drive)
+        e_max = 10.0 * float(np.mean(cfg.b_high)) * abs(args.drive)
         for i, e in enumerate(np.linspace(0.0, e_max, args.points)):
             samples = forced_ratio_samples(
                 cfg, 1.0, dO_drive=args.drive, noise_amp=float(e),

@@ -20,9 +20,14 @@ gives the one-step map
 whose gain a*B decides everything: |a*B| < 1 contracts, a*B = 1 is the
 singular point, a*B > 1 self-amplifies.
 
+A crowd is stored as columns: agent i is index i of `CrowdConfig.b_low`,
+`b_high`, `c` and `noise_amp`, and i is also its place in every
+fixed-order sum.
+
 `crowdsync.scenarios.run` is the one implementation of a step; this
-module holds what it is built from: agent and crowd parameters, the
-noise models, and the fixed-order sum every aggregate uses.
+module holds what it is built from: the crowd's per-agent coefficient
+columns and the one check of their rules, the noise models, and the
+fixed-order sum every aggregate uses.
 """
 
 from __future__ import annotations
@@ -59,41 +64,39 @@ def require_finite(what: str, value: float) -> None:
 # Agents and configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AgentParams:
-    """Per-agent coefficients.
+#: The per-agent coefficient columns of a crowd; agent i is index i of each.
+AGENT_COLUMNS = ("b_low", "b_high", "c", "noise_amp")
 
-    b_low / b_high are the observation-coupling values taken in the
-    normal / reactive mode; c is the sensitivity to external force;
-    noise_amp is the half-width of the agent's uniform action noise.
+
+def agent_column_errors(
+    b_low: np.ndarray, b_high: np.ndarray, c: np.ndarray, noise_amp: np.ndarray
+) -> list[tuple[str, str]]:
+    """(column, message) for the first agent breaking each per-agent rule; [] if none does.
+
+    The rules: every coefficient is finite, b_high > b_low, b_high > 0 and
+    noise_amp >= 0. The columns are equal-length float64 arrays.
     """
+    columns = dict(zip(AGENT_COLUMNS, (b_low, b_high, c, noise_amp)))
+    errors = [(name, f"agent {i}: {name} must be finite, got {col[i]}")
+              for name, col in columns.items() for i in _first(~np.isfinite(col))]
+    if errors:
+        return errors  # the order rules below would only repeat a NaN
+    return (
+        [("b_high", f"agent {i}: b_high must exceed b_low (got b_high={b_high[i]}, b_low={b_low[i]})")
+         for i in _first(~(b_high > b_low))]
+        + [("b_high", f"agent {i}: b_high must be > 0, got {b_high[i]}") for i in _first(~(b_high > 0))]
+        + [("noise_amp", f"agent {i}: noise_amp must be >= 0, got {noise_amp[i]}")
+           for i in _first(noise_amp < 0)]
+    )
 
-    id: int
-    b_low: float
-    b_high: float
-    c: float
-    noise_amp: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"agent id must be >= 0, got {self.id}")
-        # inline, not require_finite per field: this runs for every agent of every crowd
-        if not (math.isfinite(self.b_low) and math.isfinite(self.b_high)
-                and math.isfinite(self.c) and math.isfinite(self.noise_amp)):
-            raise ValueError(f"agent {self.id}: coefficients must be finite, got {self}")
-        if not self.b_high > 0:
-            raise ValueError(f"agent {self.id}: b_high must be > 0, got {self.b_high}")
-        if not self.b_high > self.b_low:
-            raise ValueError(
-                f"agent {self.id}: b_high must exceed b_low "
-                f"(got b_high={self.b_high}, b_low={self.b_low})"
-            )
-        if self.noise_amp < 0:
-            raise ValueError(f"agent {self.id}: noise_amp must be >= 0")
+def _first(mask: np.ndarray) -> list[int]:
+    """The index of the first True in `mask` as a one-element list; [] when none is."""
+    return np.flatnonzero(mask)[:1].tolist()
 
 
 # Noise models. NoNoise keeps runs fully deterministic; UniformNoise is
-# per-agent i.i.d. action noise of half-width AgentParams.noise_amp;
+# per-agent i.i.d. action noise of half-width CrowdConfig.noise_amp;
 # WienerNoise is aggregate drift+diffusion applied at the observation
 # level (a*eps_total = mu*dt + sigma*dZ).
 
@@ -122,17 +125,23 @@ class WienerNoise:
 NoiseModel = Union[NoNoise, UniformNoise, WienerNoise]
 
 
-@dataclass
+@dataclass(eq=False)
 class CrowdConfig:
-    """Population plus the shared observation sensitivity.
+    """A crowd of n agents as four coefficient columns, plus the shared sensitivity a.
 
-    Agents must be listed in ascending id order 0..n-1; every aggregate
-    in the package sums in that order so runs are bit-reproducible.
+    Agent i is index i of each column: b_low / b_high are its coupling to
+    the observation in the normal / reactive mode, c its sensitivity to
+    external force, noise_amp the half-width of its uniform noise. A
+    scalar column is given to every agent. Columns are stored as
+    read-only float64 copies, so a config cannot change once built.
     """
 
     n: int
     a: float
-    agents: list[AgentParams]
+    b_low: np.ndarray
+    b_high: np.ndarray
+    c: np.ndarray
+    noise_amp: np.ndarray = 0.0
     noise_model: NoiseModel = field(default_factory=NoNoise)
     dt: float = 1.0
 
@@ -145,18 +154,17 @@ class CrowdConfig:
         require_finite("time step dt", self.dt)
         if not self.dt > 0:
             raise ValueError(f"time step dt must be > 0, got {self.dt}")
-        if len(self.agents) != self.n:
-            raise ValueError(f"expected {self.n} agents, got {len(self.agents)}")
-        for i, ag in enumerate(self.agents):
-            if ag.id != i:
-                raise ValueError(f"agents must be ordered by id 0..n-1; slot {i} holds id {ag.id}")
-
-
-def homogeneous_agents(
-    n: int, b_low: float, b_high: float, c: float, noise_amp: float = 0.0
-) -> list[AgentParams]:
-    """N identical agents with ids 0..n-1."""
-    return [AgentParams(id=i, b_low=b_low, b_high=b_high, c=c, noise_amp=noise_amp) for i in range(n)]
+        for name in AGENT_COLUMNS:
+            col = np.array(getattr(self, name), dtype=np.float64)  # always a copy
+            if col.ndim == 0:
+                col = np.full(self.n, col)
+            elif col.shape != (self.n,):
+                raise ValueError(f"{name} must be one value or {self.n} values, got shape {col.shape}")
+            col.flags.writeable = False
+            setattr(self, name, col)
+        errors = agent_column_errors(self.b_low, self.b_high, self.c, self.noise_amp)
+        if errors:
+            raise ValueError(errors[0][1])
 
 
 # ---------------------------------------------------------------------------

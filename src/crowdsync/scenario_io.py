@@ -20,12 +20,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import (
-    AgentParams,
+    AGENT_COLUMNS,
     CrowdConfig,
     CrowdError,
     NoNoise,
     UniformNoise,
     WienerNoise,
+    agent_column_errors,
 )
 from .scenarios import (
     DEFAULT_DIVERGENCE_CEILING,
@@ -185,13 +186,13 @@ class _Reader:
         return default
 
     def float_list(self, key: str, n: int | None, default: float | None = None, required: bool = False):
-        """A scalar (expanded to n copies) or a comma list of exactly n values."""
+        """A float64 array: a scalar expanded to n copies, or a comma list of exactly n values."""
         entry = self.entries.get(key)
         if entry is None:
             if required:
                 self.errors.append(f"missing required key {key!r}")
                 return None
-            return None if default is None else [default] * (n or 0)
+            return None if default is None else np.full(n or 0, default)
         parts = [p.strip() for p in entry[1].split(",")]
         try:
             values = [float(p) for p in parts]
@@ -202,11 +203,11 @@ class _Reader:
             self.fail(key, f"must be finite, got {entry[1]!r}")
             return None
         if len(values) == 1 and n is not None:
-            return values * n
+            return np.full(n, values[0])
         if n is not None and len(values) != n:
             self.fail(key, f"expected 1 or {n} values, got {len(values)}")
             return None
-        return values
+        return np.array(values)
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
@@ -240,26 +241,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
     mu = r.float_("crowd.mu", default=0.0)
     sigma = r.float_("crowd.sigma", default=0.0)
 
-    agents: list[AgentParams] | None = None
-    if n is not None and None not in (b_low, b_high, c, noise_amp):
-        agents = []
-        for i in range(n):
-            if not b_high[i] > b_low[i]:
-                r.fail(
-                    "crowd.b_high",
-                    f"agent {i}: b_high must exceed b_low (got b_high={b_high[i]}, b_low={b_low[i]})",
-                )
-                agents = None
-                break
-            if not b_high[i] > 0:
-                r.fail("crowd.b_high", f"agent {i}: b_high must be > 0, got {b_high[i]}")
-                agents = None
-                break
-            if noise_amp[i] < 0:
-                r.fail("crowd.noise_amp", f"agent {i}: must be >= 0, got {noise_amp[i]}")
-                agents = None
-                break
-            agents.append(AgentParams(i, b_low[i], b_high[i], c[i], noise_amp[i]))
+    columns = (b_low, b_high, c, noise_amp)
+    if n is not None and all(col is not None for col in columns):
+        for column, message in agent_column_errors(*columns):
+            r.fail(f"crowd.{column}", message)
 
     noise_model = None
     if noise_kind == "none":
@@ -334,7 +319,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if errors:
         raise ScenarioFormatError(errors)
 
-    config = CrowdConfig(n=n, a=a, agents=agents, noise_model=noise_model, dt=dt)
+    config = CrowdConfig(n, a, b_low, b_high, c, noise_amp, noise_model, dt)
     rule = SwitchRule(saturation_scale=sat, window=window)
     return ScenarioSpec(
         name=name,
@@ -365,10 +350,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _collapse(values: list[float]) -> str:
-    if all(v == values[0] for v in values):
+def _collapse(values: np.ndarray) -> str:
+    if np.all(values == values[0]):
         return repr(float(values[0]))
-    return ", ".join(repr(float(v)) for v in values)
+    return ", ".join(map(repr, values.tolist()))
 
 
 def format_scenario(spec: ScenarioSpec) -> str:
@@ -377,10 +362,8 @@ def format_scenario(spec: ScenarioSpec) -> str:
     lines = [f"name = {spec.name}"]
     lines.append(f"crowd.n = {cfg.n}")
     lines.append(f"crowd.a = {_fmt(cfg.a)}")
-    lines.append(f"crowd.b_low = {_collapse([ag.b_low for ag in cfg.agents])}")
-    lines.append(f"crowd.b_high = {_collapse([ag.b_high for ag in cfg.agents])}")
-    lines.append(f"crowd.c = {_collapse([ag.c for ag in cfg.agents])}")
-    lines.append(f"crowd.noise_amp = {_collapse([ag.noise_amp for ag in cfg.agents])}")
+    for column in AGENT_COLUMNS:
+        lines.append(f"crowd.{column} = {_collapse(getattr(cfg, column))}")
     if isinstance(cfg.noise_model, WienerNoise):
         lines.append("crowd.noise = wiener")
         lines.append(f"crowd.mu = {_fmt(cfg.noise_model.mu)}")
@@ -414,9 +397,11 @@ def format_scenario(spec: ScenarioSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _g17(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
+
+
+def _g17_column(values: np.ndarray) -> list[str]:
+    return [format(x, ".17g") for x in values.tolist()]
 
 
 def _csv(header: list[str], rows: Iterable[list]) -> str:
@@ -435,28 +420,22 @@ def _write(text: str, destination: str | Path) -> Path:
 
 def format_table(result: ScenarioResult) -> str:
     """TimeSeriesTable as CSV text: one row per executed step."""
-    n = result.config.n
-    return _csv(
-        TABLE_COLUMNS,
-        (
-            [
-                int(result.t[k]),
-                _g17(result.E[k]),
-                _g17(result.dE[k]),
-                _g17(result.S[k]),
-                _g17(result.dS[k]),
-                _g17(result.O[k]),
-                _g17(result.dO[k]),
-                int(result.n_reactive[k]),
-                _g17(result.n_reactive[k] / n),
-                _g17(result.b_total[k]),
-                _g17(result.ab[k]),
-                _g17(result.r_instant[k]),
-                result.stability_trace[k].value,
-            ]
-            for k in range(result.steps_run)
-        ),
-    )
+    columns = [
+        result.t.tolist(),
+        _g17_column(result.E),
+        _g17_column(result.dE),
+        _g17_column(result.S),
+        _g17_column(result.dS),
+        _g17_column(result.O),
+        _g17_column(result.dO),
+        result.n_reactive.tolist(),
+        _g17_column(result.n_reactive / result.config.n),
+        _g17_column(result.b_total),
+        _g17_column(result.ab),
+        _g17_column(result.r_instant),
+        [s.value for s in result.stability_trace],
+    ]
+    return _csv(TABLE_COLUMNS, zip(*columns))
 
 
 def emit_table(result: ScenarioResult, destination: str | Path) -> Path:
@@ -513,22 +492,39 @@ def emit_window_table(rows, destination: str | Path) -> Path:
 
 
 def read_table(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a time-series table back into column arrays."""
+    """Read a time-series table back into column arrays.
+
+    An empty file, a foreign header, a row of the wrong width or a cell
+    that is not a number raises ScenarioFormatError naming the file and
+    the line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != TABLE_COLUMNS:
-            raise ScenarioFormatError(
-                [f"{path}: unexpected table header {header!r}; expected {TABLE_COLUMNS!r}"]
-            )
-        rows = list(reader)
+            got = "an empty file" if header is None else f"the header {header!r}"
+            raise ScenarioFormatError([f"{path}: line 1: expected the header {TABLE_COLUMNS!r}, got {got}"])
+        rows, lines = [], []
+        for row in reader:
+            if len(row) != len(TABLE_COLUMNS):
+                raise ScenarioFormatError([
+                    f"{path}: line {reader.line_num}: expected {len(TABLE_COLUMNS)} fields, got {len(row)}"
+                ])
+            rows.append(row)
+            lines.append(reader.line_num)
     out: dict[str, np.ndarray] = {}
     for idx, col in enumerate(TABLE_COLUMNS):
         values = [row[idx] for row in rows]
         if col == "stability":
             out[col] = np.array(values)
-        elif col in ("t", "N_H"):
-            out[col] = np.array([int(v) for v in values])
-        else:
-            out[col] = np.array([float(v) for v in values])
+            continue
+        convert = int if col in ("t", "N_H") else float
+        try:
+            out[col] = np.array([convert(v) for v in values])
+        except ValueError:
+            for line, v in zip(lines, values):
+                try:
+                    convert(v)
+                except ValueError as exc:
+                    raise ScenarioFormatError([f"{path}: line {line}: {col}: {exc}"]) from None
     return out

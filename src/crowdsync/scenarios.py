@@ -31,10 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import (
+    AGENT_COLUMNS,
     CrowdConfig,
     UniformNoise,
     WienerNoise,
-    homogeneous_agents,
     ordered_sum,
     require_finite,
 )
@@ -310,9 +310,8 @@ def run(
     require_finite("divergence_ceiling", divergence_ceiling)
     if not divergence_ceiling > 0:
         raise ValueError(f"divergence_ceiling must be > 0, got {divergence_ceiling}")
-    b_low, b_high, rank = _switch_order(config)
-    c_vec = np.array([ag.c for ag in config.agents])
-    amp = np.array([ag.noise_amp for ag in config.agents])
+    b_low, b_high, c_vec, amp = config.b_low, config.b_high, config.c, config.noise_amp
+    rank = _switch_rank(config)
 
     model = config.noise_model
     uniform = isinstance(model, UniformNoise)
@@ -399,16 +398,14 @@ def run(
     )
 
 
-def _switch_order(config: CrowdConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(b_low, b_high, rank) of a crowd; rank[i] is agent i's place in switch priority.
+def _switch_rank(config: CrowdConfig) -> np.ndarray:
+    """rank[i] is agent i's place in switch priority.
 
     With n_h agents reactive the couplings are np.where(rank < n_h, b_high, b_low).
     """
-    b_low = np.array([ag.b_low for ag in config.agents])
-    b_high = np.array([ag.b_high for ag in config.agents])
     rank = np.empty(config.n, dtype=np.intp)
-    rank[switch_priority(config.agents)] = np.arange(config.n)
-    return b_low, b_high, rank
+    rank[switch_priority(config.b_high)] = np.arange(config.n)
+    return rank
 
 
 def window_reports(
@@ -493,8 +490,7 @@ def forced_ratio_samples(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = config.n
     n_h = min(int(math.floor(ratio * n + 0.5)), n)
-    b_low, b_high, rank = _switch_order(config)
-    base = np.where(rank < n_h, b_high, b_low) * dO_drive
+    base = np.where(_switch_rank(config) < n_h, config.b_high, config.b_low) * dO_drive
 
     rng = make_generator(seed)
     out = np.empty(trials)
@@ -502,9 +498,10 @@ def forced_ratio_samples(
     done = 0
     while done < trials:
         k = min(per_block, trials - done)
-        acts = base + rng.uniform(-noise_amp, noise_amp, size=(k, n))
+        acts = rng.uniform(-noise_amp, noise_amp, size=(k, n))
+        acts += base  # in place: one k x n array per block
         sums = np.abs(acts.sum(axis=1))
-        denoms = np.abs(acts).sum(axis=1)
+        denoms = np.abs(acts, out=acts).sum(axis=1)
         blk = np.zeros(k)
         np.divide(sums, denoms, out=blk, where=denoms > 0)
         out[done : done + k] = blk
@@ -575,9 +572,8 @@ def apply_sweep_value(
 ) -> tuple[CrowdConfig, SwitchRule]:
     """Return (config, rule) with one named parameter overridden.
 
-    Population-wide parameters (b_high, b_low, noise_amp) are set on
-    every agent; resizing n rebuilds a homogeneous population from
-    agent 0's coefficients.
+    Per-agent parameters (b_high, b_low, noise_amp) are set on every
+    agent; resizing n gives every agent agent 0's coefficients.
     """
     if param not in SWEEP_PARAMS:
         raise ValueError(
@@ -585,15 +581,10 @@ def apply_sweep_value(
         )
     if param == "saturation_scale":
         return config, replace(rule, saturation_scale=float(value))
-    if param == "a":
-        return replace(config, a=float(value)), rule
     if param == "n":
-        n = _crowd_size(value)
-        tmpl = config.agents[0]
-        agents = homogeneous_agents(n, tmpl.b_low, tmpl.b_high, tmpl.c, tmpl.noise_amp)
-        return replace(config, n=n, agents=agents), rule
-    agents = [replace(ag, **{param: float(value)}) for ag in config.agents]
-    return replace(config, agents=agents), rule
+        agent_0 = {name: getattr(config, name)[0] for name in AGENT_COLUMNS}
+        return replace(config, n=_crowd_size(value), **agent_0), rule
+    return replace(config, **{param: float(value)}), rule
 
 
 def _crowd_size(value: float) -> int:

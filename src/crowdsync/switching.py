@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .dynamics import AgentParams, CrowdError, ordered_sum, require_finite
+import numpy as np
+
+from .dynamics import CrowdError, ordered_sum, require_finite
 
 #: Band around loop gain 1 classified as marginal.
 MARGINAL_TOL = 1e-9
@@ -110,9 +112,9 @@ def update_reactive_count(dO_history: Sequence[float], rule: SwitchRule, n: int)
     return int(math.floor(min(raw, n) + 0.5))  # round half away from zero
 
 
-def switch_priority(agents: Sequence[AgentParams]) -> list[int]:
-    """Order in which agents switch: largest b_high first, then ascending id."""
-    return sorted(range(len(agents)), key=lambda i: (-agents[i].b_high, agents[i].id))
+def switch_priority(b_high: np.ndarray) -> np.ndarray:
+    """Order in which agents switch: largest b_high first, ties by ascending index."""
+    return np.argsort(-b_high, kind="stable")
 
 
 def classify_stability(ab: float) -> Stability:

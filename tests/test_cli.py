@@ -2,8 +2,11 @@
 
 import csv
 
+import pytest
+
 import crowdsync.scenarios as scenarios_module
 from crowdsync.cli import main
+from crowdsync.scenario_io import TABLE_COLUMNS
 
 SCENARIO = """
 name = {name}
@@ -120,3 +123,21 @@ def test_metrics_checks_window_before_reading_table(tmp_path, capsys):
     argv = ["metrics", "--table", str(tmp_path / "missing.csv"), "--window", "0"]
     assert main(argv) == 1
     assert "--window must be >= 1" in capsys.readouterr().err
+
+
+TABLE_HEAD = ",".join(TABLE_COLUMNS) + "\n0,0,0,0,0,0,0,0,0,0,0,0,contracting\n"
+MALFORMED_TABLES = {
+    "empty": ("", "empty file"),
+    "short-row": (TABLE_HEAD + "1,0,0\n", "line 3: expected 13 fields, got 3"),
+    "non-numeric": (TABLE_HEAD + "1,0,0,0,0,0,x,0,0,0,0,0,contracting\n",
+                    "line 3: dO: could not convert string to float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TABLES)
+def test_metrics_refuses_malformed_table(case, tmp_path, capsys):
+    text, fragment = MALFORMED_TABLES[case]
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["metrics", "--table", str(path), "--window", "1"]) == 1
+    assert_one_line_error(capsys, f"{path}: ", fragment)

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from crowdsync.dynamics import (
-    AgentParams,
+    AGENT_COLUMNS,
     CrowdConfig,
     EmptyPopulationError,
     NoNoise,
     SingularFeedbackError,
     UniformNoise,
     WienerNoise,
-    homogeneous_agents,
+    agent_column_errors,
     instantaneous_response,
     ordered_sum,
 )
@@ -55,12 +55,9 @@ def kahan_sum(values):
 
 def crowd(b_low, b_high, c, a=1.0, noise_amp=0.0, noise_model=None, dt=1.0):
     """A crowd from per-agent coefficient lists (scalars mean one agent)."""
-    b_low, b_high, c, amp = np.broadcast_arrays(b_low, b_high, c, noise_amp)
-    agents = [
-        AgentParams(i, float(lo), float(hi), float(ci), float(ai))
-        for i, (lo, hi, ci, ai) in enumerate(zip(b_low.ravel(), b_high.ravel(), c.ravel(), amp.ravel()))
-    ]
-    return CrowdConfig(n=len(agents), a=a, agents=agents, noise_model=noise_model or NoNoise(), dt=dt)
+    b_low, b_high, c, amp = (col.ravel() for col in np.broadcast_arrays(b_low, b_high, c, noise_amp))
+    return CrowdConfig(n=b_low.size, a=a, b_low=b_low, b_high=b_high, c=c, noise_amp=amp,
+                       noise_model=noise_model or NoNoise(), dt=dt)
 
 
 def drive(cfg, dE, dO_prev=0.0, reactive=0, seed=0, ceiling=1e300):
@@ -120,19 +117,41 @@ def test_agent_state_tracks_mode():
 
 
 def test_agent_params_invariants():
-    with pytest.raises(ValueError):
-        AgentParams(0, b_low=0.5, b_high=0.5, c=1.0)
-    with pytest.raises(ValueError):
-        AgentParams(0, b_low=-1.0, b_high=-0.5, c=1.0)
-    with pytest.raises(ValueError):
-        AgentParams(0, b_low=0.0, b_high=1.0, c=1.0, noise_amp=-0.1)
+    """CrowdConfig checks each per-agent rule and names the first agent that breaks it."""
+    valid = {"b_low": [0.0] * 3, "b_high": [1.0] * 3, "c": [1.0] * 3, "noise_amp": [0.0] * 3}
+    cases = [
+        ({"b_low": [0.0, 0.5, 0.5], "b_high": [1.0, 0.5, 0.5]}, "agent 1: b_high must exceed b_low"),
+        ({"b_low": [0.0, 0.0, -1.0], "b_high": [1.0, 1.0, -0.5]}, "agent 2: b_high must be > 0"),
+        ({"noise_amp": [0.0, -0.1, -0.2]}, "agent 1: noise_amp must be >= 0"),
+    ]
     for bad in (math.inf, -math.inf, math.nan):
-        for field in ("b_low", "c", "noise_amp"):
-            kwargs = {"b_low": 0.0, "b_high": 1.0, "c": 1.0, "noise_amp": 0.0, field: bad}
-            with pytest.raises(ValueError, match="finite"):
-                AgentParams(0, **kwargs)
-    with pytest.raises(ValueError, match="finite"):
-        AgentParams(0, b_low=0.0, b_high=math.inf, c=1.0)
+        for column in AGENT_COLUMNS:
+            cases.append(({column: valid[column][:2] + [bad]}, f"agent 2: {column} must be finite"))
+    for changed, message in cases:
+        with pytest.raises(ValueError, match=message):
+            CrowdConfig(n=3, a=1.0, **{**valid, **changed})
+    with pytest.raises(ValueError, match="c must be one value or 3 values"):
+        CrowdConfig(n=3, a=1.0, **{**valid, "c": [1.0, 2.0]})
+    # the one check reports the first bad agent of every rule it finds broken
+    columns = [np.array(valid[k]) for k in AGENT_COLUMNS]
+    columns[0][1] = 2.0  # agent 1: b_low above b_high
+    columns[3][0] = -1.0  # agent 0: negative noise
+    assert agent_column_errors(*columns) == [
+        ("b_high", "agent 1: b_high must exceed b_low (got b_high=1.0, b_low=2.0)"),
+        ("noise_amp", "agent 0: noise_amp must be >= 0, got -1.0"),
+    ]
+
+
+def test_crowd_config_columns_are_read_only_copies():
+    source = np.array([0.5, 1.0, 1.5])
+    cfg = CrowdConfig(n=3, a=1.0, b_low=0, b_high=source, c=[1, 2, 3])
+    source[0] = 9.0
+    assert np.array_equal(cfg.b_high, [0.5, 1.0, 1.5])
+    with pytest.raises(ValueError, match="read-only"):
+        cfg.b_high[0] = 9.0
+    # a scalar column is given to every agent; every column is float64
+    assert np.array_equal(cfg.b_low, np.zeros(3)) and np.array_equal(cfg.noise_amp, np.zeros(3))
+    assert all(getattr(cfg, k).dtype == np.float64 for k in AGENT_COLUMNS)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +198,9 @@ def test_observe_examples():
 
 
 def test_observe_requires_positive_sensitivity():
-    agents = homogeneous_agents(1, 0.0, 1.0, 1.0)
     for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="sensitivity a"):
-            CrowdConfig(n=1, a=bad, agents=agents)
+            CrowdConfig(n=1, a=bad, b_low=0.0, b_high=1.0, c=1.0)
 
 
 def test_superposition_of_agent_steps():
@@ -343,20 +361,18 @@ def test_step_with_noise_brownian_variance(wiener_path):
 # ---------------------------------------------------------------------------
 
 def test_crowd_config_validation():
-    agents = homogeneous_agents(3, 0.0, 1.0, 1.0)
+    columns = {"b_low": np.zeros(3), "b_high": np.ones(3), "c": np.ones(3)}
     with pytest.raises(ValueError):
-        CrowdConfig(n=3, a=0.0, agents=agents)
+        CrowdConfig(n=3, a=0.0, **columns)
+    with pytest.raises(ValueError, match="4 values"):
+        CrowdConfig(n=4, a=1.0, **columns)
     with pytest.raises(ValueError):
-        CrowdConfig(n=4, a=1.0, agents=agents)
+        CrowdConfig(n=3, a=1.0, **columns, dt=0.0)
     with pytest.raises(ValueError):
-        CrowdConfig(n=3, a=1.0, agents=agents, dt=0.0)
-    with pytest.raises(ValueError):
-        CrowdConfig(n=3, a=1.0, agents=list(reversed(agents)))
-    with pytest.raises(ValueError):
-        CrowdConfig(n=0, a=1.0, agents=[])
+        CrowdConfig(n=0, a=1.0, b_low=0.0, b_high=1.0, c=1.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            CrowdConfig(n=3, a=1.0, agents=agents, dt=bad)
+            CrowdConfig(n=3, a=1.0, **columns, dt=bad)
         with pytest.raises(ValueError, match="finite"):
             WienerNoise(mu=bad, sigma=0.1)
         with pytest.raises(ValueError, match="finite"):
@@ -365,5 +381,5 @@ def test_crowd_config_validation():
 
 def test_crowd_config_ab_max():
     """Loop gain with every agent reactive is a * sum(b_high)."""
-    cfg = CrowdConfig(n=100, a=0.01, agents=homogeneous_agents(100, 0.0, 1.35, 1.0))
+    cfg = CrowdConfig(n=100, a=0.01, b_low=0.0, b_high=1.35, c=1.0)
     assert drive(cfg, [0.0], reactive=100).ab[0] == pytest.approx(1.35, rel=1e-12)

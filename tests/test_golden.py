@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from crowdsync.cli import main
@@ -67,3 +68,34 @@ def test_metrics_table_is_pinned(scenario_dir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["metrics", "--table", table, "--window", "30"]) == 0
     assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+# sha256 of the time series of a run that diverges through a NaN O: two
+# agents whose actions overflow to +inf and -inf on a step of 10 (numpy
+# 2.4.6 / Python 3.11.7). Its cells are `nan`, which no golden run has.
+NAN_RUN_TIMESERIES_SHA256 = "e998b3f3db7cce661da2605a3bc2fe1ca67657ee3d47987087740604c0d73212"
+
+NAN_RUN = """
+name = nan-run
+crowd.n = 2
+crowd.a = 1.0
+crowd.b_low = 0.0
+crowd.b_high = 1.0
+crowd.c = 1e308, -1e308
+rule.saturation_scale = 1.0
+profile.kind = step
+profile.height = 10.0
+profile.onset = 0
+run.steps = 3
+"""
+
+
+def test_nan_run_table_is_pinned(tmp_path, capsys):
+    path = tmp_path / "nan-run.scenario"
+    path.write_text(NAN_RUN, encoding="utf-8")
+    with np.errstate(all="ignore"):  # the overflow, and the NaN cells of the summary
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    table = (tmp_path / "nan-run_timeseries.csv").read_bytes()
+    assert hashlib.sha256(table).hexdigest() == NAN_RUN_TIMESERIES_SHA256
+    assert table.decode("utf-8").splitlines()[1] == "0,10,10,nan,nan,nan,nan,0,0,0,0,nan,contracting"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crowdsync.dynamics import AgentParams, NoNoise, UniformNoise, WienerNoise
+from crowdsync.dynamics import AGENT_COLUMNS, CrowdConfig, NoNoise, UniformNoise, WienerNoise
 from crowdsync.scenario_io import (
     ScenarioFormatError,
     TABLE_COLUMNS,
@@ -28,7 +28,6 @@ from crowdsync.scenarios import (
     zero_profile,
 )
 from crowdsync.switching import SwitchRule
-from crowdsync.dynamics import CrowdConfig, homogeneous_agents
 
 MINIMAL = """
 name = minimal
@@ -58,13 +57,29 @@ def test_minimal_scenario_parses_with_defaults():
     assert spec.metric_window is None
     assert not spec.overlap
     assert spec.profile.kind == "zero"
-    assert all(ag.noise_amp == 0.0 for ag in spec.config.agents)
+    assert np.array_equal(spec.config.noise_amp, np.zeros(10))
 
 
 def test_equal_couplings_rejected_with_constraint_message():
     text = MINIMAL.replace("crowd.b_high = 1.0", "crowd.b_high = 0.0")
     with pytest.raises(ScenarioFormatError, match="b_high must exceed b_low"):
         parse_scenario(text)
+
+
+def test_per_agent_rule_errors_keep_line_numbers():
+    """The first agent breaking each rule is reported on its column's line."""
+    text = (
+        MINIMAL.replace("crowd.b_low = 0.0", "crowd.b_low = 0.0, 0.5, 0.0, -2.0" + ", 0.0" * 6)
+        .replace("crowd.b_high = 1.0", "crowd.b_high = 1.0, 0.5, 1.0, -1.0" + ", 1.0" * 6)
+        + "crowd.noise_amp = " + ", ".join(["0.0"] * 9 + ["-0.5"]) + "\n"
+    )
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario(text)
+    assert exc_info.value.errors == [
+        "line 6: crowd.b_high: agent 1: b_high must exceed b_low (got b_high=0.5, b_low=0.5)",
+        "line 6: crowd.b_high: agent 3: b_high must be > 0, got -1.0",
+        "line 11: crowd.noise_amp: agent 9: noise_amp must be >= 0, got -0.5",
+    ]
 
 
 def test_unknown_key_suggests_nearest():
@@ -124,9 +139,9 @@ profile.kind = zero
 run.steps = 5
 """
     spec = parse_scenario(text)
-    assert [ag.b_low for ag in spec.config.agents] == [-0.1, 0.0, 0.1]
-    assert [ag.c for ag in spec.config.agents] == [1.0, 2.0, 3.0]
-    assert all(ag.b_high == 1.0 for ag in spec.config.agents)
+    assert spec.config.b_low.tolist() == [-0.1, 0.0, 0.1]
+    assert spec.config.c.tolist() == [1.0, 2.0, 3.0]
+    assert spec.config.b_high.tolist() == [1.0, 1.0, 1.0]
 
 
 NON_FINITE = [
@@ -183,12 +198,12 @@ def test_uniform_noise_sets_agent_amplitudes():
     )
     spec = parse_scenario(text)
     assert isinstance(spec.config.noise_model, UniformNoise)
-    assert all(ag.noise_amp == 0.3 for ag in spec.config.agents)
+    assert np.array_equal(spec.config.noise_amp, np.full(10, 0.3))
 
 
 def test_golden_fig5_arithmetic(golden):
     cfg = golden("fig5-unstable").config
-    peak_gain = cfg.a * cfg.n * cfg.agents[0].b_high
+    peak_gain = cfg.a * cfg.n * cfg.b_high[0]
     assert peak_gain == pytest.approx(1.35, rel=1e-12)
 
 
@@ -238,7 +253,7 @@ def test_name_survives_format_parse_or_is_refused():
 # ---------------------------------------------------------------------------
 
 def quiescent_result(steps=3):
-    cfg = CrowdConfig(n=4, a=1.0, agents=homogeneous_agents(4, 0.0, 1.0, 1.0))
+    cfg = CrowdConfig(n=4, a=1.0, b_low=0.0, b_high=1.0, c=1.0)
     return run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(steps))
 
 
@@ -352,8 +367,8 @@ def specs(draw):
     noise = draw(st.sampled_from([NoNoise(), UniformNoise(), None]))
     if noise is None:
         noise = WienerNoise(mu=draw(_ANY), sigma=draw(st.floats(0.0, 1e3)))
-    agents = [AgentParams(i, b_low[i], b_high[i], c[i], amp[i]) for i in range(n)]
-    config = CrowdConfig(n=n, a=draw(_POSITIVE), agents=agents, noise_model=noise, dt=draw(_POSITIVE))
+    config = CrowdConfig(n=n, a=draw(_POSITIVE), b_low=b_low, b_high=b_high, c=c, noise_amp=amp,
+                         noise_model=noise, dt=draw(_POSITIVE))
     rule = SwitchRule(saturation_scale=draw(_POSITIVE), window=draw(st.integers(1, 50)))
     kind = draw(st.sampled_from(PROFILE_KINDS))
     return ScenarioSpec(
@@ -375,7 +390,10 @@ def test_parse_format_round_trip(spec):
     text = format_scenario(spec)
     parsed = parse_scenario(text)
     assert format_scenario(parsed) == text
-    assert parsed.config == spec.config
+    for field in ("n", "a", "noise_model", "dt"):
+        assert getattr(parsed.config, field) == getattr(spec.config, field)
+    for column in AGENT_COLUMNS:
+        assert np.array_equal(getattr(parsed.config, column), getattr(spec.config, column))
     assert parsed.rule == spec.rule
     fields = ("name", "steps", "seed", "metric_window", "overlap", "divergence_ceiling")
     assert [getattr(parsed, f) for f in fields] == [getattr(spec, f) for f in fields]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from crowdsync.dynamics import CrowdConfig, homogeneous_agents
+from crowdsync.dynamics import CrowdConfig
 from crowdsync.metrics import (
     DecisionPanel,
     DegenerateMixError,
@@ -111,7 +111,7 @@ def test_closed_form_rejects_inconsistent_low_stats():
 
 def noisy_order_parameter(n, noise_amp, trials, seed):
     """Mean R of one step of a fully reactive crowd (b_high = 1) driven by dO = 1."""
-    cfg = CrowdConfig(n=n, a=0.01, agents=homogeneous_agents(n, 0.0, 1.0, 1.0))
+    cfg = CrowdConfig(n=n, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
     return float(forced_ratio_samples(cfg, 1.0, 1.0, noise_amp, trials, seed).mean())
 
 
@@ -370,6 +370,20 @@ def test_sync_report_allocates_no_n_by_n_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * w * 8  # an N x N float64 matrix alone is 72 MB
+
+
+def test_forced_ratio_samples_holds_one_draw_block():
+    """The draws of a block are shifted and folded in place: one k x N array, not three."""
+    n, trials = 500, 2000
+    cfg = CrowdConfig(n=n, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
+    tracemalloc.start()
+    try:
+        forced_ratio_samples(cfg, 0.5, noise_amp=0.5, trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block = trials * n * 8  # 8 MB; all trials fit one block here
+    assert peak < 1.5 * block
 
 
 def test_window_sync_rejects_empty_window():

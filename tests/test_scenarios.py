@@ -8,14 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import crowdsync.scenarios as scenarios_module
-from crowdsync.dynamics import (
-    CrowdConfig,
-    AgentParams,
-    NoNoise,
-    UniformNoise,
-    WienerNoise,
-    homogeneous_agents,
-)
+from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise
 from crowdsync.metrics import order_parameter_closed_form
 from crowdsync.scenarios import (
     aggregate_trajectory,
@@ -38,7 +31,7 @@ from crowdsync.rng import make_generator
 
 
 def simple_config(n=100, a=0.01, b_low=0.0, b_high=0.5, c=1.0, **kw):
-    return CrowdConfig(n=n, a=a, agents=homogeneous_agents(n, b_low, b_high, c), **kw)
+    return CrowdConfig(n=n, a=a, b_low=b_low, b_high=b_high, c=c, **kw)
 
 
 def forced_ratio_mean(config, ratio, **kw):
@@ -144,7 +137,7 @@ def test_delayed_response_recursion_holds_in_engine(golden):
     spec = golden("fig4-stable")
     result = run_spec(spec)
     a = spec.config.a
-    C = sum(ag.c for ag in spec.config.agents)
+    C = sum(spec.config.c.tolist())
     dO_prev = 0.0
     for k in range(result.steps_run):
         expected = a * C * result.dE[k] + a * result.b_total[k] * dO_prev
@@ -164,12 +157,7 @@ def test_per_agent_loop_agrees_with_aggregate_recursion():
 
 
 def test_run_is_bit_deterministic():
-    cfg = CrowdConfig(
-        n=100,
-        a=0.01,
-        agents=homogeneous_agents(100, 0.0, 0.5, 1.0, noise_amp=0.05),
-        noise_model=UniformNoise(),
-    )
+    cfg = simple_config(noise_amp=0.05, noise_model=UniformNoise())
     rule = SwitchRule(saturation_scale=0.5)
     prof = step_profile(40, 1.0, 5)
     r1 = run(cfg, rule, prof, seed=123)
@@ -203,8 +191,7 @@ def test_divergence_truncates_and_marks():
 
 def test_nan_observation_counts_as_divergence():
     """Opposite overflowing agents make dS = inf - inf; the run stops there."""
-    agents = [AgentParams(0, 0.0, 1.0, 1e308), AgentParams(1, 0.0, 1.0, -1e308)]
-    cfg = CrowdConfig(n=2, a=1.0, agents=agents)
+    cfg = CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=1.0, c=[1e308, -1e308])
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
         result = run(cfg, SwitchRule(saturation_scale=1.0), explicit_profile(3, [10.0, 0.0, 0.0]))
     assert math.isnan(result.O[0])
@@ -251,13 +238,13 @@ def small_runs(draw):
     """A small random crowd, rule and force profile, a seed and window_reports() arguments."""
     n = draw(st.integers(1, 6))
     steps = draw(st.integers(1, 30))
-    agents = []
-    for i in range(n):
-        b_low = draw(_COEF)
-        b_high = max(b_low, 0.0) + draw(st.floats(0.01, 2.0))
-        agents.append(AgentParams(i, b_low, b_high, draw(_COEF), draw(st.floats(0.0, 1.0))))
+    b_low = draw(st.lists(_COEF, min_size=n, max_size=n))
+    b_high = [max(lo, 0.0) + draw(st.floats(0.01, 2.0)) for lo in b_low]
+    c = draw(st.lists(_COEF, min_size=n, max_size=n))
+    noise_amp = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
     noise = draw(st.sampled_from([NoNoise(), UniformNoise(), WienerNoise(mu=0.01, sigma=0.1)]))
-    cfg = CrowdConfig(n=n, a=draw(st.floats(0.01, 1.0)), agents=agents, noise_model=noise)
+    cfg = CrowdConfig(n=n, a=draw(st.floats(0.01, 1.0)), b_low=b_low, b_high=b_high, c=c,
+                      noise_amp=noise_amp, noise_model=noise)
     rule = SwitchRule(saturation_scale=draw(st.floats(0.01, 10.0)), window=draw(st.integers(1, 6)))
     profile = explicit_profile(steps, draw(st.lists(_COEF, min_size=steps, max_size=steps)))
     seed = draw(st.integers(0, 2**32))
@@ -310,18 +297,16 @@ def test_forced_ratio_fully_reactive_noiseless():
 def test_forced_ratio_zero_with_symmetric_normals_decays_with_n():
     n = 10_000
     signs = make_generator(8).choice([-1.0, 1.0], n)
-    agents = [AgentParams(i, 0.2 * float(signs[i]), 1.0, 1.0) for i in range(n)]
-    cfg = CrowdConfig(n=n, a=0.001, agents=agents)
+    cfg = CrowdConfig(n=n, a=0.001, b_low=0.2 * signs, b_high=1.0, c=1.0)
     assert forced_ratio_mean(cfg, 0.0, seed=3) < 0.05
 
 
 def test_forced_ratio_half_matches_closed_form():
     n = 10_000
     signs = make_generator(9).choice([-1.0, 1.0], n)
-    agents = [AgentParams(i, 0.2 * float(signs[i]), 1.0, 1.0) for i in range(n)]
-    cfg = CrowdConfig(n=n, a=0.001, agents=agents)
+    cfg = CrowdConfig(n=n, a=0.001, b_low=0.2 * signs, b_high=1.0, c=1.0)
     simulated = forced_ratio_mean(cfg, 0.5, seed=4)
-    b_low_avg = float(np.mean([ag.b_low for ag in agents]))
+    b_low_avg = float(np.mean(cfg.b_low))
     assert simulated == pytest.approx(
         order_parameter_closed_form(0.5, 1.0, b_low_avg, 0.2), abs=0.02
     )
@@ -375,8 +360,8 @@ def test_sweep_orders_results_and_records_seeds():
 def test_sweep_over_population_size_rebuilds_agents():
     cfg = simple_config(n=10)
     new_cfg, _ = apply_sweep_value(cfg, SwitchRule(saturation_scale=1.0), "n", 25)
-    assert new_cfg.n == 25 and len(new_cfg.agents) == 25
-    assert new_cfg.agents[24].b_high == cfg.agents[0].b_high
+    assert new_cfg.n == 25 and new_cfg.b_high.shape == (25,)
+    assert new_cfg.b_high[24] == cfg.b_high[0]
 
 
 def test_sweep_parallel_matches_serial():

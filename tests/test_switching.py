@@ -8,8 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from crowdsync.dynamics import AgentParams, CrowdConfig, homogeneous_agents
+from crowdsync.dynamics import CrowdConfig
 from crowdsync.scenarios import run, zero_profile
 from crowdsync.switching import (
     DegenerateCouplingError,
@@ -22,24 +24,33 @@ from crowdsync.switching import (
 )
 
 
-def pinned(agents, a, n_reactive, dO_prev=0.0):
+def crowd(n, b_low, b_high, a=1.0):
+    """n agents with c = 1; b_low and b_high are one value or one per agent."""
+    return CrowdConfig(n=n, a=a, b_low=b_low, b_high=b_high, c=1.0)
+
+
+def pinned(cfg, n_reactive, dO_prev=0.0):
     """One step of a run with `n_reactive` agents held reactive."""
-    cfg = CrowdConfig(n=len(agents), a=a, agents=list(agents))
     return run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(1),
                pinned_reactive=n_reactive, initial_dO=dO_prev)
 
 
-def brute_force_b_total(agents, n_reactive):
+def priority_oracle(b_high):
+    """Per-agent oracle of switch priority: largest b_high first, ties by ascending index."""
+    return sorted(range(len(b_high)), key=lambda i: (-b_high[i], i))
+
+
+def brute_force_b_total(cfg, n_reactive):
     """Per-agent oracle: b_high for the first n_reactive by priority, b_low for the rest."""
-    reactive = set(sorted(range(len(agents)), key=lambda i: (-agents[i].b_high, i))[:n_reactive])
-    return sum(ag.b_high if i in reactive else ag.b_low for i, ag in enumerate(agents))
+    reactive = set(priority_oracle(cfg.b_high)[:n_reactive])
+    return sum(cfg.b_high[i] if i in reactive else cfg.b_low[i] for i in range(cfg.n))
 
 
 def sweep_for_critical_count(a, n, b_high, b_low):
     """Oracle: smallest integer reactive count whose loop gain reaches 1."""
-    agents = homogeneous_agents(n, b_low, b_high, 1.0)
+    cfg = crowd(n, b_low, b_high, a)
     for nh in range(n + 1):
-        if pinned(agents, a, nh).ab[0] >= 1.0:
+        if pinned(cfg, nh).ab[0] >= 1.0:
             return nh
     return None
 
@@ -49,47 +60,44 @@ def sweep_for_critical_count(a, n, b_high, b_low):
 # ---------------------------------------------------------------------------
 
 def test_all_normal_coupling():
-    result = pinned(homogeneous_agents(100, 0.01, 1.0, 1.0), 0.01, 0)
+    result = pinned(crowd(100, 0.01, 1.0, a=0.01), 0)
     assert result.b_total[0] == pytest.approx(1.0, rel=1e-12)
     assert result.n_reactive[0] == 0
 
 
 def test_all_reactive_reaches_max_coupling():
-    result = pinned(homogeneous_agents(100, 0.0, 1.0, 1.0), 0.01, 100)
+    result = pinned(crowd(100, 0.0, 1.0, a=0.01), 100)
     assert result.b_total[0] == 100.0
     assert result.ab[0] == pytest.approx(1.0)
 
 
 def test_half_reactive_matches_brute_force_oracle():
-    agents = homogeneous_agents(100, 0.0, 0.02, 1.0)
-    b_total = pinned(agents, 0.01, 50).b_total[0]
-    assert b_total == pytest.approx(brute_force_b_total(agents, 50), rel=1e-12)
+    cfg = crowd(100, 0.0, 0.02, a=0.01)
+    b_total = pinned(cfg, 50).b_total[0]
+    assert b_total == pytest.approx(brute_force_b_total(cfg, 50), rel=1e-12)
     assert b_total == pytest.approx(1.0, rel=1e-12)
 
 
 def test_linear_form_equals_brute_force_exactly_for_dyadic_values():
-    agents = homogeneous_agents(100, 0.25, 0.5, 1.0)
+    cfg = crowd(100, 0.25, 0.5, a=0.5)
     for nh in range(101):
-        assert pinned(agents, 0.5, nh).b_total[0] == nh * 0.5 + (100 - nh) * 0.25
+        assert pinned(cfg, nh).b_total[0] == nh * 0.5 + (100 - nh) * 0.25
 
 
 def test_b_total_monotone_in_reactive_count():
     rng = np.random.default_rng(17)
-    agents = [
-        AgentParams(i, b_low=float(rng.uniform(-0.2, 0.2)), b_high=float(rng.uniform(0.5, 1.5)), c=1.0)
-        for i in range(40)
-    ]
+    b_low = rng.uniform(-0.2, 0.2, 40)
+    cfg = crowd(40, b_low, rng.uniform(0.5, 1.5, 40))
     prev = -math.inf
     for nh in range(41):
-        b_total = pinned(agents, 1.0, nh).b_total[0]
-        assert b_total == pytest.approx(brute_force_b_total(agents, nh), rel=1e-12)
+        b_total = pinned(cfg, nh).b_total[0]
+        assert b_total == pytest.approx(brute_force_b_total(cfg, nh), rel=1e-12)
         assert b_total >= prev
         prev = b_total
 
 
 def test_summary_population_invariants():
-    agents = homogeneous_agents(10, -0.1, 0.9, 1.0)
-    result = pinned(agents, 2.0, 4)
+    result = pinned(crowd(10, -0.1, 0.9, a=2.0), 4)
     assert result.n_reactive[0] == 4
     assert 2.0 * 10 * -0.1 <= result.ab[0] <= 2.0 * 10 * 0.9
     assert result.ab[0] == 2.0 * result.b_total[0]
@@ -97,7 +105,7 @@ def test_summary_population_invariants():
 
 def test_aggregate_coupling_empty_population():
     with pytest.raises(ValueError, match="population"):
-        CrowdConfig(n=0, a=1.0, agents=[])
+        crowd(0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +146,9 @@ def test_threshold_consistency_with_aggregate_coupling():
         tp = critical_reactive_count(a, n, bh, bl)
         if not tp.reachable:
             continue
-        agents = homogeneous_agents(n, bl, bh, 1.0)
-        assert pinned(agents, a, math.ceil(tp.count)).ab[0] >= 1.0 - 1e-9
-        assert pinned(agents, a, math.floor(tp.count) - 1).ab[0] < 1.0
+        cfg = crowd(n, bl, bh, a)
+        assert pinned(cfg, math.ceil(tp.count)).ab[0] >= 1.0 - 1e-9
+        assert pinned(cfg, math.floor(tp.count) - 1).ab[0] < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -213,47 +221,48 @@ def test_tiny_saturation_scale_saturates_instead_of_overflowing():
 # ---------------------------------------------------------------------------
 
 def test_assign_states_extremes():
-    agents = homogeneous_agents(5, 0.0, 1.0, 1.0)
-    assert np.all(pinned(agents, 1.0, 0, dO_prev=1.0).agent_actions == 0.0)
-    assert np.all(pinned(agents, 1.0, 5, dO_prev=1.0).agent_actions == 1.0)
+    cfg = crowd(5, 0.0, 1.0)
+    assert np.all(pinned(cfg, 0, dO_prev=1.0).agent_actions == 0.0)
+    assert np.all(pinned(cfg, 5, dO_prev=1.0).agent_actions == 1.0)
 
 
 def test_assign_states_picks_strongest_couplers_first():
-    agents = [
-        AgentParams(0, 0.0, 0.5, 1.0),
-        AgentParams(1, 0.0, 1.0, 1.0),
-        AgentParams(2, 0.0, 0.7, 1.0),
-    ]
-    assert switch_priority(agents) == [1, 2, 0]
-    actions = pinned(agents, 1.0, 2, dO_prev=1.0).agent_actions[:, 0]
+    cfg = crowd(3, 0.0, [0.5, 1.0, 0.7])
+    assert switch_priority(cfg.b_high).tolist() == [1, 2, 0]
+    actions = pinned(cfg, 2, dO_prev=1.0).agent_actions[:, 0]
     assert list(actions) == [0.0, 1.0, 0.7]
 
 
 def test_assign_states_tie_break_ascending_id():
-    agents = homogeneous_agents(4, 0.0, 1.0, 1.0)
-    assert switch_priority(agents) == [0, 1, 2, 3]
-    mixed = [AgentParams(i, 0.0, bh, 1.0) for i, bh in enumerate([0.5, 1.0, 0.5, 1.0])]
-    assert switch_priority(mixed) == [1, 3, 0, 2]
-    actions = pinned(agents, 1.0, 2, dO_prev=1.0).agent_actions[:, 0]
+    cfg = crowd(4, 0.0, 1.0)
+    assert switch_priority(cfg.b_high).tolist() == [0, 1, 2, 3]
+    assert switch_priority(np.array([0.5, 1.0, 0.5, 1.0])).tolist() == [1, 3, 0, 2]
+    actions = pinned(cfg, 2, dO_prev=1.0).agent_actions[:, 0]
     assert list(actions) == [1.0, 1.0, 0.0, 0.0]
 
 
-def test_assign_states_deterministic_and_idempotent():
-    rng = np.random.default_rng(23)
-    agents = [AgentParams(i, 0.0, float(rng.uniform(0.1, 2.0)), 1.0) for i in range(30)]
-    order = switch_priority(agents)
-    assert sorted(order) == list(range(30))
-    assert order == switch_priority(agents)
-    first = pinned(agents, 0.01, 13, dO_prev=1.0).agent_actions
-    assert np.array_equal(first, pinned(agents, 0.01, 13, dO_prev=1.0).agent_actions)
-    assert set(np.flatnonzero(first[:, 0])) == set(order[:13])
+@settings(max_examples=100, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 40), elements=st.sampled_from([0.1, 0.5, 1.0, 2.0])),
+    st.integers(0, 40),
+)
+def test_assign_states_deterministic_and_idempotent(b_high, n_reactive):
+    """Few distinct values, so ties are common; the per-agent sort is the oracle."""
+    order = switch_priority(b_high)
+    assert order.tolist() == priority_oracle(b_high.tolist())
+    assert np.array_equal(order, switch_priority(b_high))
+    cfg = crowd(b_high.size, 0.0, b_high, a=0.01)
+    k = min(n_reactive, cfg.n)
+    first = pinned(cfg, k, dO_prev=1.0).agent_actions
+    assert np.array_equal(first, pinned(cfg, k, dO_prev=1.0).agent_actions)
+    assert set(np.flatnonzero(first[:, 0])) == set(order[:k].tolist())
 
 
 def test_assign_states_bounds():
-    agents = homogeneous_agents(3, 0.0, 1.0, 1.0)
+    cfg = crowd(3, 0.0, 1.0)
     for bad in (4, -1):
         with pytest.raises(ValueError, match="pinned_reactive"):
-            pinned(agents, 1.0, bad)
+            pinned(cfg, bad)
 
 
 # ---------------------------------------------------------------------------
