@@ -166,22 +166,47 @@ class CrowdConfig:
         if errors:
             raise ValueError(errors[0][1])
 
+    def __setstate__(self, state: dict) -> None:
+        # Unpickled arrays come back writeable (sweep workers receive configs
+        # by pickle), so freeze the columns again.
+        self.__dict__.update(state)
+        for name in AGENT_COLUMNS:
+            getattr(self, name).flags.writeable = False
+
 
 # ---------------------------------------------------------------------------
 # Elementary operations
 # ---------------------------------------------------------------------------
 
-def ordered_sum(values: Sequence[float] | np.ndarray) -> float:
+def ordered_sum(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Sum in ascending index order (left to right), no reassociation.
 
     The canonical reduction for every aggregate in the package; fixing
     the order makes runs bit-identical across machines.
+
+    An array is summed along its last axis with `np.add.accumulate`,
+    which applies + sequentially: a 1-D array gives a float, a 2-D array
+    the array of its row sums, each equal to the 1-D sum of that row.
+    Any other sequence (the switch rule's few trailing |dO| values) is
+    summed as floats by a plain left-to-right loop, which gives the same
+    bits as the array form without building an array. The builtin `sum`
+    is not used: from Python 3.12 on it compensates float rounding, so it
+    would disagree with the array form.
     """
+    if not isinstance(values, np.ndarray):
+        items = iter(values)
+        try:
+            total = float(next(items))  # starting from 0.0 would turn a -0.0 sum into 0.0
+        except StopIteration:
+            raise EmptyPopulationError("cannot aggregate an empty vector") from None
+        for x in items:
+            total += float(x)
+        return total
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise EmptyPopulationError("cannot aggregate an empty vector")
-    # add.accumulate applies + sequentially, i.e. strict left-to-right.
-    return float(np.add.accumulate(arr)[-1])
+    sums = np.add.accumulate(arr, axis=-1)[..., -1]
+    return float(sums) if arr.ndim == 1 else sums
 
 
 def instantaneous_response(a: float, b_total: float, c_total: float, dE: float) -> float:

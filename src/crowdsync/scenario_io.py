@@ -90,6 +90,13 @@ class ScenarioFormatError(CrowdError):
         super().__init__("invalid scenario: " + "; ".join(errors))
 
 
+class TableFormatError(CrowdError):
+    """A time-series table that cannot be read back."""
+
+    def __init__(self, message: str):
+        super().__init__("invalid table: " + message)
+
+
 def _tokenize(text: str) -> tuple[dict[str, tuple[int, str]], list[str]]:
     """Key -> (line number, raw value text), plus the problems found."""
     entries: dict[str, tuple[int, str]] = {}
@@ -400,10 +407,6 @@ def _g17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _g17_column(values: np.ndarray) -> list[str]:
-    return [format(x, ".17g") for x in values.tolist()]
-
-
 def _csv(header: list[str], rows: Iterable[list]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -418,24 +421,32 @@ def _write(text: str, destination: str | Path) -> Path:
     return path
 
 
+#: One time-series row: t, six floats, N_H, four floats, the stability word.
+_TABLE_ROW = "%d," + "%.17g," * 6 + "%d," + "%.17g," * 4 + "%s\n"
+
+
 def format_table(result: ScenarioResult) -> str:
-    """TimeSeriesTable as CSV text: one row per executed step."""
+    """TimeSeriesTable as CSV text: one row per executed step.
+
+    Each row is one `%` format; "%.17g" % x is format(x, ".17g"), and no
+    cell holds a comma or quote, so the bytes are those of `csv.writer`.
+    """
     columns = [
         result.t.tolist(),
-        _g17_column(result.E),
-        _g17_column(result.dE),
-        _g17_column(result.S),
-        _g17_column(result.dS),
-        _g17_column(result.O),
-        _g17_column(result.dO),
+        result.E.tolist(),
+        result.dE.tolist(),
+        result.S.tolist(),
+        result.dS.tolist(),
+        result.O.tolist(),
+        result.dO.tolist(),
         result.n_reactive.tolist(),
-        _g17_column(result.n_reactive / result.config.n),
-        _g17_column(result.b_total),
-        _g17_column(result.ab),
-        _g17_column(result.r_instant),
+        (result.n_reactive / result.config.n).tolist(),
+        result.b_total.tolist(),
+        result.ab.tolist(),
+        result.r_instant.tolist(),
         [s.value for s in result.stability_trace],
     ]
-    return _csv(TABLE_COLUMNS, zip(*columns))
+    return ",".join(TABLE_COLUMNS) + "\n" + "".join([_TABLE_ROW % row for row in zip(*columns)])
 
 
 def emit_table(result: ScenarioResult, destination: str | Path) -> Path:
@@ -495,7 +506,7 @@ def read_table(path: str | Path) -> dict[str, np.ndarray]:
     """Read a time-series table back into column arrays.
 
     An empty file, a foreign header, a row of the wrong width or a cell
-    that is not a number raises ScenarioFormatError naming the file and
+    that is not a number raises TableFormatError naming the file and
     the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -503,13 +514,13 @@ def read_table(path: str | Path) -> dict[str, np.ndarray]:
         header = next(reader, None)
         if header != TABLE_COLUMNS:
             got = "an empty file" if header is None else f"the header {header!r}"
-            raise ScenarioFormatError([f"{path}: line 1: expected the header {TABLE_COLUMNS!r}, got {got}"])
+            raise TableFormatError(f"{path}: line 1: expected the header {TABLE_COLUMNS!r}, got {got}")
         rows, lines = [], []
         for row in reader:
             if len(row) != len(TABLE_COLUMNS):
-                raise ScenarioFormatError([
+                raise TableFormatError(
                     f"{path}: line {reader.line_num}: expected {len(TABLE_COLUMNS)} fields, got {len(row)}"
-                ])
+                )
             rows.append(row)
             lines.append(reader.line_num)
     out: dict[str, np.ndarray] = {}
@@ -526,5 +537,5 @@ def read_table(path: str | Path) -> dict[str, np.ndarray]:
                 try:
                     convert(v)
                 except ValueError as exc:
-                    raise ScenarioFormatError([f"{path}: line {line}: {col}: {exc}"]) from None
+                    raise TableFormatError(f"{path}: line {line}: {col}: {exc}") from None
     return out

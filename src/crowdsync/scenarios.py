@@ -10,6 +10,13 @@ each step t:
   3. actions aggregate in ascending agent order, the observation
      updates (dO = a*dS), and the step is recorded.
 
+A step recomputes only what changes every step: the switch rule, the
+actions dS_i = c_i*dE + b_i*dO_prev (+ noise) in preallocated buffers,
+sum dS_i and sum |dS_i| as one reduction, and the recorded values. The
+per-agent couplings b_i, their total B, the loop gain a*B and its
+stability class depend on N_H alone, so they are rebuilt only on a step
+whose N_H differs from the last one's.
+
 Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). Amplifying configurations are expected to blow up;
 a run truncates once |O| crosses the divergence ceiling and is marked
@@ -23,6 +30,7 @@ the per-window ones for callers that ask for them.
 from __future__ import annotations
 
 import math
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -328,31 +336,40 @@ def run(
     out_ab = np.zeros(T)
     out_r = np.zeros(T)
     actions = np.zeros((n, T))
+    stability: list[Stability] = [Stability.CONTRACTING] * T
+
+    pair = np.empty((2, n))
+    ds_i, abs_ds = pair  # this step's actions and their magnitudes, summed together
+    fed_back = np.empty(n)
 
     history: deque[float] = deque(maxlen=rule.window)
     dO_prev = initial_dO
     O = 0.0
+    n_h = pinned_reactive
+    coupled_for = None  # the N_H that b_eff, b_tot, ab and stab were built for
     diverged = False
     truncated_at: int | None = None
     steps_run = T
 
     for t in range(T):
-        if pinned_reactive is not None:
-            n_h = pinned_reactive
-        else:
+        if pinned_reactive is None:
             n_h = update_reactive_count(history, rule, n)
-        b_eff = np.where(rank < n_h, b_high, b_low)
-        b_tot = ordered_sum(b_eff)
-        dE = float(dE_arr[t])
-        ds_i = c_vec * dE + b_eff * dO_prev
+        if n_h != coupled_for:
+            b_eff = np.where(rank < n_h, b_high, b_low)
+            b_tot = ordered_sum(b_eff)
+            ab = a * b_tot
+            stab = classify_stability(ab)
+            coupled_for = n_h
+        np.multiply(c_vec, dE_arr.item(t), out=ds_i)
+        ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
         if uniform:
             ds_i += rng.uniform(-1.0, 1.0, n) * amp
         elif wiener:
             agg_eps = model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
-            ds_i = ds_i + agg_eps / (a * n)
-        dS = ordered_sum(ds_i)
+            ds_i += agg_eps / (a * n)
+        np.abs(ds_i, out=abs_ds)
+        dS, denom = ordered_sum(pair).tolist()
         dO = a * dS
-        denom = ordered_sum(np.abs(ds_i))
         O += dO
 
         out_dS[t] = dS
@@ -360,8 +377,9 @@ def run(
         out_O[t] = O
         out_nh[t] = n_h
         out_b[t] = b_tot
-        out_ab[t] = a * b_tot
+        out_ab[t] = ab
         out_r[t] = abs(dS) / denom if denom > 0.0 else 0.0
+        stability[t] = stab
         actions[:, t] = ds_i
 
         history.append(dO)
@@ -373,6 +391,7 @@ def run(
             break
 
     sl = slice(0, steps_run)
+    del stability[steps_run:]
     return ScenarioResult(
         config=config,
         rule=rule,
@@ -389,7 +408,7 @@ def run(
         b_total=out_b[sl],
         ab=out_ab[sl],
         r_instant=out_r[sl],
-        stability_trace=[classify_stability(x) for x in out_ab[sl]],
+        stability_trace=stability,
         agent_actions=actions[:, sl],
         peak_ratio=float(out_nh[sl].max()) / n if steps_run else 0.0,
         final_ratio=float(out_nh[steps_run - 1]) / n if steps_run else 0.0,
@@ -634,8 +653,6 @@ def sweep(
         (config, rule, param, v, profile, s, divergence_ceiling)
         for v, s in zip(values, seeds)
     ]
-    import os
-
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

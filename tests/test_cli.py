@@ -140,4 +140,4 @@ def test_metrics_refuses_malformed_table(case, tmp_path, capsys):
     path = tmp_path / "table.csv"
     path.write_text(text, encoding="utf-8")
     assert main(["metrics", "--table", str(path), "--window", "1"]) == 1
-    assert_one_line_error(capsys, f"{path}: ", fragment)
+    assert_one_line_error(capsys, f"error: invalid table: {path}: ", fragment)

@@ -7,9 +7,12 @@ the force increments.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crowdsync.dynamics import (
     AGENT_COLUMNS,
@@ -154,6 +157,17 @@ def test_crowd_config_columns_are_read_only_copies():
     assert all(getattr(cfg, k).dtype == np.float64 for k in AGENT_COLUMNS)
 
 
+def test_unpickled_crowd_config_columns_are_read_only():
+    cfg = CrowdConfig(n=3, a=1.0, b_low=0, b_high=[0.5, 1.0, 1.5], c=[1, 2, 3], noise_amp=0.1)
+    copy = pickle.loads(pickle.dumps(cfg))
+    for name in AGENT_COLUMNS:
+        column = getattr(copy, name)
+        assert np.array_equal(column, getattr(cfg, name))
+        assert column.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 9.0
+
+
 # ---------------------------------------------------------------------------
 # aggregation dS = sum dS_i and observation dO = a*dS
 # ---------------------------------------------------------------------------
@@ -183,6 +197,36 @@ def test_ordered_sum_is_left_to_right():
     for v in x:
         acc += v
     assert ordered_sum(x) == acc
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@given(st.lists(_FLOATS, min_size=1, max_size=12))
+@example([1e16, 1.0, -1e16])  # a plain loop gives 0.0, compensated summation 1.0
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([float("inf"), float("-inf"), 1.0])
+def test_ordered_sum_of_a_list_is_the_array_sum(values):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN sum
+        want = float(np.add.accumulate(np.asarray(values, dtype=np.float64))[-1])
+    got = ordered_sum(values)
+    assert type(got) is float
+    assert _bits(got) == _bits(want)
+
+
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9),
+                  elements=_FLOATS))
+def test_ordered_sum_of_rows_is_each_row_sum(matrix):
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a NaN sum
+        got = ordered_sum(matrix)
+        want = [ordered_sum(row) for row in matrix]
+    assert got.shape == (matrix.shape[0],)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_observe_examples():

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from crowdsync.dynamics import AGENT_COLUMNS, CrowdConfig, NoNoise, UniformNoise, WienerNoise
 from crowdsync.scenario_io import (
     ScenarioFormatError,
     TABLE_COLUMNS,
+    TableFormatError,
     emit_table,
     format_scenario,
     format_summary,
@@ -308,8 +309,21 @@ def test_summary_row_shape(golden):
 def test_read_table_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ScenarioFormatError):
+    with pytest.raises(TableFormatError, match="^invalid table: .*line 1: expected the header"):
         read_table(path)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(0.0)
+@example(-0.0)
+@example(float("inf"))
+@example(float("-inf"))
+@example(float("nan"))
+@example(5e-324)
+@example(-2.2250738585072e-308)
+def test_percent_g17_is_format_g17(x):
+    # format_table prints a row with one % operation; the cells must stay format()'s
+    assert "%.17g" % x == format(x, ".17g")
 
 
 # ---------------------------------------------------------------------------

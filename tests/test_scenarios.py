@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,22 @@ def test_pinned_reactive_bypasses_rule():
     # gain 0.3: geometric decay from the seeded increment
     assert result.dO[0] == pytest.approx(0.3, rel=1e-12)
     assert result.dO[5] == pytest.approx(0.3 ** 6, rel=1e-9)
+
+
+def test_long_run_memory_stays_near_the_action_matrix(golden):
+    # The N x T action matrix is the one allocation that must scale with the
+    # run; per-step records in Python lists would push the peak past 1.2x it.
+    spec = golden("fig6-bubble")
+    n, steps = spec.config.n, 20_000
+    profile = bubble_profile(steps, **spec.profile.params)
+    tracemalloc.start()
+    try:
+        result = run(spec.config, spec.rule, profile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (n, result.steps_run) == (100, steps)
+    assert peak <= 1.2 * n * steps * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_metric_windows_nonoverlapping_and_overlapping(golden):
