@@ -12,10 +12,8 @@ from .dynamics import (
     CrowdError,
     EmptyPopulationError,
     NoNoise,
-    SingularFeedbackError,
     UniformNoise,
     WienerNoise,
-    instantaneous_response,
     ordered_sum,
 )
 from .metrics import (
@@ -26,7 +24,6 @@ from .metrics import (
     observed_volatility,
     order_parameter,
     order_parameter_closed_form,
-    pairwise_correlation,
     sync_report,
     trendiness,
     window_sync,

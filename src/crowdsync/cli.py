@@ -144,30 +144,25 @@ def _cmd_curve(args) -> int:
     spec = load_scenario(args.scenario)
     seed = spec.seed if args.seed is None else args.seed
     cfg = spec.config
+    # (x, reactive ratio, noise half-width) of each curve point
+    if args.kind == "order-vs-ratio":
+        default_trials = 200 if np.any(cfg.noise_amp) else 1
+        points = [(float(r), float(r), cfg.noise_amp) for r in np.linspace(0.0, 1.0, args.points)]
+    else:
+        default_trials = 1000
+        e_max = 10.0 * float(np.mean(cfg.b_high)) * abs(args.drive)
+        points = [(float(e), 1.0, float(e)) for e in np.linspace(0.0, e_max, args.points)]
+    trials = args.trials if args.trials is not None else default_trials
     xs: list[float] = []
     means: list[float] = []
     stderrs: list[float] = []
-    if args.kind == "order-vs-ratio":
-        trials = args.trials if args.trials is not None else (200 if np.any(cfg.noise_amp) else 1)
-        for i, ratio in enumerate(np.linspace(0.0, 1.0, args.points)):
-            samples = forced_ratio_samples(
-                cfg, float(ratio), dO_drive=args.drive, noise_amp=cfg.noise_amp,
-                trials=trials, seed=seed + i,
-            )
-            xs.append(float(ratio))
-            means.append(float(samples.mean()))
-            stderrs.append(_stderr(samples))
-    else:
-        trials = args.trials if args.trials is not None else 1000
-        e_max = 10.0 * float(np.mean(cfg.b_high)) * abs(args.drive)
-        for i, e in enumerate(np.linspace(0.0, e_max, args.points)):
-            samples = forced_ratio_samples(
-                cfg, 1.0, dO_drive=args.drive, noise_amp=float(e),
-                trials=trials, seed=seed + i,
-            )
-            xs.append(float(e))
-            means.append(float(samples.mean()))
-            stderrs.append(_stderr(samples))
+    for i, (x, ratio, noise_amp) in enumerate(points):
+        samples = forced_ratio_samples(
+            cfg, ratio, dO_drive=args.drive, noise_amp=noise_amp, trials=trials, seed=seed + i,
+        )
+        xs.append(x)
+        means.append(float(samples.mean()))
+        stderrs.append(_stderr(samples))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = emit_curve_table(xs, means, stderrs, out / f"{spec.name}_curve_{args.kind}.csv")

@@ -38,16 +38,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-#: Half-width of the band around loop gain 1 treated as singular/marginal.
-SINGULARITY_TOL = 1e-9
-
 
 class CrowdError(Exception):
     """Base class for crowd-model errors."""
-
-
-class SingularFeedbackError(CrowdError):
-    """Loop gain a*B is at the singular point (a*B = 1)."""
 
 
 class EmptyPopulationError(CrowdError):
@@ -208,14 +201,3 @@ def ordered_sum(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
     sums = np.add.accumulate(arr, axis=-1)[..., -1]
     return float(sums) if arr.ndim == 1 else sums
 
-
-def instantaneous_response(a: float, b_total: float, c_total: float, dE: float) -> float:
-    """Zero-delay closed form dO = a*C/(1 - a*B) * dE.
-
-    Raises SingularFeedbackError within SINGULARITY_TOL of loop gain 1,
-    where the crowd is hypersensitive and the closed form blows up.
-    """
-    ab = a * b_total
-    if abs(1.0 - ab) < SINGULARITY_TOL:
-        raise SingularFeedbackError(f"loop gain a*B = {ab!r} is at the singular point 1")
-    return (a * c_total / (1.0 - ab)) * dE

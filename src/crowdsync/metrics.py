@@ -9,6 +9,9 @@ plus the crowd volatility sigma_c (std of the aggregate action), its
 observed counterpart sigma_O = a * sigma_c, and trendiness
 T_d = |sum dO| / sum |dO| over a window.
 
+`order_ratio` is the one code that forms R from its two sums. A run's
+per-step R is `ScenarioResult.r_instant`; window reports carry no copy.
+
 rho_c and sigma_c have two forms. The direct form (`window_sync`) is
 the one every report computes: one pass over the centred N x w window,
 O(N*w) time and memory. The paper's volatility-weighted matrix form
@@ -17,11 +20,12 @@ N x N correlation matrix, O(N^2*w); it is kept as the reference the
 direct form is tested against.
 
 Conventions for degenerate inputs (documented, tested): R and T_d are 0
-when every increment is zero; a correlation involving a constant series
-is 0, and constant agents count as 0 in the mean that gives rho_c; a
-window whose aggregate is constant (all agents constant, or live agents
-that cancel exactly) has sigma_c = 0 and rho_c = 0. These keep the
-metrics total over everything a simulation emits.
+when every increment is zero, and R is 0 when sum |dS_i| is NaN; a
+correlation involving a constant series is 0, and constant agents count
+as 0 in the mean that gives rho_c; a window whose aggregate is constant
+(all agents constant, or live agents that cancel exactly) has
+sigma_c = 0 and rho_c = 0. These keep the metrics total over everything
+a simulation emits.
 """
 
 from __future__ import annotations
@@ -49,17 +53,28 @@ class DegenerateMixError(CrowdError):
 # Instantaneous order parameter
 # ---------------------------------------------------------------------------
 
+def order_ratio(sums, abs_sums) -> np.ndarray:
+    """R = |sums| / abs_sums elementwise, and 0 wherever abs_sums is not > 0.
+
+    abs_sums is not > 0 on a quiescent step or when an action is NaN.
+    With both sums taken in the same order, |sum x| <= sum |x| holds in
+    floating point too, so R lies in [0, 1] unclipped; inf / inf is NaN.
+    """
+    abs_sums = np.asarray(abs_sums, dtype=np.float64)
+    out = np.zeros(abs_sums.shape)
+    with np.errstate(invalid="ignore"):  # inf / inf
+        np.divide(np.abs(sums), abs_sums, out=out, where=abs_sums > 0.0)
+    return out
+
+
 def order_parameter(agent_actions) -> float:
     """Alignment of one step's actions: |sum dS_i| / sum |dS_i|, in [0, 1].
 
     1 means every agent moved the same direction; a fully quiescent
-    step (all dS_i = 0) returns 0.
+    step (all dS_i = 0), or one with a NaN action, returns 0.
     """
     arr = np.asarray(agent_actions, dtype=np.float64)
-    denom = ordered_sum(np.abs(arr))
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(abs(ordered_sum(arr)) / denom, 0.0, 1.0))
+    return float(order_ratio(ordered_sum(arr), ordered_sum(np.abs(arr))))
 
 
 def order_parameter_closed_form(
@@ -90,24 +105,6 @@ def order_parameter_closed_form(
 # ---------------------------------------------------------------------------
 # Windowed panel statistics
 # ---------------------------------------------------------------------------
-
-def pairwise_correlation(x, y) -> float:
-    """Correlation of two equal-length series, population-normalized.
-
-    Returns 0 when either series is constant.
-    """
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
-    if xa.shape != ya.shape or xa.ndim != 1:
-        raise ValueError(f"series must be 1-d and equal length, got {xa.shape} vs {ya.shape}")
-    xc = xa - xa.mean()
-    yc = ya - ya.mean()
-    sx = float(np.sqrt(np.mean(xc * xc)))
-    sy = float(np.sqrt(np.mean(yc * yc)))
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(np.clip(np.mean(xc * yc) / (sx * sy), -1.0, 1.0))
-
 
 @dataclass
 class DecisionPanel:
@@ -238,12 +235,12 @@ class SyncReport:
     """Metrics for one analysis window [start, stop) of a run.
 
     rho_c and sigma_c come from the direct form (`window_sync`); both
-    are 0 when the window's aggregate action is constant.
+    are 0 when the window's aggregate action is constant. The per-step
+    order parameter is not repeated here: it is the run's `r_instant`.
     """
 
     start: int
     stop: int
-    r_instant: np.ndarray
     rho_c: float
     sigma_c: float
     sigma_o: float
@@ -255,7 +252,6 @@ def sync_report(
     dO_window: np.ndarray,
     a: float,
     start: int = 0,
-    r_instant: np.ndarray | None = None,
 ) -> SyncReport:
     """Summarize one window of per-agent actions and observation increments.
 
@@ -266,15 +262,10 @@ def sync_report(
     refuses such panels.
     """
     actions = np.asarray(actions, dtype=np.float64)
-    dO_window = np.asarray(dO_window, dtype=np.float64)
-    stop = start + actions.shape[1]
     rho_c, sigma_c = window_sync(actions)
-    if r_instant is None:
-        r_instant = np.array([order_parameter(actions[:, k]) for k in range(actions.shape[1])])
     return SyncReport(
         start=start,
-        stop=stop,
-        r_instant=np.asarray(r_instant, dtype=np.float64),
+        stop=start + actions.shape[1],
         rho_c=rho_c,
         sigma_c=sigma_c,
         sigma_o=observed_volatility(a, sigma_c),

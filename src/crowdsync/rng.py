@@ -2,9 +2,9 @@
 
 All randomness in the package flows through Philox (counter-based) bit
 generators keyed via ``numpy.random.SeedSequence``. A run, a sweep point,
-or a Monte-Carlo trial block owns its own generator; nothing is shared,
-so identical (seed, stream) pairs reproduce bit-identical draws on any
-machine running the same numpy build.
+or a Monte-Carlo sampler owns its own generator; nothing is shared, so
+an identical seed reproduces bit-identical draws on any machine running
+the same numpy build.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_generator(seed: int, *stream: int) -> np.random.Generator:
-    """Return a Generator for the given seed and sub-stream path.
-
-    ``stream`` components land in the SeedSequence spawn key, so
-    ``make_generator(s)``, ``make_generator(s, 0)``, ``make_generator(s, 1)``
-    are mutually independent and individually reproducible.
-    """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(stream))
-    return np.random.Generator(np.random.Philox(ss))
+def make_generator(seed: int) -> np.random.Generator:
+    """Return the Philox Generator keyed by ``SeedSequence(seed)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

@@ -333,7 +333,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
         config=config,
         rule=rule,
         profile=profile,
-        steps=steps,
         seed=seed,
         metric_window=metric_window,
         overlap=overlap,
@@ -389,7 +388,7 @@ def format_scenario(spec: ScenarioSpec) -> str:
             lines.append(f"profile.series = {', '.join(repr(float(x)) for x in value)}")
         else:
             lines.append(f"profile.{key} = {_fmt(value)}")
-    lines.append(f"run.steps = {spec.steps}")
+    lines.append(f"run.steps = {spec.profile.length}")
     lines.append(f"run.seed = {spec.seed}")
     lines.append(
         f"run.metric_window = {spec.metric_window if spec.metric_window is not None else 'none'}"

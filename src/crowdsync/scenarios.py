@@ -22,9 +22,10 @@ profile, seed). Amplifying configurations are expected to blow up;
 a run truncates once |O| crosses the divergence ceiling and is marked
 diverged rather than failing.
 
-The loop records the trajectory and the per-step order parameter only:
-`summarize` computes the whole-run metric report, and `window_reports`
-the per-window ones for callers that ask for them.
+The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
+sums into the per-step order parameter after the loop. `summarize`
+computes the whole-run metric report, and `window_reports` the
+per-window ones for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .dynamics import (
     ordered_sum,
     require_finite,
 )
-from .metrics import SyncReport, sync_report
+from .metrics import SyncReport, order_ratio, sync_report
 from .rng import make_generator
 from .switching import (
     Stability,
@@ -225,6 +226,7 @@ class ScenarioSpec:
 
     `name` prefixes the output files, so it must be a safe file-name
     token (see `is_safe_name`); it can never point outside `--out`.
+    The run length is `profile.length` (a file's `run.steps`).
     `metric_window` and `overlap` are the arguments of `window_reports`
     for this scenario; no CLI command reads them.
     """
@@ -233,7 +235,6 @@ class ScenarioSpec:
     config: CrowdConfig
     rule: SwitchRule
     profile: ForceProfile
-    steps: int
     seed: int = 0
     metric_window: int | None = None
     overlap: bool = False
@@ -242,10 +243,6 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if not is_safe_name(self.name):
             raise ValueError(f"scenario name must be {NAME_RULE}; got {self.name!r}")
-        if self.steps != self.profile.length:
-            raise ValueError(
-                f"run steps ({self.steps}) must match profile length ({self.profile.length})"
-            )
 
 
 @dataclass
@@ -334,7 +331,7 @@ def run(
     out_nh = np.zeros(T, dtype=np.intp)
     out_b = np.zeros(T)
     out_ab = np.zeros(T)
-    out_r = np.zeros(T)
+    out_abs = np.zeros(T)
     actions = np.zeros((n, T))
     stability: list[Stability] = [Stability.CONTRACTING] * T
 
@@ -368,7 +365,7 @@ def run(
             agg_eps = model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
             ds_i += agg_eps / (a * n)
         np.abs(ds_i, out=abs_ds)
-        dS, denom = ordered_sum(pair).tolist()
+        dS, abs_sum = ordered_sum(pair).tolist()
         dO = a * dS
         O += dO
 
@@ -378,7 +375,7 @@ def run(
         out_nh[t] = n_h
         out_b[t] = b_tot
         out_ab[t] = ab
-        out_r[t] = abs(dS) / denom if denom > 0.0 else 0.0
+        out_abs[t] = abs_sum
         stability[t] = stab
         actions[:, t] = ds_i
 
@@ -407,7 +404,7 @@ def run(
         n_reactive=out_nh[sl],
         b_total=out_b[sl],
         ab=out_ab[sl],
-        r_instant=out_r[sl],
+        r_instant=order_ratio(out_dS[sl], out_abs[sl]),
         stability_trace=stability,
         agent_actions=actions[:, sl],
         peak_ratio=float(out_nh[sl].max()) / n if steps_run else 0.0,
@@ -443,13 +440,7 @@ def window_reports(
     w = T if window is None else min(window, T)
     starts = range(0, T - w + 1) if overlap else range(0, T - w + 1, w)
     return [
-        sync_report(
-            result.agent_actions[:, s : s + w],
-            result.dO[s : s + w],
-            result.config.a,
-            start=s,
-            r_instant=result.r_instant[s : s + w],
-        )
+        sync_report(result.agent_actions[:, s : s + w], result.dO[s : s + w], result.config.a, start=s)
         for s in starts
     ]
 
@@ -519,13 +510,10 @@ def forced_ratio_samples(
         k = min(per_block, trials - done)
         acts = rng.uniform(-noise_amp, noise_amp, size=(k, n))
         acts += base  # in place: one k x n array per block
-        sums = np.abs(acts.sum(axis=1))
-        denoms = np.abs(acts, out=acts).sum(axis=1)
-        blk = np.zeros(k)
-        np.divide(sums, denoms, out=blk, where=denoms > 0)
-        out[done : done + k] = blk
+        sums = acts.sum(axis=1)
+        out[done : done + k] = order_ratio(sums, np.abs(acts, out=acts).sum(axis=1))
         done += k
-    return np.clip(out, 0.0, 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +545,7 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
     """Digest a result: whole-run metrics plus divergence bookkeeping."""
     if result.steps_run == 0:
         raise ValueError("cannot summarize an empty run")
-    report = sync_report(
-        result.agent_actions, result.dO, result.config.a, r_instant=result.r_instant
-    )
+    report = sync_report(result.agent_actions, result.dO, result.config.a)
     return RunSummary(
         name=name,
         steps_run=result.steps_run,

@@ -30,9 +30,6 @@ from .dynamics import CrowdError, ordered_sum, require_finite
 #: Band around loop gain 1 classified as marginal.
 MARGINAL_TOL = 1e-9
 
-#: The one switch rule currently implemented.
-PROPORTIONAL_TRAILING_MEAN = "proportional-trailing-mean"
-
 
 class DegenerateCouplingError(CrowdError):
     """b_high equals b_low; the two states are indistinguishable."""
@@ -52,7 +49,6 @@ class SwitchRule:
 
     saturation_scale: float
     window: int = 5
-    mode: str = PROPORTIONAL_TRAILING_MEAN
 
     def __post_init__(self) -> None:
         if self.window < 1:
@@ -60,8 +56,6 @@ class SwitchRule:
         require_finite("saturation_scale", self.saturation_scale)
         if not self.saturation_scale > 0:
             raise ValueError(f"saturation_scale must be > 0, got {self.saturation_scale}")
-        if self.mode != PROPORTIONAL_TRAILING_MEAN:
-            raise ValueError(f"unknown switch-rule mode: {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +97,10 @@ def update_reactive_count(dO_history: Sequence[float], rule: SwitchRule, n: int)
     Uses the last ``rule.window`` entries (fewer during warm-up; zero
     history means everyone stays normal).
     """
-    hist = list(dO_history)[-rule.window:]
-    if not hist:
+    mags = [abs(x) for x in dO_history][-rule.window:]
+    if not mags:
         return 0
-    mean_mag = ordered_sum([abs(x) for x in hist]) / len(hist)
+    mean_mag = ordered_sum(mags) / len(mags)
     raw = n * mean_mag / rule.saturation_scale
     # capped before rounding, because a tiny saturation_scale can make raw inf
     return int(math.floor(min(raw, n) + 0.5))  # round half away from zero

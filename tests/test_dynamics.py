@@ -19,11 +19,9 @@ from crowdsync.dynamics import (
     CrowdConfig,
     EmptyPopulationError,
     NoNoise,
-    SingularFeedbackError,
     UniformNoise,
     WienerNoise,
     agent_column_errors,
-    instantaneous_response,
     ordered_sum,
 )
 from crowdsync.rng import make_generator
@@ -31,17 +29,6 @@ from crowdsync.scenarios import explicit_profile, run
 from crowdsync.switching import SwitchRule
 
 RULE = SwitchRule(saturation_scale=1.0)
-
-
-def fixed_point_response(a, b, c, dE, tol=1e-12, max_iter=10_000):
-    """Independent oracle: iterate dO <- a*(c*dE + b*dO) from 0 to convergence."""
-    dO = 0.0
-    for _ in range(max_iter):
-        nxt = a * (c * dE + b * dO)
-        if abs(nxt - dO) < tol:
-            return nxt
-        dO = nxt
-    return dO
 
 
 def kahan_sum(values):
@@ -258,38 +245,6 @@ def test_superposition_of_agent_steps():
         combined = ordered_sum(c) * dE + ordered_sum(b) * dO
         scale = max(1.0, abs(per_agent))
         assert abs(per_agent - combined) <= 1e-12 * scale
-
-
-# ---------------------------------------------------------------------------
-# instantaneous response
-# ---------------------------------------------------------------------------
-
-def test_instantaneous_response_no_feedback():
-    assert instantaneous_response(1.0, 0.0, 1.0, 2.0) == 2.0
-
-
-def test_instantaneous_response_matches_fixed_point_oracle():
-    expected = fixed_point_response(1.0, 0.5, 1.0, 1.0)
-    assert expected == pytest.approx(2.0, abs=1e-11)
-    assert instantaneous_response(1.0, 0.5, 1.0, 1.0) == pytest.approx(expected, rel=1e-9)
-
-
-def test_instantaneous_response_singularity():
-    with pytest.raises(SingularFeedbackError):
-        instantaneous_response(1.0, 1.0, 1.0, 1.0)
-    with pytest.raises(SingularFeedbackError):
-        instantaneous_response(0.5, 2.0 + 1e-12, 1.0, 1.0)
-
-
-def test_instantaneous_response_random_contracting_gains():
-    rng = make_generator(13)
-    for _ in range(100):
-        a = rng.uniform(0.1, 2.0)
-        c = rng.uniform(0.1, 2.0)
-        dE = rng.uniform(0.1, 2.0) * (1 if rng.random() < 0.5 else -1)
-        b = rng.uniform(-0.95, 0.95) / a
-        oracle = fixed_point_response(a, b, c, dE, tol=1e-14)
-        assert instantaneous_response(a, b, c, dE) == pytest.approx(oracle, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,6 @@ def specs(draw):
         config=config,
         rule=rule,
         profile=build_profile(kind, _profile_params(draw, kind, steps), steps),
-        steps=steps,
         seed=draw(st.integers(0, 2**63)),
         metric_window=draw(st.none() | st.integers(1, 100)),
         overlap=draw(st.booleans()),
@@ -409,7 +408,7 @@ def test_parse_format_round_trip(spec):
     for column in AGENT_COLUMNS:
         assert np.array_equal(getattr(parsed.config, column), getattr(spec.config, column))
     assert parsed.rule == spec.rule
-    fields = ("name", "steps", "seed", "metric_window", "overlap", "divergence_ceiling")
+    fields = ("name", "seed", "metric_window", "overlap", "divergence_ceiling")
     assert [getattr(parsed, f) for f in fields] == [getattr(spec, f) for f in fields]
     assert parsed.profile.kind == spec.profile.kind
     assert np.array_equal(parsed.profile.increments, spec.profile.increments)
