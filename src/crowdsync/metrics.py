@@ -20,7 +20,7 @@ N x N correlation matrix, O(N^2*w); it is kept as the reference the
 direct form is tested against.
 
 Conventions for degenerate inputs (documented, tested): R and T_d are 0
-when every increment is zero, and R is 0 when sum |dS_i| is NaN; a
+when every increment is zero, and when the sum of magnitudes is NaN; a
 correlation involving a constant series is 0, and constant agents count
 as 0 in the mean that gives rho_c; a window whose aggregate is constant
 (all agents constant, or live agents that cancel exactly) has
@@ -206,15 +206,13 @@ def window_sync(actions) -> tuple[float, float]:
 def trendiness(dO_series) -> float:
     """Directional persistence of a window: |sum dO| / sum |dO|, in [0, 1].
 
-    1 on a monotone window, 0 on exact cancellation or a quiet window.
+    1 on a monotone window, 0 on exact cancellation, a quiet window or
+    a window with a NaN increment.
     """
     arr = np.asarray(dO_series, dtype=np.float64)
     if arr.size < 1:
         raise ValueError("trendiness needs at least one increment")
-    denom = float(np.abs(arr).sum())
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(abs(float(arr.sum())) / denom, 0.0, 1.0))
+    return float(order_ratio(arr.sum(), np.abs(arr).sum()))
 
 
 def observed_volatility(a: float, sigma_c: float) -> float:

@@ -2,6 +2,8 @@
 
 Scenario files are flat UTF-8 key-value text (``key = value``, ``#``
 comments) with section prefixes crowd.*, rule.*, profile.*, run.*.
+The profile.* keys of each kind are the parameters of its builder in
+`PROFILE_BUILDERS`, read from the builder's signature.
 Parsing validates everything and reports every problem at once with
 line numbers; emission produces a canonical form that is stable under
 re-parsing. Result tables are comma-separated with fixed headers and
@@ -12,10 +14,11 @@ from __future__ import annotations
 
 import csv
 import difflib
+import inspect
 import io
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .dynamics import (
 from .scenarios import (
     DEFAULT_DIVERGENCE_CEILING,
     NAME_RULE,
+    PROFILE_BUILDERS,
     RunSummary,
     ScenarioResult,
     ScenarioSpec,
@@ -52,26 +56,30 @@ CURVE_COLUMNS = ["x", "mean_R", "stderr_R"]
 
 WINDOW_COLUMNS = ["window_start", "window_stop", "t_d", "sigma_o", "mean_R"]
 
-_CROWD_KEYS = {"n", "a", "b_low", "b_high", "c", "noise_amp", "noise", "mu", "sigma", "dt"}
-_RULE_KEYS = {"window", "saturation_scale"}
-_PROFILE_KEYS = {
-    "kind", "height", "onset", "slope", "start", "end",
-    "build_slope", "peak_step", "crash_slope", "stabilize_step",
-    "confusion_scale", "confusion_decay", "confusion_wobble", "series",
+#: How a profile parameter's file value is read, by the parameter's type.
+_PARAM_READERS = {
+    int: lambda r, key: r.int_(key, minimum=0),
+    float: lambda r, key: r.float_(key, required=True),
+    list: lambda r, key: r.float_list(key, None, required=True),
 }
-_RUN_KEYS = {"steps", "seed", "metric_window", "overlap", "divergence_ceiling"}
 
-_PROFILE_PARAM_KEYS = {
-    "zero": set(),
-    "step": {"height", "onset"},
-    "ramp": {"slope", "start", "end"},
-    "bubble": {
-        "build_slope", "peak_step", "crash_slope", "stabilize_step",
-        "confusion_scale", "confusion_decay", "confusion_wobble",
-    },
-    "explicit": {"series"},
-}
-_PROFILE_INT_PARAMS = {"onset", "start", "end", "peak_step", "stabilize_step"}
+
+def _profile_params(builder) -> tuple[tuple[str, type, bool], ...]:
+    """(key, int/float/list, optional) of each builder parameter after `length`, by key."""
+    hints = get_type_hints(builder)
+    params = list(inspect.signature(builder).parameters.values())[1:]
+    return tuple(
+        (p.name, hints[p.name] if hints[p.name] in (int, float) else list, p.default is not p.empty)
+        for p in sorted(params, key=lambda p: p.name)
+    )
+
+
+_PROFILE_PARAMS = {kind: _profile_params(builder) for kind, builder in PROFILE_BUILDERS.items()}
+
+_CROWD_KEYS = {"n", "a", *AGENT_COLUMNS, "noise", "mu", "sigma", "dt"}
+_RULE_KEYS = {"window", "saturation_scale"}
+_PROFILE_KEYS = {"kind"} | {key for params in _PROFILE_PARAMS.values() for key, _, _ in params}
+_RUN_KEYS = {"steps", "seed", "metric_window", "overlap", "divergence_ceiling"}
 
 _ALL_KEYS = (
     {"name"}
@@ -280,41 +288,20 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if ceiling is not None and not ceiling > 0:
         r.fail("run.divergence_ceiling", f"must be > 0, got {ceiling}")
 
-    kind = r.str_("profile.kind", default=None, choices=tuple(_PROFILE_PARAM_KEYS))
+    kind = r.str_("profile.kind", default=None, choices=tuple(_PROFILE_PARAMS))
     profile = None
-    if kind is not None and steps is not None:
-        allowed = _PROFILE_PARAM_KEYS[kind]
-        params: dict = {}
-        ok = True
-        for key in sorted(allowed):
-            full = f"profile.{key}"
-            optional = key.startswith("confusion_")
-            if key == "series":
-                values = r.float_list(full, None, required=True)
-                if values is None:
-                    ok = False
-                else:
-                    params[key] = values
-            elif key in _PROFILE_INT_PARAMS:
-                value = r.int_(full, default=None, minimum=0)
-                if value is None:
-                    if not r.has(full):
-                        r.errors.append(f"missing required key {full!r} for profile kind {kind!r}")
-                    ok = False
-                else:
-                    params[key] = value
-            else:
-                value = r.float_(full, required=not optional)
-                if value is None:
-                    if optional:
-                        continue
-                    ok = False
-                else:
-                    params[key] = value
-        for key in _PROFILE_KEYS - allowed - {"kind"}:
+    if kind is not None:
+        errors_before = len(errors)
+        params = {
+            key: _PARAM_READERS[typ](r, f"profile.{key}")
+            for key, typ, optional in _PROFILE_PARAMS[kind]
+            if not optional or r.has(f"profile.{key}")
+        }
+        params_ok = len(errors) == errors_before
+        for key in _PROFILE_KEYS - params.keys() - {"kind"}:
             if r.has(f"profile.{key}"):
                 r.fail(f"profile.{key}", f"not a parameter of profile kind {kind!r}")
-        if ok:
+        if params_ok and steps is not None:
             try:
                 profile = build_profile(kind, params, steps)
             except ValueError as exc:
@@ -353,6 +340,8 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, list):
+        return ", ".join(map(repr, value))
     return str(value)
 
 
@@ -382,12 +371,8 @@ def format_scenario(spec: ScenarioSpec) -> str:
     lines.append(f"rule.window = {spec.rule.window}")
     lines.append(f"rule.saturation_scale = {_fmt(spec.rule.saturation_scale)}")
     lines.append(f"profile.kind = {spec.profile.kind}")
-    for key in sorted(spec.profile.params):
-        value = spec.profile.params[key]
-        if key == "series":
-            lines.append(f"profile.series = {', '.join(repr(float(x)) for x in value)}")
-        else:
-            lines.append(f"profile.{key} = {_fmt(value)}")
+    for key, _, _ in _PROFILE_PARAMS[spec.profile.kind]:
+        lines.append(f"profile.{key} = {_fmt(spec.profile.params[key])}")
     lines.append(f"run.steps = {spec.profile.length}")
     lines.append(f"run.seed = {spec.seed}")
     lines.append(

@@ -57,7 +57,6 @@ from .switching import (
     update_reactive_count,
 )
 
-PROFILE_KINDS = ("zero", "step", "ramp", "bubble", "explicit")
 SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 
 DEFAULT_DIVERGENCE_CEILING = 1e12
@@ -186,19 +185,23 @@ def explicit_profile(length: int, series: Sequence[float]) -> ForceProfile:
     return ForceProfile("explicit", length, arr, {"series": [float(x) for x in arr]})
 
 
+#: The builder of each profile kind. A builder's parameters after `length`
+#: are the kind's `profile.*` file keys, so renaming one renames a file key.
+PROFILE_BUILDERS = {
+    "zero": zero_profile,
+    "step": step_profile,
+    "ramp": ramp_profile,
+    "bubble": bubble_profile,
+    "explicit": explicit_profile,
+}
+PROFILE_KINDS = tuple(PROFILE_BUILDERS)
+
+
 def build_profile(kind: str, params: dict, length: int) -> ForceProfile:
     """Dispatch to the named profile builder."""
-    if kind == "zero":
-        return zero_profile(length)
-    if kind == "step":
-        return step_profile(length, **params)
-    if kind == "ramp":
-        return ramp_profile(length, **params)
-    if kind == "bubble":
-        return bubble_profile(length, **params)
-    if kind == "explicit":
-        return explicit_profile(length, **params)
-    raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {', '.join(PROFILE_KINDS)}")
+    if kind not in PROFILE_BUILDERS:
+        raise ValueError(f"unknown profile kind {kind!r}; valid kinds: {', '.join(PROFILE_KINDS)}")
+    return PROFILE_BUILDERS[kind](length, **params)
 
 
 def _check_length(length: int) -> None:
@@ -568,7 +571,6 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
 @dataclass
 class SweepPoint:
     value: float
-    seed: int
     summary: RunSummary
 
 
@@ -602,7 +604,7 @@ def _sweep_one(args) -> SweepPoint:
     config, rule, param, value, profile, seed, ceiling = args
     cfg, rl = apply_sweep_value(config, rule, param, value)
     result = run(cfg, rl, profile, seed, divergence_ceiling=ceiling)
-    return SweepPoint(value=float(value), seed=seed, summary=summarize(result, name=f"{param}={value}"))
+    return SweepPoint(value=float(value), summary=summarize(result, name=f"{param}={value}"))
 
 
 def sweep(
@@ -619,7 +621,7 @@ def sweep(
     """One independent run per value; summaries in input order.
 
     seed_policy "fixed" reuses `seed` for every run; "per-value" uses
-    seed + index. The seed actually used is recorded on each point.
+    seed + index. The seed actually used is recorded in each point's summary.
     Runs go to min(jobs, len(values), cpu_count) worker processes when
     that is more than one.
     """

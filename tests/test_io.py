@@ -11,6 +11,7 @@ from crowdsync.scenario_io import (
     ScenarioFormatError,
     TABLE_COLUMNS,
     TableFormatError,
+    _PROFILE_PARAMS,
     emit_table,
     format_scenario,
     format_summary,
@@ -125,6 +126,46 @@ def test_missing_required_keys_reported():
     joined = "\n".join(exc_info.value.errors)
     for key in ("crowd.n", "crowd.a", "crowd.b_low", "rule.saturation_scale", "run.steps"):
         assert key in joined
+
+
+def test_missing_profile_key_reported_once():
+    text = MINIMAL.replace("profile.kind = zero", "profile.kind = step\nprofile.height = 1.0")
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario(text)
+    assert exc_info.value.errors == ["missing required key 'profile.onset'"]
+
+
+def test_profile_keys_checked_without_run_steps():
+    text = MINIMAL.replace(
+        "profile.kind = zero", "profile.kind = step\nprofile.height = abc\nprofile.slope = 1.0"
+    ).replace("run.steps = 5\n", "")
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario(text)
+    assert exc_info.value.errors == [
+        "missing required key 'run.steps'",
+        "line 10: profile.height: expected a number, got 'abc'",
+        "missing required key 'profile.onset'",
+        "line 11: profile.slope: not a parameter of profile kind 'step'",
+    ]
+
+
+def test_profile_key_tables_follow_builder_signatures():
+    """Each kind's (key, type, optional) triples, by key; a renamed builder parameter fails here."""
+    assert _PROFILE_PARAMS == {
+        "zero": (),
+        "step": (("height", float, False), ("onset", int, False)),
+        "ramp": (("end", int, False), ("slope", float, False), ("start", int, False)),
+        "bubble": (
+            ("build_slope", float, False),
+            ("confusion_decay", float, True),
+            ("confusion_scale", float, True),
+            ("confusion_wobble", float, True),
+            ("crash_slope", float, False),
+            ("peak_step", int, False),
+            ("stabilize_step", int, False),
+        ),
+        "explicit": (("series", list, False),),
+    }
 
 
 def test_per_agent_lists_expand():

@@ -329,6 +329,21 @@ def test_trendiness_quiet_window_convention():
     assert trendiness([0.0, 0.0]) == 0.0
 
 
+def test_trendiness_nan_window_convention():
+    """A NaN increment makes the sum of magnitudes NaN, which R also reads as 0."""
+    assert trendiness([np.nan, 1.0]) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e300, 1e300)))
+@example(np.array([0.0, -0.0]))
+def test_trendiness_is_the_quotient_of_numpy_sums(x):
+    """On finite windows T_d is |x.sum()| / |x|.sum() (0 on a quiet window), bit for bit."""
+    denom = np.abs(x).sum()
+    expected = float(abs(x.sum()) / denom) if denom > 0.0 else 0.0
+    assert trendiness(x).hex() == expected.hex()
+
+
 def test_trendiness_bounds_and_scale_invariance():
     rng = make_generator(51)
     for _ in range(500):

@@ -369,7 +369,7 @@ def test_sweep_orders_results_and_records_seeds():
     prof = step_profile(40, 1.0, 5)
     points = sweep(cfg, rule, "b_high", [0.2, 0.5, 0.8], prof, seed_policy="per-value", seed=10)
     assert [p.value for p in points] == [0.2, 0.5, 0.8]
-    assert [p.seed for p in points] == [10, 11, 12]
+    assert [p.summary.seed for p in points] == [10, 11, 12]
     # stronger coupling holds the reactive phase longer
     assert points[0].summary.peak_ratio <= points[-1].summary.peak_ratio
 
