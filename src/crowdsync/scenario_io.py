@@ -405,32 +405,40 @@ def _write(text: str, destination: str | Path) -> Path:
     return path
 
 
-#: One time-series row: t, six floats, N_H, four floats, the stability word.
-_TABLE_ROW = "%d," + "%.17g," * 6 + "%d," + "%.17g," * 4 + "%s\n"
-
-
 def format_table(result: ScenarioResult) -> str:
     """TimeSeriesTable as CSV text: one row per executed step.
 
-    Each row is one `%` format; "%.17g" % x is format(x, ".17g"), and no
-    cell holds a comma or quote, so the bytes are those of `csv.writer`.
+    Cells are made a column at a time, "%d" for the integer columns
+    t and N_H and "%.17g" for the floats, formatting each distinct value
+    of a column once: a long run repeats most values (B, AB, N_H, ratio
+    and stability are piecewise constant). A row is its cells joined by
+    commas; no cell holds a comma or quote, so the bytes are those of
+    `csv.writer`.
     """
-    columns = [
-        result.t.tolist(),
-        result.E.tolist(),
-        result.dE.tolist(),
-        result.S.tolist(),
-        result.dS.tolist(),
-        result.O.tolist(),
-        result.dO.tolist(),
-        result.n_reactive.tolist(),
-        (result.n_reactive / result.config.n).tolist(),
-        result.b_total.tolist(),
-        result.ab.tolist(),
-        result.r_instant.tolist(),
-        [s.value for s in result.stability_trace],
-    ]
-    return ",".join(TABLE_COLUMNS) + "\n" + "".join([_TABLE_ROW % row for row in zip(*columns)])
+    numeric = (
+        result.t, result.E, result.dE, result.S, result.dS, result.O, result.dO,
+        result.n_reactive, result.n_reactive / result.config.n,
+        result.b_total, result.ab, result.r_instant,
+    )
+    columns = [_column_cells(col) for col in numeric]
+    columns.append([s.value for s in result.stability_trace])
+    return "".join([",".join(TABLE_COLUMNS), "\n", *[",".join(row) + "\n" for row in zip(*columns)]])
+
+
+def _column_cells(values: np.ndarray) -> list[str]:
+    """The cell text of each entry of a 1-D integer or float64 column.
+
+    Integers print as "%d", floats as "%.17g". Each distinct value is
+    formatted once; floats are told apart by their bits, so -0.0 and 0.0
+    and each NaN payload keep their own entries.
+    """
+    if values.dtype == np.float64:
+        keys, fmt = values.view(np.int64), "%.17g"
+    else:
+        keys, fmt = values, "%d"
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array([fmt % x for x in values[first].tolist()], dtype=object)
+    return texts[inverse].tolist()
 
 
 def emit_table(result: ScenarioResult, destination: str | Path) -> Path:

@@ -10,10 +10,19 @@ each step t:
   3. actions aggregate in ascending agent order, the observation
      updates (dO = a*dS), and the step is recorded.
 
-A step recomputes only what changes every step: the switch rule, the
-actions dS_i = c_i*dE + b_i*dO_prev (+ noise) in preallocated buffers,
-sum dS_i and sum |dS_i| as one reduction, and the recorded values. The
-per-agent couplings b_i, their total B, the loop gain a*B and its
+Actions dS_i = c_i*dE + b_i*dO_prev (+ noise) are built in a block of
+consecutive steps, one row per step. The block is a time-major array
+of 32 KB (`_STEP_BLOCK_BYTES`), but at least 8 rows (for N > 512) and
+at most the run's length; it starts as c_i*dE(t) for all its steps in
+one outer product. A step adds b_i*dO_prev and its noise to its own row
+in place and takes sum dS_i, which it needs for dO. When the block is
+full, and once when the run ends or diverges, its rows are copied into
+the N x T action matrix and sum |dS_i| is taken for all of them in one
+row-wise `ordered_sum`. These are the floating-point operations of a
+one-step-at-a-time loop in the same order, so no bit depends on the
+block size.
+
+The per-agent couplings b_i, their total B, the loop gain a*B and its
 stability class depend on N_H alone, so they are rebuilt only on a step
 whose N_H differs from the last one's.
 
@@ -63,6 +72,12 @@ DEFAULT_DIVERGENCE_CEILING = 1e12
 
 #: Uniform draws per block in `forced_ratio_samples`; bounds its memory.
 _DRAW_BLOCK = 2_000_000
+
+#: Bytes of the block of per-step actions `run` fills before copying it out,
+#: and the fewest steps a block holds: eight float64s fill a 64-byte cache
+#: line, so a copy writes whole lines of each agent's row of the N x T matrix.
+_STEP_BLOCK_BYTES = 2**15
+_STEP_BLOCK_MIN_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +353,9 @@ def run(
     actions = np.zeros((n, T))
     stability: list[Stability] = [Stability.CONTRACTING] * T
 
-    pair = np.empty((2, n))
-    ds_i, abs_ds = pair  # this step's actions and their magnitudes, summed together
+    # One row of `block` per step: its actions, built in place (module docstring).
+    block_rows = min(T, max(_STEP_BLOCK_MIN_ROWS, _STEP_BLOCK_BYTES // (8 * n)))
+    block = np.empty((block_rows, n))
     fed_back = np.empty(n)
 
     history: deque[float] = deque(maxlen=rule.window)
@@ -351,44 +367,49 @@ def run(
     truncated_at: int | None = None
     steps_run = T
 
-    for t in range(T):
-        if pinned_reactive is None:
-            n_h = update_reactive_count(history, rule, n)
-        if n_h != coupled_for:
-            b_eff = np.where(rank < n_h, b_high, b_low)
-            b_tot = ordered_sum(b_eff)
-            ab = a * b_tot
-            stab = classify_stability(ab)
-            coupled_for = n_h
-        np.multiply(c_vec, dE_arr.item(t), out=ds_i)
-        ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
-        if uniform:
-            ds_i += rng.uniform(-1.0, 1.0, n) * amp
-        elif wiener:
-            agg_eps = model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
-            ds_i += agg_eps / (a * n)
-        np.abs(ds_i, out=abs_ds)
-        dS, abs_sum = ordered_sum(pair).tolist()
-        dO = a * dS
-        O += dO
+    # A diverging run overflows on purpose; the ceiling check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t0 in range(0, T, block_rows):
+            rows = np.multiply.outer(dE_arr[t0 : t0 + block_rows], c_vec, out=block[: T - t0])
+            for t, ds_i in enumerate(rows, t0):
+                if pinned_reactive is None:
+                    n_h = update_reactive_count(history, rule, n)
+                if n_h != coupled_for:
+                    b_eff = np.where(rank < n_h, b_high, b_low)
+                    b_tot = ordered_sum(b_eff)
+                    ab = a * b_tot
+                    stab = classify_stability(ab)
+                    coupled_for = n_h
+                ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
+                if uniform:
+                    ds_i += rng.uniform(-1.0, 1.0, n) * amp
+                elif wiener:
+                    agg_eps = model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
+                    ds_i += agg_eps / (a * n)
+                dS = ordered_sum(ds_i)
+                dO = a * dS
+                O += dO
 
-        out_dS[t] = dS
-        out_dO[t] = dO
-        out_O[t] = O
-        out_nh[t] = n_h
-        out_b[t] = b_tot
-        out_ab[t] = ab
-        out_abs[t] = abs_sum
-        stability[t] = stab
-        actions[:, t] = ds_i
+                out_dS[t] = dS
+                out_dO[t] = dO
+                out_O[t] = O
+                out_nh[t] = n_h
+                out_b[t] = b_tot
+                out_ab[t] = ab
+                stability[t] = stab
 
-        history.append(dO)
-        dO_prev = dO
-        if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
-            diverged = True
-            truncated_at = t
-            steps_run = t + 1
-            break
+                history.append(dO)
+                dO_prev = dO
+                if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
+                    diverged = True
+                    truncated_at = t
+                    steps_run = t + 1
+                    break
+            done = rows[: steps_run - t0]  # every row of the block, or up to the diverging step
+            actions[:, t0 : t0 + len(done)] = done.T
+            out_abs[t0 : t0 + len(done)] = ordered_sum(np.abs(done, out=done))
+            if diverged:
+                break
 
     sl = slice(0, steps_run)
     del stability[steps_run:]

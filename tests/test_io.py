@@ -29,7 +29,7 @@ from crowdsync.scenarios import (
     run,
     zero_profile,
 )
-from crowdsync.switching import SwitchRule
+from crowdsync.switching import Stability, SwitchRule
 
 MINIMAL = """
 name = minimal
@@ -363,8 +363,75 @@ def test_read_table_rejects_foreign_header(tmp_path):
 @example(5e-324)
 @example(-2.2250738585072e-308)
 def test_percent_g17_is_format_g17(x):
-    # format_table prints a row with one % operation; the cells must stay format()'s
+    # format_table prints each cell with a % operation; the cells must stay format()'s
     assert "%.17g" % x == format(x, ".17g")
+
+
+#: The per-row formatter `format_table` replaced; the reference for its bytes.
+_TABLE_ROW = "%d," + "%.17g," * 6 + "%d," + "%.17g," * 4 + "%s\n"
+
+
+def row_formatted_table(result) -> str:
+    columns = [
+        result.t.tolist(),
+        result.E.tolist(),
+        result.dE.tolist(),
+        result.S.tolist(),
+        result.dS.tolist(),
+        result.O.tolist(),
+        result.dO.tolist(),
+        result.n_reactive.tolist(),
+        (result.n_reactive / result.config.n).tolist(),
+        result.b_total.tolist(),
+        result.ab.tolist(),
+        result.r_instant.tolist(),
+        [s.value for s in result.stability_trace],
+    ]
+    return ",".join(TABLE_COLUMNS) + "\n" + "".join([_TABLE_ROW % row for row in zip(*columns)])
+
+
+_NAN_PAYLOADS = [np.array(bits, dtype=np.uint64).view(np.float64).item()
+                 for bits in (0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001)]
+_CELL_FLOATS = (
+    st.sampled_from([0.0, -0.0, float("inf"), float("-inf"), float("nan"), 5e-324, -2.5e-310,
+                     2.2250738585072014e-308, *_NAN_PAYLOADS])
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+)
+
+
+def _table_result(steps, n, columns, n_reactive, stability):
+    """A quiet run's result with its table columns replaced."""
+    cfg = CrowdConfig(n=n, a=1.0, b_low=0.0, b_high=1.0, c=1.0)
+    base = run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(steps))
+    floats = dict(zip(("E", "dE", "S", "dS", "O", "dO", "b_total", "ab", "r_instant"), columns))
+    return replace(base, n_reactive=np.array(n_reactive, dtype=np.intp), stability_trace=stability, **floats)
+
+
+@st.composite
+def table_results(draw):
+    """Results whose table columns pick from a few drawn values, so most values repeat."""
+    steps = draw(st.integers(1, 40))
+    n = draw(st.integers(1, 5))
+    pool = np.array(draw(st.lists(_CELL_FLOATS, min_size=1, max_size=12)))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=steps, max_size=steps)
+    columns = [pool[draw(picks)] for _ in range(9)]
+    n_reactive = draw(st.lists(st.integers(0, n), min_size=steps, max_size=steps))
+    stability = draw(st.lists(st.sampled_from(list(Stability)), min_size=steps, max_size=steps))
+    return _table_result(steps, n, columns, n_reactive, stability)
+
+
+_ONE_ROW = _table_result(1, 3, [np.array([x]) for x in (0.0, -0.0, 1.5, float("nan"), float("inf"),
+                                                        5e-324, -1.0, 0.5, 1.0)], [2], [Stability.MARGINAL])
+# 0.0 == -0.0, yet they print "0" and "-0": a writer keyed on float equality merges them.
+_SIGNED_ZEROS = _table_result(3, 2, [np.array([0.0, -0.0, 0.0])] * 9, [0, 1, 0], [Stability.CONTRACTING] * 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_results())
+@example(_ONE_ROW)
+@example(_SIGNED_ZEROS)
+def test_format_table_matches_the_row_formatter(result):
+    assert format_table(result) == row_formatted_table(result)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise
@@ -199,6 +200,15 @@ def test_nan_observation_counts_as_divergence():
     assert result.diverged and result.truncated_at == 0 and result.steps_run == 1
 
 
+@pytest.mark.parametrize("c", [1e308, [1e308, -1e308]], ids=["inf-O", "nan-O"])
+def test_diverging_run_raises_no_numpy_warning(c):
+    # no errstate here: tier-1 turns any numpy RuntimeWarning into an error
+    cfg = CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=0.5, c=c)
+    result = run(cfg, SwitchRule(1.0), step_profile(100, 10.0, 5))
+    assert result.diverged and result.truncated_at == 5 and result.steps_run == 6
+    assert not math.isfinite(result.O[-1])
+
+
 @pytest.mark.parametrize("ceiling", [math.inf, math.nan, 0.0, -1.0])
 def test_non_finite_divergence_ceiling_rejected(ceiling):
     with pytest.raises(ValueError, match="divergence_ceiling"):
@@ -284,6 +294,54 @@ def test_metrics_stay_in_range_on_generated_crowds(case):
         assert report.sigma_o == cfg.a * report.sigma_c
     summary = summarize(result)
     assert 0.0 <= summary.t_d <= 1.0 and 0.0 <= summary.mean_R <= 1.0
+
+
+# Grows threefold a step (gain a*B = 3) and crosses the ceiling 1e3 at step 5.
+_TRIPLING = (CrowdConfig(n=3, a=1.0, b_low=0.0, b_high=1.0, c=1.0), SwitchRule(1.0),
+             step_profile(12, 1.0, 0), 0, None, False)
+_TRIPLING_OPTIONS = {"pinned_reactive": 3, "initial_dO": 0.0, "divergence_ceiling": 1e3}
+
+# N > 512: the default blocks hold the minimum 8 rows, so this run fills 8, 8 and 4.
+_WIDE_NOISY = (CrowdConfig(n=600, a=1 / 600, b_low=0.0, b_high=0.5, c=1.0, noise_amp=0.1,
+                           noise_model=UniformNoise()), SwitchRule(0.3), step_profile(20, 1.0, 2), 5, None, False)
+
+_RUN_OPTIONS = st.fixed_dictionaries({
+    "pinned_reactive": st.none() | st.integers(0, 6),  # capped at the drawn n
+    "initial_dO": st.floats(-2.0, 2.0),
+    "divergence_ceiling": st.sampled_from([1.0, 10.0, 1e3, 1e12]),
+})
+
+
+def _result_bytes(result) -> dict:
+    arrays = {name: (value.dtype, value.shape, value.tobytes())
+              for name, value in vars(result).items() if isinstance(value, np.ndarray)}
+    return {**arrays, "stability_trace": result.stability_trace, "diverged": result.diverged,
+            "truncated_at": result.truncated_at}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=small_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
+@example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=4)  # step 5: 2nd row of steps 4-7
+@example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=3)  # step 5: last row of steps 3-5
+@example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=20)  # 12 steps: shorter than a block
+@example(case=_WIDE_NOISY, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
+         block_rows=3)
+def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_rows):
+    cfg, rule, profile, seed, _, _ = case
+    if options["pinned_reactive"] is not None:
+        options = {**options, "pinned_reactive": min(options["pinned_reactive"], cfg.n)}
+    results = [_result_bytes(run(cfg, rule, profile, seed, **options))]  # default block size
+    # one-row blocks, the shape of a per-step loop; then blocks of `block_rows` rows
+    for budget in (1, 8 * cfg.n * block_rows):
+        with mock.patch.multiple(scenarios_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
+            results.append(_result_bytes(run(cfg, rule, profile, seed, **options)))
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def test_tripling_example_diverges_at_step_5():
+    cfg, rule, profile, seed, _, _ = _TRIPLING
+    assert run(cfg, rule, profile, seed, **_TRIPLING_OPTIONS).truncated_at == 5
 
 
 # ---------------------------------------------------------------------------
