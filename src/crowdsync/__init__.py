@@ -17,6 +17,7 @@ from .dynamics import (
     ordered_sum,
 )
 from .metrics import (
+    CrowdMoments,
     DecisionPanel,
     SyncReport,
     crowd_correlation,

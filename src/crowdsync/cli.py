@@ -80,7 +80,8 @@ def _cmd_run(args) -> int:
     spec = load_scenario(args.scenario)
     seed = spec.seed if args.seed is None else args.seed
     result = run_scenario(
-        spec.config, spec.rule, spec.profile, seed, divergence_ceiling=spec.divergence_ceiling
+        spec.config, spec.rule, spec.profile, seed,
+        divergence_ceiling=spec.divergence_ceiling, keep_actions=False,
     )
     summary = summarize(result, name=spec.name)
     out = Path(args.out)

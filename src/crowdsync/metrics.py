@@ -12,9 +12,14 @@ T_d = |sum dO| / sum |dO| over a window.
 `order_ratio` is the one code that forms R from its two sums. A run's
 per-step R is `ScenarioResult.r_instant`; window reports carry no copy.
 
-rho_c and sigma_c have two forms. The direct form (`window_sync`) is
-the one every report computes: one pass over the centred N x w window,
-O(N*w) time and memory. The paper's volatility-weighted matrix form
+rho_c and sigma_c have three forms. Whole-run summaries use the
+streaming form (`CrowdMoments`): the step loop merges each finished
+block of steps into per-agent means, second moments and co-moments
+with the aggregate, O(N) memory for any run length. The merge is the
+pairwise update of Chan, Golub & LeVeque (1979), with the co-moment
+term of Pebay (SAND 2008-6212). The direct form (`window_sync`) is the
+per-window one: one pass over the centred N x w window, O(N*w) time
+and memory. The paper's volatility-weighted matrix form
 (`DecisionPanel`, `crowd_correlation`, `crowd_volatility`) builds the
 N x N correlation matrix, O(N^2*w); it is kept as the reference the
 direct form is tested against.
@@ -23,9 +28,19 @@ Conventions for degenerate inputs (documented, tested): R and T_d are 0
 when every increment is zero, and when the sum of magnitudes is NaN; a
 correlation involving a constant series is 0, and constant agents count
 as 0 in the mean that gives rho_c; a window whose aggregate is constant
-(all agents constant, or live agents that cancel exactly) has
-sigma_c = 0 and rho_c = 0. These keep the metrics total over everything
-a simulation emits.
+up to roundoff has sigma_c = 0 and rho_c = 0. These keep the metrics
+total over everything a simulation emits.
+
+"Constant up to roundoff" (`_constant_up_to_roundoff`, used by both the
+direct and the streaming form): an aggregate value is a recursive sum of
+the N centred actions x_i(t), each rounded once when it was centred, so
+its error is at most gamma_N * sum_i |x_i(t)|, with
+gamma_k = k*u / (1 - k*u) and u = 2**-53 (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 4). By Cauchy-Schwarz the mean square of
+that error is at most gamma_N**2 * N * sum_i sigma_i**2, so an aggregate
+with sigma_c**2 <= gamma_N**2 * N * sum_i sigma_i**2 cannot be told from
+a constant one. The bound is first order in u and leaves out the
+rounding of the means.
 """
 
 from __future__ import annotations
@@ -184,23 +199,81 @@ def window_sync(actions) -> tuple[float, float]:
 
     With x_i the centred rows and dS = sum_i x_i the aggregate,
     sigma_c = std(dS) and rho_c = (1/N) sum_i cov(x_i, dS) / (sigma_i sigma_c),
-    where constant agents (sigma_i = 0) count as 0. A constant aggregate
-    gives (0, 0). Agrees with the matrix form up to roundoff (tested).
+    where constant agents (sigma_i = 0) count as 0. An aggregate that is
+    constant up to roundoff gives (0, 0). Agrees with the matrix form up
+    to roundoff (tested).
     """
     arr = np.asarray(actions, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"window must be N x w with N, w >= 1, got shape {arr.shape}")
-    n, w = arr.shape
     centered = arr - arr.mean(axis=1, keepdims=True)
     agg = centered.sum(axis=0)
-    sigma_c = float(np.sqrt(agg @ agg / w))
-    if sigma_c == 0.0:
+    m2 = np.einsum("ij,ij->i", centered, centered)
+    return _sync(m2, centered @ agg, float(agg @ agg), arr.shape[1])
+
+
+class CrowdMoments:
+    """Streaming (rho_c, sigma_c) of a crowd's actions, merged block by block.
+
+    `add` takes a k x N block of time-major rows, one row per step, and
+    merges its moments into the running ones; `sync` gives (rho_c,
+    sigma_c) of every row added so far, which `window_sync` gives for
+    the N x count matrix of those rows up to roundoff. It holds the step
+    count and, per agent, the mean, the sum of squared deviations `m2`
+    and the co-moment with the aggregate, plus the aggregate's `agg_m2`;
+    the aggregate's mean is the sum of the agents' means. Memory is O(N)
+    for any number of steps.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.count = 0
+        self.mean = np.zeros(n)
+        self.m2 = np.zeros(n)
+        self.comoment = np.zeros(n)
+        self.agg_m2 = 0.0
+
+    def add(self, rows: np.ndarray) -> None:
+        """Merge a k x N block (Chan, Golub & LeVeque's pairwise update)."""
+        k = rows.shape[0]
+        if k == 0:
+            return
+        block_mean = rows.sum(axis=0) / k
+        centred = rows - block_mean
+        agg = centred.sum(axis=1)
+        total = self.count + k
+        delta = block_mean - self.mean
+        d_agg = float(delta.sum())
+        weight = self.count * k / total
+        self.mean += delta * (k / total)
+        self.m2 += np.einsum("ti,ti->i", centred, centred) + delta * delta * weight
+        self.comoment += agg @ centred + delta * (d_agg * weight)
+        self.agg_m2 += float(agg @ agg) + d_agg * d_agg * weight
+        self.count = total
+
+    def sync(self) -> tuple[float, float]:
+        """(rho_c, sigma_c) of the rows added so far; (0, 0) before any."""
+        return _sync(self.m2, self.comoment, self.agg_m2, self.count)
+
+
+def _sync(m2, comoment, agg_m2: float, count: int) -> tuple[float, float]:
+    """(rho_c, sigma_c) from the sums of squared deviations and co-moments of `count` steps."""
+    n = m2.shape[0]
+    if _constant_up_to_roundoff(agg_m2, float(m2.sum()), n):
         return 0.0, 0.0
-    sigma = np.sqrt(np.einsum("ij,ij->i", centered, centered) / w)
-    cov = centered @ agg / w
+    sigma_c = float(np.sqrt(agg_m2 / count))
+    sigma = np.sqrt(m2 / count)
     rho = np.zeros(n)
-    np.divide(cov, sigma * sigma_c, out=rho, where=sigma > 0.0)
+    np.divide(comoment / count, sigma * sigma_c, out=rho, where=sigma > 0.0)
     return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c
+
+
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _constant_up_to_roundoff(agg_m2: float, agents_m2: float, n: int) -> bool:
+    """Whether sigma_c**2 <= gamma_N**2 * N * sum_i sigma_i**2 (module docstring)."""
+    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
+    return agg_m2 <= gamma * gamma * n * agents_m2
 
 
 def trendiness(dO_series) -> float:

@@ -16,11 +16,14 @@ of 32 KB (`_STEP_BLOCK_BYTES`), but at least 8 rows (for N > 512) and
 at most the run's length; it starts as c_i*dE(t) for all its steps in
 one outer product. A step adds b_i*dO_prev and its noise to its own row
 in place and takes sum dS_i, which it needs for dO. When the block is
-full, and once when the run ends or diverges, its rows are copied into
-the N x T action matrix and sum |dS_i| is taken for all of them in one
+full, and once when the run ends or diverges, its rows are merged into
+the run's `CrowdMoments`, copied into the N x T action matrix if the
+caller keeps one, and sum |dS_i| is taken for all of them in one
 row-wise `ordered_sum`. These are the floating-point operations of a
-one-step-at-a-time loop in the same order, so no bit depends on the
-block size.
+one-step-at-a-time loop in the same order, so no bit of the trajectory
+or of the action matrix depends on the block size. The moments do: a
+merge rounds differently from a longer block, so the whole-run rho_c
+and sigma_c move in their last bits with it.
 
 The per-agent couplings b_i, their total B, the loop gain a*B and its
 stability class depend on N_H alone, so they are rebuilt only on a step
@@ -33,8 +36,9 @@ diverged rather than failing.
 
 The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
 sums into the per-step order parameter after the loop. `summarize`
-computes the whole-run metric report, and `window_reports` the
-per-window ones for callers that ask for them.
+reads the whole-run rho_c and sigma_c from the moments, and
+`window_reports` computes per-window ones from the kept action matrix
+for callers that ask for them.
 """
 
 from __future__ import annotations
@@ -56,7 +60,14 @@ from .dynamics import (
     ordered_sum,
     require_finite,
 )
-from .metrics import SyncReport, order_ratio, sync_report
+from .metrics import (
+    CrowdMoments,
+    SyncReport,
+    observed_volatility,
+    order_ratio,
+    sync_report,
+    trendiness,
+)
 from .rng import make_generator
 from .switching import (
     Stability,
@@ -269,7 +280,10 @@ class ScenarioResult:
 
     Arrays cover the steps actually executed; a diverged run stops at
     `truncated_at` (inclusive). `agent_actions` is the N x steps matrix
-    of per-agent increments.
+    of per-agent increments, or None when the run was made with
+    `keep_actions=False`. `moments` holds the whole-run moments of the
+    actions, without the step at which a diverging O became inf or NaN
+    (its `count` is the number of steps merged).
     """
 
     config: CrowdConfig
@@ -288,7 +302,8 @@ class ScenarioResult:
     ab: np.ndarray
     r_instant: np.ndarray
     stability_trace: list[Stability]
-    agent_actions: np.ndarray
+    agent_actions: np.ndarray | None
+    moments: CrowdMoments
     peak_ratio: float
     final_ratio: float
     diverged: bool
@@ -312,12 +327,15 @@ def run(
     divergence_ceiling: float = DEFAULT_DIVERGENCE_CEILING,
     pinned_reactive: int | None = None,
     initial_dO: float = 0.0,
+    keep_actions: bool = True,
 ) -> ScenarioResult:
     """Execute the canonical step loop for the profile's full length.
 
     `pinned_reactive` bypasses the switch rule and holds the reactive
     count fixed (threshold experiments); `initial_dO` seeds the
-    endogenous feedback with a nonzero observation increment.
+    endogenous feedback with a nonzero observation increment. With
+    `keep_actions=False` no N x T action matrix is built; the result's
+    moments still give the whole-run metrics.
 
     A run stops, marked diverged, at the first step whose |O| exceeds
     `divergence_ceiling` (finite and > 0) or is NaN.
@@ -350,7 +368,8 @@ def run(
     out_b = np.zeros(T)
     out_ab = np.zeros(T)
     out_abs = np.zeros(T)
-    actions = np.zeros((n, T))
+    actions = np.zeros((n, T)) if keep_actions else None
+    moments = CrowdMoments(n)
     stability: list[Stability] = [Stability.CONTRACTING] * T
 
     # One row of `block` per step: its actions, built in place (module docstring).
@@ -406,7 +425,10 @@ def run(
                     steps_run = t + 1
                     break
             done = rows[: steps_run - t0]  # every row of the block, or up to the diverging step
-            actions[:, t0 : t0 + len(done)] = done.T
+            if actions is not None:
+                actions[:, t0 : t0 + len(done)] = done.T
+            # only the diverging step can hold inf or NaN actions; the moments leave it out
+            moments.add(done if math.isfinite(O) else done[:-1])
             out_abs[t0 : t0 + len(done)] = ordered_sum(np.abs(done, out=done))
             if diverged:
                 break
@@ -430,7 +452,8 @@ def run(
         ab=out_ab[sl],
         r_instant=order_ratio(out_dS[sl], out_abs[sl]),
         stability_trace=stability,
-        agent_actions=actions[:, sl],
+        agent_actions=None if actions is None else actions[:, sl],
+        moments=moments,
         peak_ratio=float(out_nh[sl].max()) / n if steps_run else 0.0,
         final_ratio=float(out_nh[steps_run - 1]) / n if steps_run else 0.0,
         diverged=diverged,
@@ -453,20 +476,41 @@ def window_reports(
 ) -> list[SyncReport]:
     """Metric reports of a run's windows of `window` steps (None: the whole run).
 
-    Windows start every step when `overlap`, else every `window` steps;
-    a window longer than the run is cut to it. A run of no steps has none.
+    The whole-run report is the one `summarize` gives, read from the
+    run's moments. Windows start every step when `overlap`, else every
+    `window` steps; a window longer than the run is cut to it. Windows
+    need the run's action matrix (`run(..., keep_actions=True)`). A run
+    of no steps has none.
     """
     if window is not None and window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     T = result.steps_run
     if T == 0:
         return []
-    w = T if window is None else min(window, T)
+    if window is None:
+        return [_whole_run_report(result)]
+    if result.agent_actions is None:
+        raise ValueError("window reports need the action matrix; run with keep_actions=True")
+    w = min(window, T)
     starts = range(0, T - w + 1) if overlap else range(0, T - w + 1, w)
     return [
         sync_report(result.agent_actions[:, s : s + w], result.dO[s : s + w], result.config.a, start=s)
         for s in starts
     ]
+
+
+def _whole_run_report(result: ScenarioResult) -> SyncReport:
+    """The report of the steps in the run's moments: all, or all but a non-finite last one."""
+    k = result.moments.count
+    rho_c, sigma_c = result.moments.sync()
+    return SyncReport(
+        start=0,
+        stop=k,
+        rho_c=rho_c,
+        sigma_c=sigma_c,
+        sigma_o=observed_volatility(result.config.a, sigma_c),
+        t_d=trendiness(result.dO[:k]) if k else 0.0,
+    )
 
 
 def run_spec(spec: ScenarioSpec, seed: int | None = None, **overrides) -> ScenarioResult:
@@ -566,10 +610,18 @@ class RunSummary:
 
 
 def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
-    """Digest a result: whole-run metrics plus divergence bookkeeping."""
+    """Digest a result: whole-run metrics plus divergence bookkeeping.
+
+    rho_c, sigma_c, sigma_o, t_d and mean_R cover the steps the run's
+    moments hold: every step, except the step at which a diverging O
+    became inf or NaN. So they stay finite for a run that overflows
+    (and are 0 when that was its first step). peak_O and final_O still
+    report how O ended, inf or NaN included.
+    """
     if result.steps_run == 0:
         raise ValueError("cannot summarize an empty run")
-    report = sync_report(result.agent_actions, result.dO, result.config.a)
+    report = _whole_run_report(result)
+    k = report.stop
     return RunSummary(
         name=name,
         steps_run=result.steps_run,
@@ -580,7 +632,7 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
         final_O=float(result.O[-1]),
         peak_ratio=result.peak_ratio,
         final_ratio=result.final_ratio,
-        mean_R=float(result.r_instant.mean()),
+        mean_R=float(result.r_instant[:k].mean()) if k else 0.0,
         rho_c=report.rho_c,
         sigma_c=report.sigma_c,
         sigma_o=report.sigma_o,
@@ -624,7 +676,7 @@ def _crowd_size(value: float) -> int:
 def _sweep_one(args) -> SweepPoint:
     config, rule, param, value, profile, seed, ceiling = args
     cfg, rl = apply_sweep_value(config, rule, param, value)
-    result = run(cfg, rl, profile, seed, divergence_ceiling=ceiling)
+    result = run(cfg, rl, profile, seed, divergence_ceiling=ceiling, keep_actions=False)
     return SweepPoint(value=float(value), summary=summarize(result, name=f"{param}={value}"))
 
 

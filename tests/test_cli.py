@@ -1,11 +1,13 @@
 """The command-line entry point: exit codes, error lines, output locations."""
 
 import csv
+import tracemalloc
 
 import pytest
 
 import crowdsync.scenarios as scenarios_module
 from crowdsync.cli import main
+from crowdsync.metrics import CrowdMoments
 from crowdsync.scenario_io import TABLE_COLUMNS
 
 SCENARIO = """
@@ -36,14 +38,36 @@ def test_run_writes_inside_out(tmp_path):
 
 
 def test_run_computes_the_whole_run_report_once(tmp_path, monkeypatch, scenario_dir):
+    """The summary reads the run's streamed moments once and builds no window report."""
     calls = []
-    original = scenarios_module.sync_report
-    monkeypatch.setattr(
-        scenarios_module, "sync_report", lambda *a, **kw: calls.append(1) or original(*a, **kw)
-    )
+    monkeypatch.setattr(scenarios_module, "sync_report", lambda *a, **kw: calls.append("sync_report"))
+    original = CrowdMoments.sync
+    monkeypatch.setattr(CrowdMoments, "sync", lambda self: calls.append("moments") or original(self))
     scenario = str(scenario_dir / "fig4-stable.scenario")
     assert main(["run", "--scenario", scenario, "--out", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert calls == ["moments"]
+
+
+def test_run_holds_no_action_matrix(tmp_path, capsys):
+    """A 500-agent, 4000-step run's 16 MB action matrix is never built."""
+    n, steps = 500, 4000
+    path = tmp_path / "in.scenario"
+    path.write_text(
+        SCENARIO.format(name="long")
+        .replace("crowd.n = 10", f"crowd.n = {n}")
+        .replace("crowd.a = 0.05", f"crowd.a = {1 / n}")
+        .replace("crowd.b_high = 1.0", "crowd.b_high = 0.5")
+        .replace("run.steps = 12", f"run.steps = {steps}"),
+        encoding="utf-8",
+    )
+    tracemalloc.start()
+    try:
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out.startswith(f"long: completed after {steps} steps")
+    assert peak < 8 * n * steps / 4, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_order_vs_ratio_curve_uses_each_agents_noise(tmp_path):

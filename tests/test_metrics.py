@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from crowdsync.dynamics import CrowdConfig, ordered_sum
 from crowdsync.metrics import (
+    CrowdMoments,
     DecisionPanel,
     DegenerateMixError,
     InvalidCorrelationError,
@@ -288,6 +289,29 @@ def test_crowd_correlation_cancelling_agents_is_error():
     with pytest.raises(InvalidPanelError, match="cancel"):
         crowd_correlation(DecisionPanel.from_series(series))
     assert window_sync(series) == (0.0, 0.0)
+
+
+# Three agents whose actions cancel in every step, though not exactly in floating point.
+_CANCELLING_ROWS = np.array([[0.1, 0.7, 0.3], [0.3, 0.1, 0.9], [-0.4, -0.8, -1.2]])
+
+
+def _streamed(rows, *splits):
+    """CrowdMoments.sync() of an N x w window added in blocks split at the given steps."""
+    moments = CrowdMoments(rows.shape[0])
+    for block in np.split(rows.T, splits):
+        moments.add(block)
+    return moments.sync()
+
+
+def test_aggregate_constant_up_to_roundoff_is_degenerate():
+    # the aggregate's sigma_c is about 1.6e-16 here, inside the summation-error bound
+    assert window_sync(_CANCELLING_ROWS) == (0.0, 0.0)
+    for splits in ((), (1,), (2,), (1, 2)):
+        assert _streamed(_CANCELLING_ROWS, *splits) == (0.0, 0.0)
+    # moving one action by 1e-14 gives sigma_c 4.6e-15, fifteen times the bound: resolved
+    moved = _CANCELLING_ROWS.copy()
+    moved[0, 1] += 1e-14
+    assert window_sync(moved)[1] > 0.0 and _streamed(moved, 1)[1] > 0.0
 
 
 def test_crowd_correlation_all_zero_panel_is_error():

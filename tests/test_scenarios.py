@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise
-from crowdsync.metrics import order_parameter_closed_form
+from crowdsync.metrics import order_parameter_closed_form, window_sync
 from crowdsync.scenarios import (
     aggregate_trajectory,
     apply_sweep_value,
@@ -198,6 +198,9 @@ def test_nan_observation_counts_as_divergence():
         result = run(cfg, SwitchRule(saturation_scale=1.0), explicit_profile(3, [10.0, 0.0, 0.0]))
     assert math.isnan(result.O[0])
     assert result.diverged and result.truncated_at == 0 and result.steps_run == 1
+    # no finite step to summarize: the metrics take their quiescent values
+    summary = summarize(result)
+    assert (summary.mean_R, summary.rho_c, summary.sigma_c, summary.sigma_o, summary.t_d) == (0,) * 5
 
 
 @pytest.mark.parametrize("c", [1e308, [1e308, -1e308]], ids=["inf-O", "nan-O"])
@@ -207,6 +210,12 @@ def test_diverging_run_raises_no_numpy_warning(c):
     result = run(cfg, SwitchRule(1.0), step_profile(100, 10.0, 5))
     assert result.diverged and result.truncated_at == 5 and result.steps_run == 6
     assert not math.isfinite(result.O[-1])
+    # the summary leaves out the overflowed step: its metrics cover steps 0-4
+    summary = summarize(result)
+    metrics = (summary.mean_R, summary.rho_c, summary.sigma_c, summary.sigma_o, summary.t_d)
+    assert all(math.isfinite(x) for x in metrics)
+    assert result.moments.count == 5
+    assert not math.isfinite(summary.peak_O) and not math.isfinite(summary.final_O)  # how O ended
 
 
 @pytest.mark.parametrize("ceiling", [math.inf, math.nan, 0.0, -1.0])
@@ -255,6 +264,16 @@ def test_metric_windows_nonoverlapping_and_overlapping(golden):
     assert [(w.start, w.stop) for w in window_reports(result, 500)] == [(0, 80)]
     with pytest.raises(ValueError, match="window"):
         window_reports(result, 0)
+
+
+def test_run_without_actions_keeps_the_whole_run_report(golden):
+    spec = golden("fig4-stable")
+    kept, streamed = run_spec(spec), run_spec(spec, keep_actions=False)
+    assert streamed.agent_actions is None
+    assert summarize(streamed) == summarize(kept)
+    assert window_reports(streamed) == window_reports(kept)
+    with pytest.raises(ValueError, match="keep_actions=True"):
+        window_reports(streamed, spec.metric_window)
 
 
 _COEF = st.floats(-2.0, 2.0)
@@ -312,6 +331,34 @@ _RUN_OPTIONS = st.fixed_dictionaries({
 })
 
 
+def _assert_moments_match_the_direct_form(result):
+    """The run's streamed (rho_c, sigma_c) against `window_sync` on the steps they cover.
+
+    Each form centres every action once, so each is off by rounding of the
+    actions' magnitudes, not of their spread. With Q = sum_i mean_t x_i(t)**2
+    over those steps: sigma_c**2 agrees within 1e-12 * N * Q (N * Q bounds
+    sigma_c**2 by Cauchy-Schwarz), plus the smallest normal float for
+    squares that underflow. rho_c agrees within 1e-12 absolute where
+    sigma_c**2 >= 1e-4 * N * Q and every agent is constant or has
+    sigma_i**2 >= 1e-4 * mean_t x_i(t)**2 >= 1e-4 * 1e-290; elsewhere the
+    aggregate or an agent varies by too little for its magnitude, or its
+    squares underflow, and rounding sets rho_c.
+    """
+    k = result.moments.count
+    rho_c, sigma_c = result.moments.sync()
+    if k == 0:
+        assert (rho_c, sigma_c) == (0.0, 0.0)
+        return
+    window = result.agent_actions[:, :k]
+    rho_ref, sigma_ref = window_sync(window)
+    square = np.mean(window**2, axis=1)
+    bound = window.shape[0] * float(square.sum())
+    assert abs(sigma_c**2 - sigma_ref**2) <= 1e-12 * bound + np.finfo(float).tiny
+    resolved = (np.var(window, axis=1) >= 1e-4 * square) & (square >= 1e-290)
+    if sigma_ref**2 >= 1e-4 * bound and np.all(resolved | (np.ptp(window, axis=1) == 0.0)):
+        assert abs(rho_c - rho_ref) <= 1e-12
+
+
 def _result_bytes(result) -> dict:
     arrays = {name: (value.dtype, value.shape, value.tobytes())
               for name, value in vars(result).items() if isinstance(value, np.ndarray)}
@@ -330,13 +377,17 @@ def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_
     cfg, rule, profile, seed, _, _ = case
     if options["pinned_reactive"] is not None:
         options = {**options, "pinned_reactive": min(options["pinned_reactive"], cfg.n)}
-    results = [_result_bytes(run(cfg, rule, profile, seed, **options))]  # default block size
+    runs = [run(cfg, rule, profile, seed, **options)]  # default block size
     # one-row blocks, the shape of a per-step loop; then blocks of `block_rows` rows
     for budget in (1, 8 * cfg.n * block_rows):
         with mock.patch.multiple(scenarios_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
-            results.append(_result_bytes(run(cfg, rule, profile, seed, **options)))
+            runs.append(run(cfg, rule, profile, seed, **options))
+    results = [_result_bytes(r) for r in runs]
     assert results[1] == results[0]
     assert results[2] == results[0]
+    # the streamed moments round with the block size, so they are held to a tolerance
+    for r in runs:
+        _assert_moments_match_the_direct_form(r)
 
 
 def test_tripling_example_diverges_at_step_5():
