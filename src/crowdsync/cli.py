@@ -126,7 +126,7 @@ def _cmd_metrics(args) -> int:
     if w < 1:
         print(f"error: --window must be >= 1, got {w}", file=sys.stderr)
         return 1
-    table = read_table(args.table)
+    table = read_table(args.table, columns=("t", "dO", "R"))  # perfbench traces count rows by "t"
     dO = table["dO"]
     r_col = table["R"]
     rows = []

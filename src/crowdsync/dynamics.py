@@ -171,6 +171,9 @@ class CrowdConfig:
 # Elementary operations
 # ---------------------------------------------------------------------------
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def ordered_sum(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Sum in ascending index order (left to right), no reassociation.
 
@@ -186,6 +189,8 @@ def ordered_sum(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
     is not used: from Python 3.12 on it compensates float rounding, so it
     would disagree with the array form.
     """
+    if type(values) is np.ndarray and values.ndim == 1 and values.dtype is _FLOAT64 and values.size:
+        return np.add.accumulate(values).item(-1)  # the step loop's case, without the checks below
     if not isinstance(values, np.ndarray):
         items = iter(values)
         try:

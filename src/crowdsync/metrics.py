@@ -29,7 +29,12 @@ when every increment is zero, and when the sum of magnitudes is NaN; a
 correlation involving a constant series is 0, and constant agents count
 as 0 in the mean that gives rho_c; a window whose aggregate is constant
 up to roundoff has sigma_c = 0 and rho_c = 0. These keep the metrics
-total over everything a simulation emits.
+total over everything a simulation emits. An agent whose actions are
+all equal is centred on its first action, not on their rounded mean
+(the mean of three equal values can differ from them in the last bit),
+so its deviations are exact zeros and it stays constant in both the
+direct and the streaming form; a block of equal actions does the same
+in a merge.
 
 "Constant up to roundoff" (`_constant_up_to_roundoff`, used by both the
 direct and the streaming form): an aggregate value is a recursive sum of
@@ -142,7 +147,7 @@ class DecisionPanel:
         n, t = arr.shape
         if n < 1 or t < 1:
             raise ValueError(f"panel needs at least one agent and one step, got {arr.shape}")
-        centered = arr - arr.mean(axis=1, keepdims=True)
+        centered = _centred_rows(arr)
         cov = (centered @ centered.T) / t
         cov = (cov + cov.T) / 2.0
         sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -158,6 +163,13 @@ class DecisionPanel:
     @property
     def n(self) -> int:
         return self.series.shape[0]
+
+
+def _centred_rows(arr: np.ndarray) -> np.ndarray:
+    """Each row minus its mean; a row of equal values gives exact zeros (module docstring)."""
+    mean = arr.mean(axis=1, keepdims=True)
+    np.copyto(mean, arr[:, :1], where=(arr == arr[:, :1]).all(axis=1, keepdims=True))
+    return arr - mean
 
 
 def crowd_volatility(per_agent_sigma, corr) -> float:
@@ -206,7 +218,7 @@ def window_sync(actions) -> tuple[float, float]:
     arr = np.asarray(actions, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"window must be N x w with N, w >= 1, got shape {arr.shape}")
-    centered = arr - arr.mean(axis=1, keepdims=True)
+    centered = _centred_rows(arr)
     agg = centered.sum(axis=0)
     m2 = np.einsum("ij,ij->i", centered, centered)
     return _sync(m2, centered @ agg, float(agg @ agg), arr.shape[1])
@@ -238,6 +250,7 @@ class CrowdMoments:
         if k == 0:
             return
         block_mean = rows.sum(axis=0) / k
+        np.copyto(block_mean, rows[0], where=(rows == rows[0]).all(axis=0))  # constant agents
         centred = rows - block_mean
         agg = centred.sum(axis=1)
         total = self.count + k

@@ -494,13 +494,18 @@ def emit_window_table(rows, destination: str | Path) -> Path:
     return _write(format_window_table(rows), destination)
 
 
-def read_table(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a time-series table back into column arrays.
+def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) -> dict[str, np.ndarray]:
+    """Read a time-series table back into arrays of the named columns (default: all).
 
     An empty file, a foreign header, a row of the wrong width or a cell
-    that is not a number raises TableFormatError naming the file and
-    the line.
+    of a named column that is not a number raises TableFormatError
+    naming the file and the line. Cells of the other columns are not
+    converted, so they are not validated. A name that is not a table
+    column raises ValueError.
     """
+    for col in columns:
+        if col not in TABLE_COLUMNS:
+            raise ValueError(f"unknown table column {col!r}; valid: {', '.join(TABLE_COLUMNS)}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -516,7 +521,8 @@ def read_table(path: str | Path) -> dict[str, np.ndarray]:
             rows.append(row)
             lines.append(reader.line_num)
     out: dict[str, np.ndarray] = {}
-    for idx, col in enumerate(TABLE_COLUMNS):
+    for col in columns:
+        idx = TABLE_COLUMNS.index(col)
         values = [row[idx] for row in rows]
         if col == "stability":
             out[col] = np.array(values)

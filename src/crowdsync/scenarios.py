@@ -29,6 +29,23 @@ The per-agent couplings b_i, their total B, the loop gain a*B and its
 stability class depend on N_H alone, so they are rebuilt only on a step
 whose N_H differs from the last one's.
 
+Exact repeats. A step is a function of the trailing |dO| window (which
+gives N_H), dO_prev, dE(t) and the noise. So in a crowd without noise,
+once the last `rule.window` + 1 steps all have dO with the same bits and
+the window is full (the last step's index is at least `rule.window`),
+the next step with dE of the same bits as the last one's repeats it bit
+for bit: the same action row, dS, dO, N_H, B, a*B and stability class,
+and O grows by the same dO. This is the crowd that has settled: a
+contracting crowd at rest (dO = 0) or a crowd whose loop gain is pinned
+at 1 carrying a constant dO. The loop counts such a streak of equal dO
+(0.0 and -0.0 differ; a NaN matches nothing) and, once it holds, fills
+the rest of the current block in a few array operations, up to the
+first step whose dE differs: it copies the row, and takes O by
+`np.add.accumulate`, the same sequential additions as the loop's
+O += dO, so the first filled step with |O| over the ceiling ends the
+run as it would have. A block's first step is always computed, so a
+loop of one-row blocks never fills.
+
 Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). Amplifying configurations are expected to blow up;
 a run truncates once |O| crosses the divergence ceiling and is marked
@@ -48,6 +65,7 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +73,7 @@ import numpy as np
 from .dynamics import (
     AGENT_COLUMNS,
     CrowdConfig,
+    NoNoise,
     UniformNoise,
     WienerNoise,
     ordered_sum,
@@ -340,6 +359,11 @@ def run(
     A run stops, marked diverged, at the first step whose |O| exceeds
     `divergence_ceiling` (finite and > 0) or is NaN.
 
+    A crowd without noise whose dO has repeated bit for bit over a full
+    switch-rule window repeats its last step while dE keeps its bits;
+    those steps are filled in bulk, with every bit as a step-by-step
+    loop gives it (module docstring, "Exact repeats").
+
     Noise models: per-agent uniform noise enters each agent's action;
     aggregate drift+diffusion noise enters the observation update and is
     attributed equally across agents so dS = sum dS_i and dO = a*dS stay
@@ -386,11 +410,20 @@ def run(
     truncated_at: int | None = None
     steps_run = T
 
+    # Exact repeats (module docstring): `streak` counts the steps whose dO has
+    # the bits of the step before; dE is compared by its bits too.
+    steady = isinstance(model, NoNoise)
+    window = rule.window
+    dE_bits = np.ascontiguousarray(dE_arr, dtype=np.float64).view(np.int64)
+    streak = 0
+
     # A diverging run overflows on purpose; the ceiling check below reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, T, block_rows):
             rows = np.multiply.outer(dE_arr[t0 : t0 + block_rows], c_vec, out=block[: T - t0])
-            for t, ds_i in enumerate(rows, t0):
+            t_end = t0 + len(rows)
+            steps = enumerate(rows, t0)
+            for t, ds_i in steps:
                 if pinned_reactive is None:
                     n_h = update_reactive_count(history, rule, n)
                 if n_h != coupled_for:
@@ -418,12 +451,40 @@ def run(
                 stability[t] = stab
 
                 history.append(dO)
+                if steady:  # 0.0 and -0.0 differ, and a NaN matches nothing
+                    same = dO == dO_prev and math.copysign(1.0, dO) == math.copysign(1.0, dO_prev)
+                    streak = streak + 1 if same else 0
                 dO_prev = dO
                 if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
                     diverged = True
                     truncated_at = t
                     steps_run = t + 1
                     break
+                if streak >= window and t >= window and t + 1 < t_end:
+                    # the |dO| window is full and constant, so each next step
+                    # with dE's bits repeats this one until dE changes
+                    changed = np.flatnonzero(dE_bits[t + 1 : t_end] != dE_bits[t])
+                    k = int(changed[0]) if changed.size else t_end - t - 1
+                    if k == 0:
+                        continue
+                    fill = slice(t + 1, t + 1 + k)
+                    rows[fill.start - t0 : fill.stop - t0] = ds_i
+                    for out, value in ((out_dS, dS), (out_dO, dO), (out_nh, n_h), (out_b, b_tot), (out_ab, ab)):
+                        out[fill] = value
+                    stability[fill] = [stab] * k
+                    out_O[fill] = dO
+                    np.add.accumulate(out_O[t : fill.stop], out=out_O[t : fill.stop])  # O += dO, k times
+                    over = np.flatnonzero(~(np.abs(out_O[fill]) <= divergence_ceiling))
+                    if over.size:  # the run ends at the first filled step over the ceiling
+                        k = int(over[0]) + 1
+                        diverged = True
+                        truncated_at = t + k
+                        steps_run = t + k + 1
+                    O = float(out_O[t + k])
+                    if diverged:
+                        break
+                    streak += k
+                    next(islice(steps, k - 1, None), None)  # skip the filled rows
             done = rows[: steps_run - t0]  # every row of the block, or up to the diverging step
             if actions is not None:
                 actions[:, t0 : t0 + len(done)] = done.T

@@ -354,6 +354,23 @@ def test_read_table_rejects_foreign_header(tmp_path):
         read_table(path)
 
 
+def test_read_table_converts_only_the_named_columns(tmp_path):
+    path = tmp_path / "t.csv"
+    head = ",".join(TABLE_COLUMNS) + "\n"
+    path.write_text(head + "0,x,0,0,0,0,0.5,0,0,0,0,1,contracting\n")  # a bad cell in E
+    with pytest.raises(TableFormatError, match="^invalid table: .*line 2: E: could not convert"):
+        read_table(path)
+    table = read_table(path, columns=("t", "dO", "R"))
+    assert list(table) == ["t", "dO", "R"]
+    assert (table["t"].tolist(), table["dO"].tolist(), table["R"].tolist()) == ([0], [0.5], [1.0])
+    # the header and every row's width are still checked
+    path.write_text(head + "0,0,0,0,0,0,0.5,0,0,0,0,1,contracting\n1,0,0\n")
+    with pytest.raises(TableFormatError, match="line 3: expected 13 fields, got 3"):
+        read_table(path, columns=("dO",))
+    with pytest.raises(ValueError, match="^unknown table column 'dQ'; valid: t, E, dE,"):
+        read_table(path, columns=("dO", "dQ"))
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @example(0.0)
 @example(-0.0)

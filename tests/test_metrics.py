@@ -314,6 +314,22 @@ def test_aggregate_constant_up_to_roundoff_is_degenerate():
     assert window_sync(moved)[1] > 0.0 and _streamed(moved, 1)[1] > 0.0
 
 
+def test_agent_of_equal_actions_is_constant_in_every_form():
+    # equal actions whose rounded mean over three steps is not their value:
+    # centred on it, the agent varies by roundoff and takes a correlation of its
+    # own (a rho_c of 0.37 or 0.43, not 0.5, when merged as 1 + 3 or 3 + 1 steps)
+    x = 0.2353783432143119
+    assert (x + x + x) / 3 != x
+    rows = np.array([[x, x, x, x], [0.1, 0.7, 0.3, 0.2]])
+    sigma = float(np.std(rows[1]))
+    forms = {"direct": window_sync(rows)}
+    forms.update({f"streamed{splits}": _streamed(rows, *splits) for splits in ((), (1,), (3,), (1, 2))})
+    for form, (rho_c, sigma_c) in forms.items():
+        assert rho_c == pytest.approx(0.5, abs=1e-15), form
+        assert sigma_c == pytest.approx(sigma, rel=1e-15), form
+    assert DecisionPanel.from_series(rows).per_agent_sigma[0] == 0.0
+
+
 def test_crowd_correlation_all_zero_panel_is_error():
     panel = DecisionPanel.from_series(np.zeros((3, 50)))
     with pytest.raises(InvalidPanelError):

@@ -82,6 +82,25 @@ def _nan_run():
         return run(cfg, SwitchRule(saturation_scale=1.0), step_profile(3, 10.0, 0))
 
 
+def _quiet_tail():
+    # 40-row blocks: a ramp that settles on a fixed point, exact zeros once N_H
+    # rounds to 0, a kick in mid-block at step 523, and quiet again to step 899
+    cfg = CrowdConfig(n=100, a=0.01, b_low=0.0, b_high=np.linspace(0.2, 0.9, 100),
+                      c=np.linspace(-0.5, 1.5, 100))
+    series = np.zeros(900)
+    series[10:300] = 0.02
+    series[523] = -0.3
+    return run(cfg, SwitchRule(saturation_scale=0.05, window=4), explicit_profile(900, series))
+
+
+def _marginal_ceiling():
+    # gain a*B exactly 1 with all 64 agents pinned reactive: dO settles at 0.09
+    # and O crosses the ceiling at step 557, the 46th row of the block 512-575
+    cfg = CrowdConfig(n=64, a=1 / 64, b_low=0.0, b_high=1.0, c=np.linspace(0.1, 0.5, 64))
+    return run(cfg, SwitchRule(saturation_scale=0.25, window=3), step_profile(700, 0.3, 2),
+               divergence_ceiling=50.0, pinned_reactive=64)
+
+
 CASES = {
     "wiener": _wiener,
     "uniform-per-agent": _uniform_per_agent,
@@ -90,6 +109,8 @@ CASES = {
     "tied-b_high": _tied_b_high,
     "ceiling-divergence": _ceiling_divergence,
     "nan-run": _nan_run,
+    "quiet-tail": _quiet_tail,
+    "marginal-ceiling": _marginal_ceiling,
 }
 
 PINS = {"wiener": {"t": "0e303f8413645bd88462259afc735c24c8dd828548b1daa7d19af97f06845fb5",
@@ -196,7 +217,37 @@ PINS = {"wiener": {"t": "0e303f8413645bd88462259afc735c24c8dd828548b1daa7d19af97
              "agent_actions": "549163ed4f094ef5c25d0b7a960326d9f6b05db29f302aac101be5fdc38e3af1",
              "stability_trace": "d8695505f657990af45916b15b528d85faacefe250cc30c14835ebb036f2bcc4",
              "diverged": True,
-             "truncated_at": 0}}
+             "truncated_at": 0},
+ "quiet-tail": {"t": "1227ffb5bb6f93f86cb920f1c01e4cea108f97044322266d2e8d889f936425d5",
+               "dE": "c3dfc6542314d3f03aaae18ebed44498f81d16a38e223085e9f579cbb059de9c",
+               "E": "64b4161578f6ce4919bc09538d14f6b3e10b8608d90f5637d51813794d1bda80",
+               "dS": "41935afe1b6680a935395b4321ab051a0c158449fe4ae132e90e1d5d6600fce2",
+               "S": "695cbb9cd8e395aff176a488ba0544f0e258017dad3ae8793489bd6450499736",
+               "dO": "6e1b705c1bb9297d6e2d51669c77e4090503746b34e9a46f13a4a3c23a076c91",
+               "O": "be292ae1a4e3ca44b7a2a16c7d603665246ce1ac197ecf4e358ec1836e5e7178",
+               "n_reactive": "c26e72a97627ab596b1f7f151008af5f71efaff1197bbeebfce060490a262b73",
+               "b_total": "c48ae9871d04cc6d1528ea5ab85f6ae993d775a7b6ff24d41e65ec88ef878b4c",
+               "ab": "85e4cf0eb427d0ac6c8b29c6b3c8f1e3b563b27d3dfe4e46afa58694171cfec4",
+               "r_instant": "6672a6101edc40e62a40af5acd0761b17777a1f551e31f01a5567539bf1f8ad7",
+               "agent_actions": "54be0c41eaca46065e9c579f2a02e0fa6eb93288ffa46088ea6a8d6068af3c14",
+               "stability_trace": "977cc7f390cd2b28aa430c95464c83e700d7e38c6ecbd0e3e487d4a8ea058fb3",
+               "diverged": False,
+               "truncated_at": None},
+ "marginal-ceiling": {"t": "bee324642433511c49e6b66ef769431105f00cb339c2cff2af7a113565911e2a",
+                     "dE": "82907198c44f44b6be8107802729501ffb96faf4b6df24a6e93ea9e4878181ea",
+                     "E": "9d0b43f15f3204f74b1dd7abffe6c8da274c9aee63e233578aa3f7f76fc5c88a",
+                     "dS": "a122100160a0e008077736a68705c05e4b8a90c9377306820dd11d37d41765c8",
+                     "S": "637f9cb336bfb26dad23f1085d79ed881bd61572f56fd8edb19294f3608bfec6",
+                     "dO": "b4b240916f925c4f23f10cabac606e4c3865996f754996ba511a67356cfb850b",
+                     "O": "7489f62e01bdbb8ae53c899fbb4adab42caffbd3627654b10353c65bb469e073",
+                     "n_reactive": "d88bc824631bd7517278bacee5e495a1792d7d8874ae542a472616d297584ea0",
+                     "b_total": "91f4b40b37577f78621618b019b2dc12486a98d707f2f7e2f9642414ce7a4882",
+                     "ab": "43b9a9476bccf40e5687358fa3287d288d0c36571a6ec85ef275f5092df10597",
+                     "r_instant": "5163e4c70e641fcb2ba32f99e9f51dbad7a9ae71b052c251104e88310da99c32",
+                     "agent_actions": "a187c01d00b435823aa42a403385b8aff909eafbcc88f386bd01aa3efa83f6a7",
+                     "stability_trace": "8b4b2db0dd4728fa2fecda0ed0a205b33d9d1ff7dac07315115277c457fee8b2",
+                     "diverged": True,
+                     "truncated_at": 557}}
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -298,6 +298,29 @@ def small_runs(draw):
     return cfg, rule, profile, seed, window, draw(st.booleans())
 
 
+# Small pools, so that runs settle and signed zeros and exact gains of 1 turn up.
+_STEADY_FORCE = st.sampled_from([0.0, -0.0, 0.25, 1.0, -0.5])
+_STEADY_COEF = st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.5])
+
+
+@st.composite
+def steady_runs(draw):
+    """A noiseless crowd driven by constant stretches of force: runs that repeat steps exactly."""
+    n = draw(st.integers(1, 6))
+    steps = draw(st.integers(1, 80))
+    b_low = draw(st.lists(_STEADY_COEF, min_size=n, max_size=n))
+    b_high = [max(lo, 0.0) + draw(st.sampled_from([0.25, 0.5, 1.0])) for lo in b_low]
+    c = draw(st.lists(_STEADY_COEF | _COEF, min_size=n, max_size=n))
+    cfg = CrowdConfig(n=n, a=draw(st.sampled_from([1.0 / n, 0.25, 0.5]) | st.floats(0.01, 1.0)),
+                      b_low=b_low, b_high=b_high, c=c, noise_model=NoNoise())
+    rule = SwitchRule(saturation_scale=draw(st.sampled_from([0.01, 0.5, 1.0, 10.0])),
+                      window=draw(st.integers(1, 6)))
+    stretches = draw(st.lists(st.tuples(_STEADY_FORCE, st.integers(1, steps)), min_size=1, max_size=steps))
+    series = [value for value, length in stretches for _ in range(length)]
+    series += [0.0] * (steps - len(series))
+    return cfg, rule, explicit_profile(steps, series[:steps]), 0, None, False
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_runs())
 def test_metrics_stay_in_range_on_generated_crowds(case):
@@ -324,9 +347,24 @@ _TRIPLING_OPTIONS = {"pinned_reactive": 3, "initial_dO": 0.0, "divergence_ceilin
 _WIDE_NOISY = (CrowdConfig(n=600, a=1 / 600, b_low=0.0, b_high=0.5, c=1.0, noise_amp=0.1,
                            noise_model=UniformNoise()), SwitchRule(0.3), step_profile(20, 1.0, 2), 5, None, False)
 
+# Gain exactly 1 (4 agents pinned reactive, a*B = 0.25*4): dO stays about 37.76
+# and O crosses 1e3 at step 26, inside a stretch of filled repeats.
+_MARGINAL = (CrowdConfig(n=4, a=0.25, b_low=0.0, b_high=1.0, c=[1.0, 0.5, -0.25, 0.25]), SwitchRule(1.0),
+             step_profile(40, 100.7, 0), 0, None, False)
+_MARGINAL_OPTIONS = {"pinned_reactive": 4, "initial_dO": 0.0, "divergence_ceiling": 1e3}
+
+# Quiet, so steps repeat from the start, until a kick at step 13, in mid-block.
+_KICKED = (CrowdConfig(n=3, a=0.3, b_low=0.0, b_high=0.8, c=[1.0, -0.5, 0.25]), SwitchRule(0.5, window=2),
+           explicit_profile(30, [0.0] * 13 + [1.0] + [0.0] * 16), 0, None, False)
+
+# Step 0 repeats initial_dO = 1 (normal gain a*N*b_low = 1), but the window is
+# not full: the step after it switches both agents to b_high and doubles dO.
+_WARMING = (CrowdConfig(n=2, a=1.0, b_low=0.5, b_high=1.0, c=1.0), SwitchRule(1.0, window=1),
+            zero_profile(6), 0, None, False)
+
 _RUN_OPTIONS = st.fixed_dictionaries({
     "pinned_reactive": st.none() | st.integers(0, 6),  # capped at the drawn n
-    "initial_dO": st.floats(-2.0, 2.0),
+    "initial_dO": st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-2.0, 2.0),
     "divergence_ceiling": st.sampled_from([1.0, 10.0, 1e3, 1e12]),
 })
 
@@ -366,13 +404,19 @@ def _result_bytes(result) -> dict:
             "truncated_at": result.truncated_at}
 
 
-@settings(max_examples=80, deadline=None)
-@given(case=small_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
+@settings(max_examples=160, deadline=None)
+@given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
 @example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=4)  # step 5: 2nd row of steps 4-7
 @example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=3)  # step 5: last row of steps 3-5
 @example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=20)  # 12 steps: shorter than a block
 @example(case=_WIDE_NOISY, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
          block_rows=3)
+@example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=8)  # step 26: 3rd row of steps 24-31
+@example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=40)  # steps 6-26 repeat step 5
+@example(case=_KICKED, options={"pinned_reactive": None, "initial_dO": -0.0, "divergence_ceiling": 1e12},
+         block_rows=8)  # steps 9-12 repeat step 8; step 13 is computed
+@example(case=_WARMING, options={"pinned_reactive": None, "initial_dO": 1.0, "divergence_ceiling": 1e3},
+         block_rows=4)
 def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_rows):
     cfg, rule, profile, seed, _, _ = case
     if options["pinned_reactive"] is not None:
@@ -388,6 +432,17 @@ def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_
     # the streamed moments round with the block size, so they are held to a tolerance
     for r in runs:
         _assert_moments_match_the_direct_form(r)
+
+
+def test_quiet_steps_are_filled_not_stepped():
+    # dO is exactly 0 from step 16 on; a loop that computed each of the T steps
+    # would call the switch rule T times
+    T = 2000
+    rule_fn = scenarios_module.update_reactive_count
+    with mock.patch.object(scenarios_module, "update_reactive_count", wraps=rule_fn) as counted:
+        result = run(simple_config(), SwitchRule(0.3), step_profile(T, 1.0, 5))
+    assert not np.any(result.dO[16:])
+    assert counted.call_count < T / 4
 
 
 def test_tripling_example_diverges_at_step_5():
