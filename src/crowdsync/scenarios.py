@@ -7,8 +7,8 @@ each step t:
      window ending at the previous step,
   2. agents respond to this step's force increment dE(t) and the
      previous observation increment (the one-step delayed feedback),
-  3. actions aggregate in ascending agent order, the observation
-     updates (dO = a*dS), and the step is recorded.
+  3. actions aggregate in ascending agent order into dS, and the
+     observation updates (dO = a*dS, O += dO).
 
 Actions dS_i = c_i*dE + b_i*dO_prev (+ noise) are built in a block of
 consecutive steps, one row per step. The block is a time-major array
@@ -25,25 +25,30 @@ or of the action matrix depends on the block size. The moments do: a
 merge rounds differently from a longer block, so the whole-run rho_c
 and sigma_c move in their last bits with it.
 
-The per-agent couplings b_i, their total B, the loop gain a*B and its
-stability class depend on N_H alone, so they are rebuilt only on a step
-whose N_H differs from the last one's.
+The loop records only what a step decides: its dS, N_H and action row.
+It keeps dO and O as scalars, for the feedback and the ceiling, and
+rebuilds the couplings b_i only when N_H changes. After the loop, the
+other columns are derived once with the loop's floating-point
+operations: dO = a*dS, O as the left-to-right sum of dO from +0.0 (so a
+first dO of -0.0 gives O = +0.0, as in the loop), and B (the ordered
+sum of the couplings), a*B and its stability class once per run of
+steps with one N_H.
 
 Exact repeats. A step is a function of the trailing |dO| window (which
 gives N_H), dO_prev, dE(t) and the noise. So in a crowd without noise,
 once the last `rule.window` + 1 steps all have dO with the same bits and
 the window is full (the last step's index is at least `rule.window`),
 the next step with dE of the same bits as the last one's repeats it bit
-for bit: the same action row, dS, dO, N_H, B, a*B and stability class,
-and O grows by the same dO. This is the crowd that has settled: a
-contracting crowd at rest (dO = 0) or a crowd whose loop gain is pinned
-at 1 carrying a constant dO. The loop counts such a streak of equal dO
-(0.0 and -0.0 differ; a NaN matches nothing) and, once it holds, fills
-the rest of the current block in a few array operations, up to the
-first step whose dE differs: it copies the row, and takes O by
-`np.add.accumulate`, the same sequential additions as the loop's
-O += dO, so the first filled step with |O| over the ceiling ends the
-run as it would have. A block's first step is always computed, so a
+for bit: the same action row, dS and N_H, and O grows by the same dO.
+This is the crowd that has settled: a contracting crowd at rest
+(dO = 0) or a crowd whose loop gain is pinned at 1 carrying a constant
+dO. The loop counts such a streak of equal dO (0.0 and -0.0 differ; a
+NaN matches nothing) and, once it holds, fills the rest of the current
+block in a few array operations, up to the first step whose dE differs:
+it copies the row, dS and N_H, and checks the ceiling on the filled O
+taken by `np.add.accumulate`, the same sequential additions as the
+loop's O += dO, so the first filled step with |O| over the ceiling ends
+the run as it would have. A block's first step is always computed, so a
 loop of one-row blocks never fills.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
@@ -124,6 +129,7 @@ class ForceProfile:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_length(self.length)
         if self.increments.shape != (self.length,):
             raise ValueError(
                 f"profile must emit exactly {self.length} increments, got {self.increments.shape}"
@@ -359,10 +365,11 @@ def run(
     A run stops, marked diverged, at the first step whose |O| exceeds
     `divergence_ceiling` (finite and > 0) or is NaN.
 
-    A crowd without noise whose dO has repeated bit for bit over a full
-    switch-rule window repeats its last step while dE keeps its bits;
-    those steps are filled in bulk, with every bit as a step-by-step
-    loop gives it (module docstring, "Exact repeats").
+    The loop records each step's dS and N_H, and derives the other
+    columns from them once it ends. A crowd without noise whose dO has
+    repeated bit for bit over a full switch-rule window repeats its last
+    step while dE keeps its bits; those steps are filled in bulk. Every
+    bit is as a step-by-step loop gives it (module docstring).
 
     Noise models: per-agent uniform noise enters each agent's action;
     aggregate drift+diffusion noise enters the observation update and is
@@ -386,15 +393,10 @@ def run(
     T = profile.length
     dE_arr = profile.increments
     out_dS = np.zeros(T)
-    out_dO = np.zeros(T)
-    out_O = np.zeros(T)
     out_nh = np.zeros(T, dtype=np.intp)
-    out_b = np.zeros(T)
-    out_ab = np.zeros(T)
     out_abs = np.zeros(T)
     actions = np.zeros((n, T)) if keep_actions else None
     moments = CrowdMoments(n)
-    stability: list[Stability] = [Stability.CONTRACTING] * T
 
     # One row of `block` per step: its actions, built in place (module docstring).
     block_rows = min(T, max(_STEP_BLOCK_MIN_ROWS, _STEP_BLOCK_BYTES // (8 * n)))
@@ -405,9 +407,8 @@ def run(
     dO_prev = initial_dO
     O = 0.0
     n_h = pinned_reactive
-    coupled_for = None  # the N_H that b_eff, b_tot, ab and stab were built for
+    coupled_for = None  # the N_H that b_eff was built for
     diverged = False
-    truncated_at: int | None = None
     steps_run = T
 
     # Exact repeats (module docstring): `streak` counts the steps whose dO has
@@ -428,9 +429,6 @@ def run(
                     n_h = update_reactive_count(history, rule, n)
                 if n_h != coupled_for:
                     b_eff = np.where(rank < n_h, b_high, b_low)
-                    b_tot = ordered_sum(b_eff)
-                    ab = a * b_tot
-                    stab = classify_stability(ab)
                     coupled_for = n_h
                 ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
                 if uniform:
@@ -441,14 +439,8 @@ def run(
                 dS = ordered_sum(ds_i)
                 dO = a * dS
                 O += dO
-
                 out_dS[t] = dS
-                out_dO[t] = dO
-                out_O[t] = O
                 out_nh[t] = n_h
-                out_b[t] = b_tot
-                out_ab[t] = ab
-                stability[t] = stab
 
                 history.append(dO)
                 if steady:  # 0.0 and -0.0 differ, and a NaN matches nothing
@@ -457,7 +449,6 @@ def run(
                 dO_prev = dO
                 if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
                     diverged = True
-                    truncated_at = t
                     steps_run = t + 1
                     break
                 if streak >= window and t >= window and t + 1 < t_end:
@@ -469,18 +460,15 @@ def run(
                         continue
                     fill = slice(t + 1, t + 1 + k)
                     rows[fill.start - t0 : fill.stop - t0] = ds_i
-                    for out, value in ((out_dS, dS), (out_dO, dO), (out_nh, n_h), (out_b, b_tot), (out_ab, ab)):
-                        out[fill] = value
-                    stability[fill] = [stab] * k
-                    out_O[fill] = dO
-                    np.add.accumulate(out_O[t : fill.stop], out=out_O[t : fill.stop])  # O += dO, k times
-                    over = np.flatnonzero(~(np.abs(out_O[fill]) <= divergence_ceiling))
+                    out_dS[fill] = dS
+                    out_nh[fill] = n_h
+                    filled_O = np.add.accumulate(np.concatenate(([O], np.full(k, dO))))  # O += dO, k times
+                    over = np.flatnonzero(~(np.abs(filled_O[1:]) <= divergence_ceiling))
                     if over.size:  # the run ends at the first filled step over the ceiling
                         k = int(over[0]) + 1
                         diverged = True
-                        truncated_at = t + k
                         steps_run = t + k + 1
-                    O = float(out_O[t + k])
+                    O = float(filled_O[k])
                     if diverged:
                         break
                     streak += k
@@ -494,31 +482,45 @@ def run(
             if diverged:
                 break
 
-    sl = slice(0, steps_run)
-    del stability[steps_run:]
+        # The columns that dS and N_H determine, derived once (module docstring).
+        dS, n_reactive = out_dS[:steps_run], out_nh[:steps_run]
+        dO = a * dS
+        O_from_zero = np.zeros(steps_run + 1)
+        O_from_zero[1:] = dO
+        np.add.accumulate(O_from_zero, out=O_from_zero)  # the loop's O += dO, from +0.0
+        # the first step of each run of steps with one N_H
+        coupled = np.r_[0, np.flatnonzero(n_reactive[1:] != n_reactive[:-1]) + 1]
+        b_runs = [ordered_sum(np.where(rank < k, b_high, b_low)) for k in n_reactive[coupled]]
+        lengths = np.diff(coupled, append=steps_run).tolist()
+        b_total = np.repeat(b_runs, lengths)
+        ab = a * b_total
+    stability: list[Stability] = []
+    for gain, length in zip(ab[coupled].tolist(), lengths):
+        stability += [classify_stability(gain)] * length
+
     return ScenarioResult(
         config=config,
         rule=rule,
         profile=profile,
         seed=seed,
         t=np.arange(steps_run),
-        dE=dE_arr[sl].copy(),
-        E=np.cumsum(dE_arr[sl]),
-        dS=out_dS[sl],
-        S=np.cumsum(out_dS[sl]),
-        dO=out_dO[sl],
-        O=out_O[sl],
-        n_reactive=out_nh[sl],
-        b_total=out_b[sl],
-        ab=out_ab[sl],
-        r_instant=order_ratio(out_dS[sl], out_abs[sl]),
+        dE=dE_arr[:steps_run].copy(),
+        E=np.cumsum(dE_arr[:steps_run]),
+        dS=dS,
+        S=np.cumsum(dS),
+        dO=dO,
+        O=O_from_zero[1:],
+        n_reactive=n_reactive,
+        b_total=b_total,
+        ab=ab,
+        r_instant=order_ratio(dS, out_abs[:steps_run]),
         stability_trace=stability,
-        agent_actions=None if actions is None else actions[:, sl],
+        agent_actions=None if actions is None else actions[:, :steps_run],
         moments=moments,
-        peak_ratio=float(out_nh[sl].max()) / n if steps_run else 0.0,
-        final_ratio=float(out_nh[steps_run - 1]) / n if steps_run else 0.0,
+        peak_ratio=float(n_reactive.max()) / n,
+        final_ratio=float(n_reactive[-1]) / n,
         diverged=diverged,
-        truncated_at=truncated_at,
+        truncated_at=steps_run - 1 if diverged else None,
     )
 
 
@@ -716,16 +718,18 @@ def apply_sweep_value(
     Per-agent parameters (b_high, b_low, noise_amp) are set on every
     agent; resizing n gives every agent agent 0's coefficients.
     """
-    if param not in SWEEP_PARAMS:
-        raise ValueError(
-            f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}"
-        )
+    _check_sweep_param(param)
     if param == "saturation_scale":
         return config, replace(rule, saturation_scale=float(value))
     if param == "n":
         agent_0 = {name: getattr(config, name)[0] for name in AGENT_COLUMNS}
         return replace(config, n=_crowd_size(value), **agent_0), rule
     return replace(config, **{param: float(value)}), rule
+
+
+def _check_sweep_param(param: str) -> None:
+    if param not in SWEEP_PARAMS:
+        raise ValueError(f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}")
 
 
 def _crowd_size(value: float) -> int:
@@ -735,9 +739,8 @@ def _crowd_size(value: float) -> int:
 
 
 def _sweep_one(args) -> SweepPoint:
-    config, rule, param, value, profile, seed, ceiling = args
-    cfg, rl = apply_sweep_value(config, rule, param, value)
-    result = run(cfg, rl, profile, seed, divergence_ceiling=ceiling, keep_actions=False)
+    (config, rule), param, value, profile, seed, ceiling = args
+    result = run(config, rule, profile, seed, divergence_ceiling=ceiling, keep_actions=False)
     return SweepPoint(value=float(value), summary=summarize(result, name=f"{param}={value}"))
 
 
@@ -757,22 +760,17 @@ def sweep(
     seed_policy "fixed" reuses `seed` for every run; "per-value" uses
     seed + index. The seed actually used is recorded in each point's summary.
     Runs go to min(jobs, len(values), cpu_count) worker processes when
-    that is more than one.
+    that is more than one. Every value is applied, and so checked, before
+    the first run.
     """
     if seed_policy not in ("fixed", "per-value"):
         raise ValueError(f"seed_policy must be 'fixed' or 'per-value', got {seed_policy!r}")
-    if param not in SWEEP_PARAMS:
-        raise ValueError(
-            f"unknown sweep parameter {param!r}; valid: {', '.join(SWEEP_PARAMS)}"
-        )
+    _check_sweep_param(param)  # the only check of `param` when there are no values
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if param == "n":
-        for v in values:
-            _crowd_size(v)
     seeds = [seed if seed_policy == "fixed" else seed + i for i in range(len(values))]
     tasks = [
-        (config, rule, param, v, profile, s, divergence_ceiling)
+        (apply_sweep_value(config, rule, param, v), param, v, profile, s, divergence_ceiling)
         for v, s in zip(values, seeds)
     ]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)

@@ -3,6 +3,8 @@
 import math
 import os
 import tracemalloc
+from itertools import accumulate
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,9 +12,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crowdsync.scenarios as scenarios_module
-from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise
+from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise, ordered_sum
 from crowdsync.metrics import order_parameter_closed_form, window_sync
+from crowdsync.scenario_io import load_scenario
 from crowdsync.scenarios import (
+    ForceProfile,
     aggregate_trajectory,
     apply_sweep_value,
     bubble_profile,
@@ -28,7 +32,7 @@ from crowdsync.scenarios import (
     window_reports,
     zero_profile,
 )
-from crowdsync.switching import Stability, SwitchRule
+from crowdsync.switching import Stability, SwitchRule, classify_stability, switch_priority
 from crowdsync.rng import make_generator
 
 
@@ -102,6 +106,11 @@ def test_explicit_profile_roundtrip():
         explicit_profile(4, series)
 
 
+def test_zero_length_profile_rejected():
+    with pytest.raises(ValueError, match="length must be >= 1"):
+        ForceProfile("zero", 0, np.zeros(0))
+
+
 def test_build_profile_dispatch():
     prof = build_profile("step", {"height": 2.0, "onset": 1}, 4)
     assert prof.kind == "step"
@@ -120,18 +129,6 @@ def test_quiescence():
     assert np.all(result.dO == 0.0)
     assert np.all(result.n_reactive == 0)
     assert result.peak_ratio == 0.0
-
-
-def test_step_records_are_internally_consistent(golden):
-    spec = golden("fig4-stable")
-    result = run_spec(spec)
-    sums = result.agent_actions.sum(axis=0)
-    assert np.allclose(result.dS, sums, rtol=1e-12, atol=1e-15)
-    assert np.array_equal(result.dO, spec.config.a * result.dS)
-    assert np.all((0 <= result.n_reactive) & (result.n_reactive <= spec.config.n))
-    assert np.array_equal(result.O, np.cumsum(result.dO))
-    assert np.array_equal(result.S, np.cumsum(result.dS))
-    assert np.array_equal(result.t, np.arange(result.steps_run))
 
 
 def test_delayed_response_recursion_holds_in_engine(golden):
@@ -369,6 +366,61 @@ _RUN_OPTIONS = st.fixed_dictionaries({
 })
 
 
+_FIG4 = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "fig4-stable.scenario")
+_FIG4_CASE = (_FIG4.config, _FIG4.rule, _FIG4.profile, _FIG4.seed, None, False)
+_FIG4_OPTIONS = {"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": _FIG4.divergence_ceiling}
+
+
+def _capped(options, n):
+    """`_RUN_OPTIONS` with the drawn pinned count cut to the crowd's size."""
+    if options["pinned_reactive"] is None:
+        return options
+    return {**options, "pinned_reactive": min(options["pinned_reactive"], n)}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _couplings(cfg, n_h):
+    """Each agent's b_i with the first `n_h` agents in switch priority reactive."""
+    b = cfg.b_low.copy()
+    reactive = switch_priority(cfg.b_high)[:n_h]
+    b[reactive] = cfg.b_high[reactive]
+    return b
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS)
+@example(case=_FIG4_CASE, options=_FIG4_OPTIONS)
+@example(case=_TRIPLING, options=_TRIPLING_OPTIONS)
+@example(case=_MARGINAL, options=_MARGINAL_OPTIONS)
+@example(case=_KICKED, options={"pinned_reactive": None, "initial_dO": -0.0, "divergence_ceiling": 1e12})
+def test_step_records_are_internally_consistent(case, options):
+    """Every column against a step-by-step form of its definition, bit for bit (signed zeros too)."""
+    cfg, rule, profile, seed, _, _ = case
+    options = _capped(options, cfg.n)
+    result = run(cfg, rule, profile, seed, **options)
+    a, T, ceiling = cfg.a, result.steps_run, options["divergence_ceiling"]
+    assert np.array_equal(result.t, np.arange(T))
+    assert np.all((0 <= result.n_reactive) & (result.n_reactive <= cfg.n))
+    assert _bits(result.dS) == _bits([ordered_sum(step.tolist()) for step in result.agent_actions.T])
+    assert _bits(result.S) == _bits(np.cumsum(result.dS))
+    assert _bits(result.dO) == _bits([a * dS for dS in result.dS.tolist()])
+    # O sums left to right from +0.0, so a first dO of -0.0 gives O = +0.0
+    assert _bits(result.O) == _bits(list(accumulate(result.dO.tolist(), initial=0.0))[1:])
+    couplings = [ordered_sum(_couplings(cfg, n_h).tolist()) for n_h in result.n_reactive.tolist()]
+    assert _bits(result.b_total) == _bits(couplings)
+    assert _bits(result.ab) == _bits([a * b for b in couplings])
+    assert len(result.stability_trace) == T
+    assert all(s is classify_stability(ab) for s, ab in zip(result.stability_trace, result.ab.tolist()))
+    # a run goes on while |O| is within the ceiling, and stops at the first step that is not
+    assert np.all(np.abs(result.O[:-1]) <= ceiling)
+    assert result.diverged == (not abs(result.O[-1]) <= ceiling)
+    assert T == profile.length or result.diverged
+    assert result.truncated_at == (T - 1 if result.diverged else None)
+
+
 def _assert_moments_match_the_direct_form(result):
     """The run's streamed (rho_c, sigma_c) against `window_sync` on the steps they cover.
 
@@ -419,8 +471,7 @@ def _result_bytes(result) -> dict:
          block_rows=4)
 def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_rows):
     cfg, rule, profile, seed, _, _ = case
-    if options["pinned_reactive"] is not None:
-        options = {**options, "pinned_reactive": min(options["pinned_reactive"], cfg.n)}
+    options = _capped(options, cfg.n)
     runs = [run(cfg, rule, profile, seed, **options)]  # default block size
     # one-row blocks, the shape of a per-step loop; then blocks of `block_rows` rows
     for budget in (1, 8 * cfg.n * block_rows):
@@ -565,6 +616,16 @@ def test_sweep_rejects_fractional_population_size(monkeypatch):
     with pytest.raises(ValueError, match="whole numbers"):
         apply_sweep_value(cfg, rule, "n", 10.7)
     assert apply_sweep_value(cfg, rule, "n", 12.0)[0].n == 12
+
+
+def test_sweep_checks_every_value_before_any_run(monkeypatch):
+    cfg = simple_config(n=10)
+    rule = SwitchRule(saturation_scale=1.0)
+    with monkeypatch.context() as m:
+        m.setattr(scenarios_module, "run", lambda *a, **kw: pytest.fail("ran before validating"))
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="b_high"):
+                sweep(cfg, rule, "b_high", [0.5, 0.8, -1.0], zero_profile(5), jobs=jobs)
 
 
 def test_sweep_rejects_jobs_below_one():
