@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -76,11 +77,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _load(args):
+    """The scenario of `args`, with its seed replaced by --seed when given (and so checked)."""
     spec = load_scenario(args.scenario)
-    seed = spec.seed if args.seed is None else args.seed
+    return spec if args.seed is None else replace(spec, seed=args.seed)
+
+
+def _cmd_run(args) -> int:
+    spec = _load(args)
     result = run_scenario(
-        spec.config, spec.rule, spec.profile, seed,
+        spec.config, spec.rule, spec.profile, spec.seed,
         divergence_ceiling=spec.divergence_ceiling, keep_actions=False,
     )
     summary = summarize(result, name=spec.name)
@@ -96,13 +102,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_scenario(args.scenario)
+    spec = _load(args)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
         print(f"error: --values must be comma-separated numbers, got {args.values!r}", file=sys.stderr)
         return 1
-    seed = spec.seed if args.seed is None else args.seed
     points = run_sweep(
         spec.config,
         spec.rule,
@@ -110,7 +115,7 @@ def _cmd_sweep(args) -> int:
         values,
         spec.profile,
         seed_policy=args.seed_policy,
-        seed=seed,
+        seed=spec.seed,
         jobs=args.jobs,
         divergence_ceiling=spec.divergence_ceiling,
     )
@@ -142,8 +147,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    spec = load_scenario(args.scenario)
-    seed = spec.seed if args.seed is None else args.seed
+    spec = _load(args)
     cfg = spec.config
     # (x, reactive ratio, noise half-width) of each curve point
     if args.kind == "order-vs-ratio":
@@ -159,7 +163,7 @@ def _cmd_curve(args) -> int:
     stderrs: list[float] = []
     for i, (x, ratio, noise_amp) in enumerate(points):
         samples = forced_ratio_samples(
-            cfg, ratio, dO_drive=args.drive, noise_amp=noise_amp, trials=trials, seed=seed + i,
+            cfg, ratio, dO_drive=args.drive, noise_amp=noise_amp, trials=trials, seed=spec.seed + i,
         )
         xs.append(x)
         means.append(float(samples.mean()))

@@ -28,13 +28,18 @@ fixed-order sum.
 module holds what it is built from: the crowd's per-agent coefficient
 columns and the one check of their rules, the noise models, and the
 fixed-order sum every aggregate uses.
+
+A dataclass field with a value rule declares it once, with `ruled`:
+`__post_init__` raises the first field's message (`check_fields`), and
+the scenario reader reports every broken rule on its key's line
+(`field_errors`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -47,10 +52,28 @@ class EmptyPopulationError(CrowdError):
     """An operation that needs at least one agent got none."""
 
 
-def require_finite(what: str, value: float) -> None:
-    """Raise ValueError unless `value` is a finite number."""
-    if not math.isfinite(value):
-        raise ValueError(f"{what} must be finite, got {value}")
+def ruled(check: Callable[[object], bool], message: str, **kwargs):
+    """A dataclass field whose values must pass `check`; `message.format(value)` says why one fails.
+
+    `kwargs` go to `dataclasses.field` (a default, for one).
+    """
+    return field(metadata={"check": check, "message": message}, **kwargs)
+
+
+def field_errors(cls, values: dict) -> list[tuple[str, str]]:
+    """(field, message) for each field of `cls` given in `values` that breaks its rule, in field order."""
+    return [
+        (f.name, f.metadata["message"].format(values[f.name]))
+        for f in fields(cls)
+        if f.name in values and "check" in f.metadata and not f.metadata["check"](values[f.name])
+    ]
+
+
+def check_fields(cls, values: dict) -> None:
+    """Raise ValueError with the message of the first field in `values` that breaks its rule."""
+    errors = field_errors(cls, values)
+    if errors:
+        raise ValueError(errors[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +128,13 @@ class UniformNoise:
 
 @dataclass(frozen=True)
 class WienerNoise:
-    mu: float
-    sigma: float
+    mu: float = ruled(math.isfinite, "wiener mu must be finite, got {}", default=0.0)
+    sigma: float = ruled(
+        lambda s: 0 <= s < math.inf, "wiener sigma must be finite and >= 0, got {}", default=0.0
+    )
 
     def __post_init__(self) -> None:
-        require_finite("wiener mu", self.mu)
-        require_finite("wiener sigma", self.sigma)
-        if self.sigma < 0:
-            raise ValueError("wiener sigma must be >= 0")
+        check_fields(WienerNoise, vars(self))
 
 
 NoiseModel = Union[NoNoise, UniformNoise, WienerNoise]
@@ -129,24 +151,19 @@ class CrowdConfig:
     read-only float64 copies, so a config cannot change once built.
     """
 
-    n: int
-    a: float
+    n: int = ruled(lambda n: n >= 1, "population n must be >= 1, got {}")
+    a: float = ruled(lambda a: 0 < a < math.inf, "observation sensitivity a must be finite and > 0, got {}")
     b_low: np.ndarray
     b_high: np.ndarray
     c: np.ndarray
     noise_amp: np.ndarray = 0.0
     noise_model: NoiseModel = field(default_factory=NoNoise)
-    dt: float = 1.0
+    dt: float = ruled(
+        lambda dt: 0 < dt < math.inf, "time step dt must be finite and > 0, got {}", default=1.0
+    )
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"population n must be >= 1, got {self.n}")
-        require_finite("observation sensitivity a", self.a)
-        if not self.a > 0:
-            raise ValueError(f"observation sensitivity a must be > 0, got {self.a}")
-        require_finite("time step dt", self.dt)
-        if not self.dt > 0:
-            raise ValueError(f"time step dt must be > 0, got {self.dt}")
+        check_fields(CrowdConfig, vars(self))
         for name in AGENT_COLUMNS:
             col = np.array(getattr(self, name), dtype=np.float64)  # always a copy
             if col.ndim == 0:

@@ -2,10 +2,13 @@
 
 Scenario files are flat UTF-8 key-value text (``key = value``, ``#``
 comments) with section prefixes crowd.*, rule.*, profile.*, run.*.
-The profile.* keys of each kind are the parameters of its builder in
-`PROFILE_BUILDERS`, read from the builder's signature.
-Parsing validates everything and reports every problem at once with
-line numbers; emission produces a canonical form that is stable under
+The name, crowd.*, rule.* and run.* keys each set one dataclass field
+(`_FIELD_KEYS`), and a key's type, default and rule are those of the
+field it sets. The profile.* keys of each kind are the parameters of
+its builder in `PROFILE_BUILDERS`, read from the builder's signature.
+The reader checks only the form of a value; the field or builder it
+sets checks the value. Parsing reports every problem at once with line
+numbers; emission produces a canonical form that is stable under
 re-parsing. Result tables are comma-separated with fixed headers and
 floats printed to 17 significant digits so every value round-trips.
 """
@@ -17,6 +20,7 @@ import difflib
 import inspect
 import io
 import math
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -26,21 +30,21 @@ from .dynamics import (
     AGENT_COLUMNS,
     CrowdConfig,
     CrowdError,
+    NoiseModel,
     NoNoise,
     UniformNoise,
     WienerNoise,
     agent_column_errors,
+    field_errors,
 )
 from .scenarios import (
-    DEFAULT_DIVERGENCE_CEILING,
-    NAME_RULE,
     PROFILE_BUILDERS,
+    ForceProfile,
     RunSummary,
     ScenarioResult,
     ScenarioSpec,
     SweepPoint,
     build_profile,
-    is_safe_name,
 )
 from .switching import SwitchRule
 
@@ -56,11 +60,49 @@ CURVE_COLUMNS = ["x", "mean_R", "stderr_R"]
 
 WINDOW_COLUMNS = ["window_start", "window_stop", "t_d", "sigma_o", "mean_R"]
 
+#: The noise model of each crowd.noise value.
+_NOISE_KINDS = {"none": NoNoise, "uniform": UniformNoise, "wiener": WienerNoise}
+
+#: (key prefix, class, fields) of the keys that set a dataclass field, in
+#: canonical order; the profile.* keys come just before the profile's length.
+#: A key is its prefix and the field's name, or the name `_KEY_NAMES` gives.
+_FIELD_KEYS = (
+    ("", ScenarioSpec, ("name",)),
+    ("crowd.", CrowdConfig, ("n", "a", *AGENT_COLUMNS, "noise_model")),
+    ("crowd.", WienerNoise, ("mu", "sigma")),
+    ("crowd.", CrowdConfig, ("dt",)),
+    ("rule.", SwitchRule, ("window", "saturation_scale")),
+    ("run.", ForceProfile, ("length",)),
+    ("run.", ScenarioSpec, ("seed", "metric_window", "overlap", "divergence_ceiling")),
+)
+_KEY_NAMES = {"noise_model": "noise", "length": "steps"}
+
+
+def _field_keys(prefix: str, cls: type, names: tuple[str, ...]) -> list[tuple[str, type, str, object, bool]]:
+    """(key, class, field, type, required) of each named field; one without a default is required."""
+    hints = get_type_hints(cls)
+    required = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    return [(prefix + _KEY_NAMES.get(name, name), cls, name, hints[name], required[name]) for name in names]
+
+
+_FIELDS = tuple(entry for group in _FIELD_KEYS for entry in _field_keys(*group))
+
+#: How a field's file value is read, by the field's type; n is the crowd size, if known.
+_READERS = {
+    str: lambda r, key, n: r.text(key),
+    int: lambda r, key, n: r.int_(key),
+    float: lambda r, key, n: r.float_(key),
+    bool: lambda r, key, n: r.bool_(key),
+    int | None: lambda r, key, n: None if r.text(key).lower() == "none" else r.int_(key),
+    np.ndarray: lambda r, key, n: r.float_list(key, n),
+    NoiseModel: lambda r, key, n: _NOISE_KINDS.get(r.choice(key, _NOISE_KINDS)),
+}
+
 #: How a profile parameter's file value is read, by the parameter's type.
 _PARAM_READERS = {
     int: lambda r, key: r.int_(key, minimum=0),
-    float: lambda r, key: r.float_(key, required=True),
-    list: lambda r, key: r.float_list(key, None, required=True),
+    float: lambda r, key: r.float_(key),
+    list: lambda r, key: r.float_list(key, None),
 }
 
 
@@ -76,18 +118,9 @@ def _profile_params(builder) -> tuple[tuple[str, type, bool], ...]:
 
 _PROFILE_PARAMS = {kind: _profile_params(builder) for kind, builder in PROFILE_BUILDERS.items()}
 
-_CROWD_KEYS = {"n", "a", *AGENT_COLUMNS, "noise", "mu", "sigma", "dt"}
-_RULE_KEYS = {"window", "saturation_scale"}
 _PROFILE_KEYS = {"kind"} | {key for params in _PROFILE_PARAMS.values() for key, _, _ in params}
-_RUN_KEYS = {"steps", "seed", "metric_window", "overlap", "divergence_ceiling"}
 
-_ALL_KEYS = (
-    {"name"}
-    | {f"crowd.{k}" for k in _CROWD_KEYS}
-    | {f"rule.{k}" for k in _RULE_KEYS}
-    | {f"profile.{k}" for k in _PROFILE_KEYS}
-    | {f"run.{k}" for k in _RUN_KEYS}
-)
+_ALL_KEYS = {key for key, *_ in _FIELDS} | {f"profile.{k}" for k in _PROFILE_KEYS}
 
 
 class ScenarioFormatError(CrowdError):
@@ -130,7 +163,11 @@ def _tokenize(text: str) -> tuple[dict[str, tuple[int, str]], list[str]]:
 
 
 class _Reader:
-    """Typed access to raw entries, accumulating errors instead of raising."""
+    """The form of raw entries, accumulating errors instead of raising.
+
+    The typed readers take a present key, and report a malformed value
+    with `fail`; `read` turns that into MISSING.
+    """
 
     def __init__(self, entries: dict[str, tuple[int, str]], errors: list[str]):
         self.entries = entries
@@ -144,187 +181,138 @@ class _Reader:
         where = f"line {entry[0]}: " if entry else ""
         self.errors.append(f"{where}{key}: {msg}")
 
-    def str_(self, key: str, default: str | None = None, choices: Iterable[str] | None = None):
-        entry = self.entries.get(key)
-        if entry is None:
-            if default is None:
+    def read(self, key: str, reader, required: bool, *args):
+        """`reader(self, key, *args)`; MISSING if the key is absent (an error if required) or malformed."""
+        if key not in self.entries:
+            if required:
                 self.errors.append(f"missing required key {key!r}")
-            return default
-        value = entry[1]
-        if choices is not None and value not in choices:
+            return MISSING
+        count = len(self.errors)
+        value = reader(self, key, *args)
+        return value if len(self.errors) == count else MISSING
+
+    def text(self, key: str) -> str:
+        return self.entries[key][1]
+
+    def choice(self, key: str, choices: Iterable[str]) -> str:
+        value = self.text(key)
+        if value not in choices:
             self.fail(key, f"must be one of {', '.join(choices)}; got {value!r}")
-            return default
         return value
 
-    def int_(self, key: str, default: int | None = None, minimum: int | None = None):
-        entry = self.entries.get(key)
-        if entry is None:
-            if default is None and minimum is not None:
-                self.errors.append(f"missing required key {key!r}")
-            return default
+    def int_(self, key: str, minimum: int | None = None):
+        text = self.text(key)
         try:
-            value = int(entry[1])
+            value = int(text)
         except ValueError:
-            self.fail(key, f"expected an integer, got {entry[1]!r}")
-            return default
+            self.fail(key, f"expected an integer, got {text!r}")
+            return None
         if minimum is not None and value < minimum:
             self.fail(key, f"must be >= {minimum}, got {value}")
-            return default
         return value
 
-    def float_(self, key: str, default: float | None = None, required: bool = False):
-        entry = self.entries.get(key)
-        if entry is None:
-            if required:
-                self.errors.append(f"missing required key {key!r}")
-            return default
+    def float_(self, key: str):
+        text = self.text(key)
         try:
-            value = float(entry[1])
+            value = float(text)
         except ValueError:
-            self.fail(key, f"expected a number, got {entry[1]!r}")
-            return default
+            self.fail(key, f"expected a number, got {text!r}")
+            return None
         if not math.isfinite(value):
-            self.fail(key, f"must be finite, got {entry[1]!r}")
-            return default
+            self.fail(key, f"must be finite, got {text!r}")
         return value
 
-    def bool_(self, key: str, default: bool) -> bool:
-        entry = self.entries.get(key)
-        if entry is None:
-            return default
-        text = entry[1].lower()
-        if text in ("true", "yes", "1"):
+    def bool_(self, key: str):
+        text = self.text(key)
+        if text.lower() in ("true", "yes", "1"):
             return True
-        if text in ("false", "no", "0"):
+        if text.lower() in ("false", "no", "0"):
             return False
-        self.fail(key, f"expected true/false, got {entry[1]!r}")
-        return default
+        self.fail(key, f"expected true/false, got {text!r}")
+        return None
 
-    def float_list(self, key: str, n: int | None, default: float | None = None, required: bool = False):
-        """A float64 array: a scalar expanded to n copies, or a comma list of exactly n values."""
-        entry = self.entries.get(key)
-        if entry is None:
-            if required:
-                self.errors.append(f"missing required key {key!r}")
-                return None
-            return None if default is None else np.full(n or 0, default)
-        parts = [p.strip() for p in entry[1].split(",")]
+    def float_list(self, key: str, n: int | None):
+        """A float64 array: a scalar expanded to n copies, or a comma list of exactly n values.
+
+        With n None, any number of values.
+        """
+        text = self.text(key)
         try:
-            values = [float(p) for p in parts]
+            values = [float(p) for p in text.split(",")]
         except ValueError:
-            self.fail(key, f"expected a number or comma-separated numbers, got {entry[1]!r}")
+            self.fail(key, f"expected a number or comma-separated numbers, got {text!r}")
             return None
         if not all(math.isfinite(v) for v in values):
-            self.fail(key, f"must be finite, got {entry[1]!r}")
-            return None
-        if len(values) == 1 and n is not None:
+            self.fail(key, f"must be finite, got {text!r}")
+        elif n is not None and len(values) == 1:
             return np.full(n, values[0])
-        if n is not None and len(values) != n:
+        elif n is not None and len(values) != n:
             self.fail(key, f"expected 1 or {n} values, got {len(values)}")
-            return None
         return np.array(values)
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and fully validate a scenario file.
 
-    Raises ScenarioFormatError carrying every problem found, each with
-    its line number where one applies.
+    A key that sets a dataclass field (`_FIELD_KEYS`) has that field's
+    type, default and rule. The reader checks only the value's form: a
+    key that is absent leaves the field its default, and a value that
+    breaks the field's rule is reported with the field's own message.
+    The profile builder checks its parameters; its error is reported on
+    the profile.kind line. Raises ScenarioFormatError carrying every
+    problem found, each with its line number where one applies.
     """
     entries, errors = _tokenize(text)
     r = _Reader(entries, errors)
 
-    name = r.str_("name", default="scenario")
-    if not is_safe_name(name):
-        r.fail("name", f"must be {NAME_RULE}; got {name!r}")
-    n = r.int_("crowd.n", minimum=1)
-    a = r.float_("crowd.a", required=True)
-    if a is not None and not a > 0:
-        r.fail("crowd.a", f"observation sensitivity must be > 0, got {a}")
-        a = None
-    dt = r.float_("crowd.dt", default=1.0)
-    if dt is not None and not dt > 0:
-        r.fail("crowd.dt", f"must be > 0, got {dt}")
-        dt = None
+    given: dict[type, dict] = {cls: {} for _, cls, _ in _FIELD_KEYS}
+    for key, cls, name, typ, required in _FIELDS:
+        value = r.read(key, _READERS[typ], required, given[CrowdConfig].get("n"))
+        if value is not MISSING:
+            broken = field_errors(cls, {name: value})
+            for _, message in broken:
+                r.fail(key, message)
+            if not broken:
+                given[cls][name] = value
 
-    b_low = r.float_list("crowd.b_low", n, required=True)
-    b_high = r.float_list("crowd.b_high", n, required=True)
-    c = r.float_list("crowd.c", n, required=True)
-    noise_amp = r.float_list("crowd.noise_amp", n, default=0.0)
-
-    noise_kind = r.str_("crowd.noise", default="none", choices=("none", "uniform", "wiener"))
-    mu = r.float_("crowd.mu", default=0.0)
-    sigma = r.float_("crowd.sigma", default=0.0)
-
-    columns = (b_low, b_high, c, noise_amp)
-    if n is not None and all(col is not None for col in columns):
-        for column, message in agent_column_errors(*columns):
+    crowd = given[CrowdConfig]
+    # an absent noise_amp is its field's default; the other columns have none
+    columns = [crowd.get(c, getattr(CrowdConfig, c, None)) for c in AGENT_COLUMNS]
+    if "n" in crowd and all(col is not None for col in columns):
+        for column, message in agent_column_errors(*np.broadcast_arrays(*columns)):
             r.fail(f"crowd.{column}", message)
 
-    noise_model = None
-    if noise_kind == "none":
-        noise_model = NoNoise()
-    elif noise_kind == "uniform":
-        noise_model = UniformNoise()
-    elif noise_kind == "wiener":
-        if sigma is not None and sigma < 0:
-            r.fail("crowd.sigma", f"must be >= 0, got {sigma}")
-        elif mu is not None and sigma is not None:
-            noise_model = WienerNoise(mu=mu, sigma=sigma)
-
-    window = r.int_("rule.window", default=5, minimum=1)
-    sat = r.float_("rule.saturation_scale", required=True)
-    if sat is not None and not sat > 0:
-        r.fail("rule.saturation_scale", f"must be > 0, got {sat}")
-        sat = None
-
-    steps = r.int_("run.steps", minimum=1)
-    seed = r.int_("run.seed", default=0)
-    metric_window = None
-    if r.has("run.metric_window") and entries["run.metric_window"][1].lower() != "none":
-        metric_window = r.int_("run.metric_window", minimum=1)
-    overlap = r.bool_("run.overlap", default=False)
-    ceiling = r.float_("run.divergence_ceiling", default=DEFAULT_DIVERGENCE_CEILING)
-    if ceiling is not None and not ceiling > 0:
-        r.fail("run.divergence_ceiling", f"must be > 0, got {ceiling}")
-
-    kind = r.str_("profile.kind", default=None, choices=tuple(_PROFILE_PARAMS))
+    kind = r.read("profile.kind", _Reader.choice, True, _PROFILE_PARAMS)
     profile = None
-    if kind is not None:
+    if kind is not MISSING:
         errors_before = len(errors)
-        params = {
-            key: _PARAM_READERS[typ](r, f"profile.{key}")
-            for key, typ, optional in _PROFILE_PARAMS[kind]
-            if not optional or r.has(f"profile.{key}")
-        }
+        params = {}
+        for key, typ, optional in _PROFILE_PARAMS[kind]:
+            value = r.read(f"profile.{key}", _PARAM_READERS[typ], not optional)
+            if value is not MISSING:
+                params[key] = value
         params_ok = len(errors) == errors_before
-        for key in _PROFILE_KEYS - params.keys() - {"kind"}:
+        for key in _PROFILE_KEYS - {k for k, _, _ in _PROFILE_PARAMS[kind]} - {"kind"}:
             if r.has(f"profile.{key}"):
                 r.fail(f"profile.{key}", f"not a parameter of profile kind {kind!r}")
+        steps = given[ForceProfile].get("length")
         if params_ok and steps is not None:
             try:
                 profile = build_profile(kind, params, steps)
             except ValueError as exc:
-                r.errors.append(f"profile: {exc}")
+                r.fail("profile.kind", str(exc))
 
-    if noise_kind != "wiener" and (r.has("crowd.mu") or r.has("crowd.sigma")):
+    noise = crowd.get("noise_model")
+    if noise is not WienerNoise and (r.has("crowd.mu") or r.has("crowd.sigma")):
         r.fail("crowd.noise", "crowd.mu/crowd.sigma are only meaningful with noise = wiener")
 
     if errors:
         raise ScenarioFormatError(errors)
 
-    config = CrowdConfig(n, a, b_low, b_high, c, noise_amp, noise_model, dt)
-    rule = SwitchRule(saturation_scale=sat, window=window)
-    return ScenarioSpec(
-        name=name,
-        config=config,
-        rule=rule,
-        profile=profile,
-        seed=seed,
-        metric_window=metric_window,
-        overlap=overlap,
-        divergence_ceiling=ceiling,
-    )
+    if noise is not None:
+        crowd["noise_model"] = noise(**given[WienerNoise])  # only wiener noise has mu and sigma
+    rule = SwitchRule(**given[SwitchRule])
+    return ScenarioSpec(config=CrowdConfig(**crowd), rule=rule, profile=profile, **given[ScenarioSpec])
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
@@ -342,44 +330,33 @@ def _fmt(value) -> str:
         return repr(value)
     if isinstance(value, list):
         return ", ".join(map(repr, value))
+    if isinstance(value, np.ndarray):  # an agent column: one value when every agent has it
+        return repr(float(value[0])) if np.all(value == value[0]) else ", ".join(map(repr, value.tolist()))
+    if value is None:
+        return "none"
+    for kind, model in _NOISE_KINDS.items():
+        if isinstance(value, model):
+            return kind
     return str(value)
-
-
-def _collapse(values: np.ndarray) -> str:
-    if np.all(values == values[0]):
-        return repr(float(values[0]))
-    return ", ".join(map(repr, values.tolist()))
 
 
 def format_scenario(spec: ScenarioSpec) -> str:
     """Canonical text form; parse(format(spec)) reproduces the spec."""
-    cfg = spec.config
-    lines = [f"name = {spec.name}"]
-    lines.append(f"crowd.n = {cfg.n}")
-    lines.append(f"crowd.a = {_fmt(cfg.a)}")
-    for column in AGENT_COLUMNS:
-        lines.append(f"crowd.{column} = {_collapse(getattr(cfg, column))}")
-    if isinstance(cfg.noise_model, WienerNoise):
-        lines.append("crowd.noise = wiener")
-        lines.append(f"crowd.mu = {_fmt(cfg.noise_model.mu)}")
-        lines.append(f"crowd.sigma = {_fmt(cfg.noise_model.sigma)}")
-    elif isinstance(cfg.noise_model, UniformNoise):
-        lines.append("crowd.noise = uniform")
-    else:
-        lines.append("crowd.noise = none")
-    lines.append(f"crowd.dt = {_fmt(cfg.dt)}")
-    lines.append(f"rule.window = {spec.rule.window}")
-    lines.append(f"rule.saturation_scale = {_fmt(spec.rule.saturation_scale)}")
-    lines.append(f"profile.kind = {spec.profile.kind}")
-    for key, _, _ in _PROFILE_PARAMS[spec.profile.kind]:
-        lines.append(f"profile.{key} = {_fmt(spec.profile.params[key])}")
-    lines.append(f"run.steps = {spec.profile.length}")
-    lines.append(f"run.seed = {spec.seed}")
-    lines.append(
-        f"run.metric_window = {spec.metric_window if spec.metric_window is not None else 'none'}"
-    )
-    lines.append(f"run.overlap = {_fmt(spec.overlap)}")
-    lines.append(f"run.divergence_ceiling = {_fmt(spec.divergence_ceiling)}")
+    owners = {
+        ScenarioSpec: spec,
+        CrowdConfig: spec.config,
+        WienerNoise: spec.config.noise_model,
+        SwitchRule: spec.rule,
+        ForceProfile: spec.profile,
+    }
+    lines = []
+    for key, cls, name, _, _ in _FIELDS:
+        if cls is ForceProfile:  # its kind and parameters, then its length
+            lines.append(f"profile.kind = {spec.profile.kind}")
+            for param, _, _ in _PROFILE_PARAMS[spec.profile.kind]:
+                lines.append(f"profile.{param} = {_fmt(spec.profile.params[param])}")
+        if isinstance(owners[cls], cls):  # crowd.mu and crowd.sigma only for wiener noise
+            lines.append(f"{key} = {_fmt(getattr(owners[cls], name))}")
     return "\n".join(lines) + "\n"
 
 

@@ -81,8 +81,9 @@ from .dynamics import (
     NoNoise,
     UniformNoise,
     WienerNoise,
+    check_fields,
     ordered_sum,
-    require_finite,
+    ruled,
 )
 from .metrics import (
     CrowdMoments,
@@ -124,7 +125,7 @@ class ForceProfile:
     """A deterministic series of external-force increments dE(t)."""
 
     kind: str
-    length: int
+    length: int = ruled(lambda n: n >= 1, "profile length must be >= 1, got {}")
     increments: np.ndarray
     params: dict = field(default_factory=dict)
 
@@ -256,8 +257,7 @@ def build_profile(kind: str, params: dict, length: int) -> ForceProfile:
 
 
 def _check_length(length: int) -> None:
-    if length < 1:
-        raise ValueError(f"profile length must be >= 1, got {length}")
+    check_fields(ForceProfile, {"length": length})
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +266,6 @@ def _check_length(length: int) -> None:
 
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_")
 _NAME_CHARS = _NAME_START | frozenset(".-")
-NAME_RULE = "letters, digits, '_', '.' and '-', not starting with '.' or '-'"
 
 
 def is_safe_name(name: str) -> bool:
@@ -280,23 +279,32 @@ class ScenarioSpec:
 
     `name` prefixes the output files, so it must be a safe file-name
     token (see `is_safe_name`); it can never point outside `--out`.
-    The run length is `profile.length` (a file's `run.steps`).
-    `metric_window` and `overlap` are the arguments of `window_reports`
-    for this scenario; no CLI command reads them.
+    It is keyword-only. The run length is `profile.length` (a file's
+    `run.steps`). `metric_window` and `overlap` are the arguments of
+    `window_reports` for this scenario; no CLI command reads them.
     """
 
-    name: str
+    name: str = ruled(
+        is_safe_name,
+        "scenario name must be letters, digits, '_', '.' and '-', not starting with '.' or '-'; got {!r}",
+        default="scenario",
+        kw_only=True,
+    )
     config: CrowdConfig
     rule: SwitchRule
     profile: ForceProfile
-    seed: int = 0
-    metric_window: int | None = None
-    overlap: bool = False
-    divergence_ceiling: float = DEFAULT_DIVERGENCE_CEILING
+    seed: int = ruled(lambda s: s >= 0, "seed must be >= 0, got {}", default=0)
+    metric_window: int | None = ruled(
+        lambda w: w is None or w >= 1, "metric_window must be None or >= 1, got {}", default=None
+    )
+    overlap: bool = ruled(lambda o: isinstance(o, bool), "overlap must be a bool, got {!r}", default=False)
+    divergence_ceiling: float = ruled(
+        lambda c: 0 < c < math.inf, "divergence_ceiling must be finite and > 0, got {}",
+        default=DEFAULT_DIVERGENCE_CEILING,
+    )
 
     def __post_init__(self) -> None:
-        if not is_safe_name(self.name):
-            raise ValueError(f"scenario name must be {NAME_RULE}; got {self.name!r}")
+        check_fields(ScenarioSpec, vars(self))
 
 
 @dataclass
@@ -362,8 +370,9 @@ def run(
     `keep_actions=False` no N x T action matrix is built; the result's
     moments still give the whole-run metrics.
 
-    A run stops, marked diverged, at the first step whose |O| exceeds
-    `divergence_ceiling` (finite and > 0) or is NaN.
+    `seed` and `divergence_ceiling` must meet the rules of the
+    `ScenarioSpec` fields of those names. A run stops, marked diverged,
+    at the first step whose |O| exceeds `divergence_ceiling` or is NaN.
 
     The loop records each step's dS and N_H, and derives the other
     columns from them once it ends. A crowd without noise whose dO has
@@ -379,9 +388,7 @@ def run(
     n, a, dt = config.n, config.a, config.dt
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
         raise ValueError(f"pinned_reactive={pinned_reactive} outside [0, {n}]")
-    require_finite("divergence_ceiling", divergence_ceiling)
-    if not divergence_ceiling > 0:
-        raise ValueError(f"divergence_ceiling must be > 0, got {divergence_ceiling}")
+    check_fields(ScenarioSpec, {"seed": seed, "divergence_ceiling": divergence_ceiling})
     b_low, b_high, c_vec, amp = config.b_low, config.b_high, config.c, config.noise_amp
     rank = _switch_rank(config)
 
@@ -542,14 +549,10 @@ def window_reports(
     The whole-run report is the one `summarize` gives, read from the
     run's moments. Windows start every step when `overlap`, else every
     `window` steps; a window longer than the run is cut to it. Windows
-    need the run's action matrix (`run(..., keep_actions=True)`). A run
-    of no steps has none.
+    need the run's action matrix (`run(..., keep_actions=True)`).
     """
-    if window is not None and window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    check_fields(ScenarioSpec, {"metric_window": window})
     T = result.steps_run
-    if T == 0:
-        return []
     if window is None:
         return [_whole_run_report(result)]
     if result.agent_actions is None:
@@ -681,8 +684,6 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
     (and are 0 when that was its first step). peak_O and final_O still
     report how O ended, inf or NaN included.
     """
-    if result.steps_run == 0:
-        raise ValueError("cannot summarize an empty run")
     report = _whole_run_report(result)
     k = report.stop
     return RunSummary(

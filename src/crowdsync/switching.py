@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import CrowdError, ordered_sum, require_finite
+from .dynamics import CrowdError, check_fields, ordered_sum, ruled
 
 #: Band around loop gain 1 classified as marginal.
 MARGINAL_TOL = 1e-9
@@ -47,15 +47,13 @@ class SwitchRule:
     averaged; an empty history keeps everyone normal.
     """
 
-    saturation_scale: float
-    window: int = 5
+    saturation_scale: float = ruled(
+        lambda s: 0 < s < math.inf, "saturation_scale must be finite and > 0, got {}"
+    )
+    window: int = ruled(lambda w: w >= 1, "window must be >= 1, got {}", default=5)
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-        require_finite("saturation_scale", self.saturation_scale)
-        if not self.saturation_scale > 0:
-            raise ValueError(f"saturation_scale must be > 0, got {self.saturation_scale}")
+        check_fields(SwitchRule, vars(self))
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,28 @@ def test_validate_rejects_infinite_sensitivity(tmp_path, capsys):
     assert_one_line_error(capsys, "line 4: crowd.a:", "finite")
 
 
+SEEDED_COMMANDS = {
+    "run": [],
+    "sweep": ["--param", "a", "--values", "0.01"],
+    "curve": ["--kind", "order-vs-ratio", "--points", "2"],
+}
+
+
+@pytest.mark.parametrize("command", SEEDED_COMMANDS)
+def test_seed_option_meets_the_seed_rule(command, tmp_path, capsys):
+    argv = [command, "--scenario", write_scenario(tmp_path), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    assert main(argv + SEEDED_COMMANDS[command]) == 1
+    assert_one_line_error(capsys, "seed must be >= 0, got -1")
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_rejects_negative_seed_on_its_line(tmp_path, capsys):
+    path = tmp_path / "seed.scenario"
+    path.write_text(SCENARIO.format(name="cli") + "run.seed = -1\n")
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert_one_line_error(capsys, "line 13: run.seed: seed must be >= 0, got -1")
+
+
 def test_run_rejects_nan_coefficient(tmp_path, capsys):
     path = tmp_path / "nan.scenario"
     path.write_text(SCENARIO.format(name="cli").replace("crowd.c = 1.0", "crowd.c = nan"))

@@ -1,5 +1,6 @@
 """Scenario parsing/emission and result tables."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from crowdsync.scenario_io import (
 )
 from crowdsync.scenarios import (
     PROFILE_KINDS,
+    ForceProfile,
     ScenarioSpec,
     build_profile,
     run_spec,
@@ -288,6 +290,82 @@ def test_name_survives_format_parse_or_is_refused():
         replace(spec, name="a#b")
     safe = replace(spec, name="run_1.v-2")
     assert parse_scenario(format_scenario(safe)).name == "run_1.v-2"
+
+
+def _with(text, key, value):
+    """`text` with `key` set to `value`, and the line number of that key."""
+    lines = text.rstrip("\n").split("\n")
+    at = next((i for i, line in enumerate(lines) if line.startswith(f"{key} =")), len(lines))
+    lines[at : at + 1] = [f"{key} = {value}"]
+    return "\n".join(lines) + "\n", at + 1
+
+
+_WIENER = MINIMAL.replace("profile.kind", "crowd.noise = wiener\nprofile.kind")
+_COLUMNS = {"b_low": 0.0, "b_high": 1.0, "c": 1.0}
+
+#: (file, key, value, the constructor call that sets the same field, its message)
+RULES = [
+    (MINIMAL, "crowd.n", "0", lambda: CrowdConfig(n=0, a=1.0, **_COLUMNS),
+     "population n must be >= 1, got 0"),
+    (MINIMAL, "crowd.a", "0", lambda: CrowdConfig(n=1, a=0.0, **_COLUMNS),
+     "observation sensitivity a must be finite and > 0, got 0.0"),
+    (MINIMAL, "crowd.dt", "0", lambda: CrowdConfig(n=1, a=1.0, **_COLUMNS, dt=0.0),
+     "time step dt must be finite and > 0, got 0.0"),
+    (_WIENER, "crowd.sigma", "-1", lambda: WienerNoise(sigma=-1.0),
+     "wiener sigma must be finite and >= 0, got -1.0"),
+    (MINIMAL, "rule.window", "0", lambda: SwitchRule(saturation_scale=1.0, window=0),
+     "window must be >= 1, got 0"),
+    (MINIMAL, "rule.saturation_scale", "0", lambda: SwitchRule(saturation_scale=0.0),
+     "saturation_scale must be finite and > 0, got 0.0"),
+    (MINIMAL, "run.steps", "0", lambda: ForceProfile("zero", 0, np.zeros(0)),
+     "profile length must be >= 1, got 0"),
+    (MINIMAL, "run.seed", "-1", lambda: replace(parse_scenario(MINIMAL), seed=-1),
+     "seed must be >= 0, got -1"),
+    (MINIMAL, "run.metric_window", "0", lambda: replace(parse_scenario(MINIMAL), metric_window=0),
+     "metric_window must be None or >= 1, got 0"),
+    (MINIMAL, "run.divergence_ceiling", "0", lambda: replace(parse_scenario(MINIMAL), divergence_ceiling=0.0),
+     "divergence_ceiling must be finite and > 0, got 0.0"),
+    (MINIMAL, "name", "-x", lambda: replace(parse_scenario(MINIMAL), name="-x"),
+     "scenario name must be letters, digits, '_', '.' and '-', not starting with '.' or '-'; got '-x'"),
+]
+
+
+@pytest.mark.parametrize("base,key,value,construct,message", RULES, ids=[case[1] for case in RULES])
+def test_each_field_rule_is_coded_once(base, key, value, construct, message):
+    """A file value breaking a field's rule gets, on its line, the message its constructor raises."""
+    text, line = _with(base, key, value)
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario(text)
+    assert exc_info.value.errors == [f"line {line}: {key}: {message}"]
+    with pytest.raises(ValueError) as exc_info:
+        construct()
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("seed", -1), ("metric_window", 0), ("overlap", 2), ("overlap", "yes"),
+    ("divergence_ceiling", 0.0), ("divergence_ceiling", -1.0),
+    ("divergence_ceiling", math.inf), ("divergence_ceiling", math.nan),
+])
+def test_spec_refuses_what_its_canonical_form_cannot_hold(field, bad):
+    """parse(format(spec)) holds for every spec: a value the reader would refuse is refused here."""
+    with pytest.raises(ValueError, match=field):
+        replace(parse_scenario(MINIMAL), **{field: bad})
+
+
+def test_absent_optional_keys_take_the_field_defaults():
+    spec = parse_scenario(MINIMAL.replace("name = minimal\n", "") + "crowd.noise = wiener\n")
+    assert spec.name == "scenario"
+    assert spec.config.noise_model == WienerNoise()
+    assert spec.divergence_ceiling == ScenarioSpec.divergence_ceiling
+
+
+def test_profile_builder_error_is_reported_on_the_kind_line():
+    step = "profile.kind = step\nprofile.height = 1.0\nprofile.onset = 99"
+    text = MINIMAL.replace("profile.kind = zero", step)
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario(text)
+    assert exc_info.value.errors == ["line 9: profile.kind: onset 99 outside [0, 5)"]
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,11 @@ def test_non_finite_divergence_ceiling_rejected(ceiling):
             divergence_ceiling=ceiling)
 
 
+def test_negative_seed_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5), seed=-1)
+
+
 def test_pinned_reactive_bypasses_rule():
     cfg = simple_config(b_high=1.0)
     result = run(cfg, SwitchRule(saturation_scale=1e9), zero_profile(20),
