@@ -12,17 +12,17 @@ T_d = |sum dO| / sum |dO| over a window.
 `order_ratio` is the one code that forms R from its two sums. A run's
 per-step R is `ScenarioResult.r_instant`; window reports carry no copy.
 
-rho_c and sigma_c have three forms. Whole-run summaries use the
-streaming form (`CrowdMoments`): the step loop merges each finished
-block of steps into per-agent means, second moments and co-moments
-with the aggregate, O(N) memory for any run length. The merge is the
-pairwise update of Chan, Golub & LeVeque (1979), with the co-moment
-term of Pebay (SAND 2008-6212). The direct form (`window_sync`) is the
-per-window one: one pass over the centred N x w window, O(N*w) time
-and memory. The paper's volatility-weighted matrix form
-(`DecisionPanel`, `crowd_correlation`, `crowd_volatility`) builds the
-N x N correlation matrix, O(N^2*w); it is kept as the reference the
-direct form is tested against.
+rho_c and sigma_c have two forms. The streaming form (`CrowdMoments`)
+is the one kernel: it merges blocks of steps into per-agent means,
+second moments and co-moments with the aggregate, O(N) memory for any
+run length. The merge is the pairwise update of Chan, Golub & LeVeque
+(1979), with the co-moment term of Pebay (SAND 2008-6212). The step
+loop merges each block it finishes, and `window_sync` merges a window's
+columns in blocks of the same size (`step_block_rows`), so a window of
+the whole run gives the bits of the run's moments. The paper's
+volatility-weighted matrix form (`DecisionPanel`, `crowd_correlation`,
+`crowd_volatility`) builds the N x N correlation matrix, O(N^2*w); it
+is kept as the reference the streaming form is tested against.
 
 Conventions for degenerate inputs (documented, tested): R and T_d are 0
 when every increment is zero, and when the sum of magnitudes is NaN; a
@@ -32,12 +32,11 @@ up to roundoff has sigma_c = 0 and rho_c = 0. These keep the metrics
 total over everything a simulation emits. An agent whose actions are
 all equal is centred on its first action, not on their rounded mean
 (the mean of three equal values can differ from them in the last bit),
-so its deviations are exact zeros and it stays constant in both the
-direct and the streaming form; a block of equal actions does the same
-in a merge.
+so its deviations are exact zeros and it stays constant in both forms;
+a block of equal actions does the same in a merge.
 
-"Constant up to roundoff" (`_constant_up_to_roundoff`, used by both the
-direct and the streaming form): an aggregate value is a recursive sum of
+"Constant up to roundoff" (`_constant_up_to_roundoff`, read by
+`CrowdMoments.sync`): an aggregate value is a recursive sum of
 the N centred actions x_i(t), each rounded once when it was centred, so
 its error is at most gamma_N * sum_i |x_i(t)|, with
 gamma_k = k*u / (1 - k*u) and u = 2**-53 (Higham, Accuracy and Stability
@@ -147,7 +146,10 @@ class DecisionPanel:
         n, t = arr.shape
         if n < 1 or t < 1:
             raise ValueError(f"panel needs at least one agent and one step, got {arr.shape}")
-        centered = _centred_rows(arr)
+        # a row of equal values is centred on its first value (module docstring)
+        mean = arr.mean(axis=1, keepdims=True)
+        np.copyto(mean, arr[:, :1], where=(arr == arr[:, :1]).all(axis=1, keepdims=True))
+        centered = arr - mean
         cov = (centered @ centered.T) / t
         cov = (cov + cov.T) / 2.0
         sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -163,13 +165,6 @@ class DecisionPanel:
     @property
     def n(self) -> int:
         return self.series.shape[0]
-
-
-def _centred_rows(arr: np.ndarray) -> np.ndarray:
-    """Each row minus its mean; a row of equal values gives exact zeros (module docstring)."""
-    mean = arr.mean(axis=1, keepdims=True)
-    np.copyto(mean, arr[:, :1], where=(arr == arr[:, :1]).all(axis=1, keepdims=True))
-    return arr - mean
 
 
 def crowd_volatility(per_agent_sigma, corr) -> float:
@@ -193,7 +188,7 @@ def crowd_correlation(panel: DecisionPanel) -> float:
     """Windowed synchronization rho_c via the volatility-weighted matrix form.
 
     rho_c = (1 / (N * sigma_c)) * sum_i sum_j rho_ij * sigma_j. Equals
-    the direct form `window_sync` (mean correlation of each agent with
+    the streaming form `window_sync` (mean correlation of each agent with
     the aggregate) up to roundoff, which is tested. Raises
     InvalidPanelError when the aggregate is constant (sigma_c = 0).
     """
@@ -206,22 +201,16 @@ def crowd_correlation(panel: DecisionPanel) -> float:
     return float(np.clip(weighted / (panel.n * sigma_c), -1.0, 1.0))
 
 
-def window_sync(actions) -> tuple[float, float]:
-    """(rho_c, sigma_c) of an N x w window in direct form, O(N*w).
+#: Bytes of a block of time-major action rows (one row per step), and the
+#: fewest rows a block holds: eight float64s fill a 64-byte cache line, so
+#: copying a block out writes whole lines of each agent's row of an N x T matrix.
+_STEP_BLOCK_BYTES = 2**15
+_STEP_BLOCK_MIN_ROWS = 8
 
-    With x_i the centred rows and dS = sum_i x_i the aggregate,
-    sigma_c = std(dS) and rho_c = (1/N) sum_i cov(x_i, dS) / (sigma_i sigma_c),
-    where constant agents (sigma_i = 0) count as 0. An aggregate that is
-    constant up to roundoff gives (0, 0). Agrees with the matrix form up
-    to roundoff (tested).
-    """
-    arr = np.asarray(actions, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"window must be N x w with N, w >= 1, got shape {arr.shape}")
-    centered = _centred_rows(arr)
-    agg = centered.sum(axis=0)
-    m2 = np.einsum("ij,ij->i", centered, centered)
-    return _sync(m2, centered @ agg, float(agg @ agg), arr.shape[1])
+
+def step_block_rows(n: int, steps: int) -> int:
+    """Steps in one block of N agents' actions: 32 KB, at least 8, at most `steps`."""
+    return min(steps, max(_STEP_BLOCK_MIN_ROWS, _STEP_BLOCK_BYTES // (8 * n)))
 
 
 class CrowdMoments:
@@ -229,12 +218,12 @@ class CrowdMoments:
 
     `add` takes a k x N block of time-major rows, one row per step, and
     merges its moments into the running ones; `sync` gives (rho_c,
-    sigma_c) of every row added so far, which `window_sync` gives for
-    the N x count matrix of those rows up to roundoff. It holds the step
-    count and, per agent, the mean, the sum of squared deviations `m2`
-    and the co-moment with the aggregate, plus the aggregate's `agg_m2`;
-    the aggregate's mean is the sum of the agents' means. Memory is O(N)
-    for any number of steps.
+    sigma_c) of every row added so far. It holds the step count and,
+    per agent, the mean, the sum of squared deviations `m2` and the
+    co-moment with the aggregate, plus the aggregate's `agg_m2`; the
+    aggregate's mean is the sum of the agents' means. Memory is O(N)
+    for any number of steps. The result rounds with the block edges;
+    it agrees with the matrix form up to roundoff (tested).
     """
 
     def __init__(self, n: int) -> None:
@@ -264,20 +253,40 @@ class CrowdMoments:
         self.count = total
 
     def sync(self) -> tuple[float, float]:
-        """(rho_c, sigma_c) of the rows added so far; (0, 0) before any."""
-        return _sync(self.m2, self.comoment, self.agg_m2, self.count)
+        """(rho_c, sigma_c) of the rows added so far; (0, 0) before any.
+
+        With x_i the centred actions and dS = sum_i x_i the aggregate,
+        sigma_c = std(dS) and rho_c = (1/N) sum_i cov(x_i, dS) / (sigma_i sigma_c),
+        where constant agents (sigma_i = 0) count as 0. An aggregate that
+        is constant up to roundoff gives (0, 0).
+        """
+        n = self.m2.shape[0]
+        if _constant_up_to_roundoff(self.agg_m2, float(self.m2.sum()), n):
+            return 0.0, 0.0
+        sigma_c = float(np.sqrt(self.agg_m2 / self.count))
+        sigma = np.sqrt(self.m2 / self.count)
+        rho = np.zeros(n)
+        np.divide(self.comoment / self.count, sigma * sigma_c, out=rho, where=sigma > 0.0)
+        return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c
 
 
-def _sync(m2, comoment, agg_m2: float, count: int) -> tuple[float, float]:
-    """(rho_c, sigma_c) from the sums of squared deviations and co-moments of `count` steps."""
-    n = m2.shape[0]
-    if _constant_up_to_roundoff(agg_m2, float(m2.sum()), n):
-        return 0.0, 0.0
-    sigma_c = float(np.sqrt(agg_m2 / count))
-    sigma = np.sqrt(m2 / count)
-    rho = np.zeros(n)
-    np.divide(comoment / count, sigma * sigma_c, out=rho, where=sigma > 0.0)
-    return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c
+def window_sync(actions) -> tuple[float, float]:
+    """(rho_c, sigma_c) of an N x w window, streamed through `CrowdMoments`.
+
+    The window's columns are merged in blocks of `step_block_rows(N, w)`
+    steps, the blocks of a run's step loop, so a window of a whole run
+    gives the bits of `ScenarioResult.moments.sync()`. Each block is a
+    C-contiguous copy: on a transposed view, numpy's sums round differently.
+    """
+    arr = np.asarray(actions, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"window must be N x w with N, w >= 1, got shape {arr.shape}")
+    n, w = arr.shape
+    moments = CrowdMoments(n)
+    block_rows = step_block_rows(n, w)
+    for s in range(0, w, block_rows):
+        moments.add(np.ascontiguousarray(arr[:, s : s + block_rows].T))
+    return moments.sync()
 
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -318,7 +327,7 @@ def observed_volatility(a: float, sigma_c: float) -> float:
 class SyncReport:
     """Metrics for one analysis window [start, stop) of a run.
 
-    rho_c and sigma_c come from the direct form (`window_sync`); both
+    rho_c and sigma_c come from the streaming form (`CrowdMoments`); both
     are 0 when the window's aggregate action is constant. The per-step
     order parameter is not repeated here: it is the run's `r_instant`.
     """
@@ -330,6 +339,16 @@ class SyncReport:
     sigma_o: float
     t_d: float
 
+    @classmethod
+    def from_sync(cls, sync: tuple[float, float], dO_window, a: float, start: int = 0) -> "SyncReport":
+        """The report of (rho_c, sigma_c) = `sync` on the steps of `dO_window` from `start`.
+
+        T_d of a window without steps is 0.
+        """
+        rho_c, sigma_c = sync
+        t_d = trendiness(dO_window) if len(dO_window) else 0.0
+        return cls(start, start + len(dO_window), rho_c, sigma_c, observed_volatility(a, sigma_c), t_d)
+
 
 def sync_report(
     actions: np.ndarray,
@@ -339,19 +358,15 @@ def sync_report(
 ) -> SyncReport:
     """Summarize one window of per-agent actions and observation increments.
 
-    Costs O(N*w) time and memory for an N x w window; no N x N matrix is
+    `actions` is N x w and `dO_window` holds the window's w observation
+    increments. Memory is O(N) beyond the window; no N x N matrix is
     built. A window with a constant aggregate (fully quiescent, or live
     agents that cancel exactly) reports rho_c = sigma_c = 0 rather than
     raising, so pipelines stay total; the raw crowd_correlation op still
     refuses such panels.
     """
-    actions = np.asarray(actions, dtype=np.float64)
-    rho_c, sigma_c = window_sync(actions)
-    return SyncReport(
-        start=start,
-        stop=start + actions.shape[1],
-        rho_c=rho_c,
-        sigma_c=sigma_c,
-        sigma_o=observed_volatility(a, sigma_c),
-        t_d=trendiness(dO_window),
-    )
+    sync = window_sync(actions)  # checks that actions is N x w
+    w = np.shape(actions)[1]
+    if len(dO_window) != w:
+        raise ValueError(f"dO_window must hold the window's {w} increments, got {len(dO_window)}")
+    return SyncReport.from_sync(sync, dO_window, a, start)

@@ -11,19 +11,21 @@ each step t:
      observation updates (dO = a*dS, O += dO).
 
 Actions dS_i = c_i*dE + b_i*dO_prev (+ noise) are built in a block of
-consecutive steps, one row per step. The block is a time-major array
-of 32 KB (`_STEP_BLOCK_BYTES`), but at least 8 rows (for N > 512) and
-at most the run's length; it starts as c_i*dE(t) for all its steps in
-one outer product. A step adds b_i*dO_prev and its noise to its own row
-in place and takes sum dS_i, which it needs for dO. When the block is
-full, and once when the run ends or diverges, its rows are merged into
-the run's `CrowdMoments`, copied into the N x T action matrix if the
-caller keeps one, and sum |dS_i| is taken for all of them in one
-row-wise `ordered_sum`. These are the floating-point operations of a
-one-step-at-a-time loop in the same order, so no bit of the trajectory
-or of the action matrix depends on the block size. The moments do: a
-merge rounds differently from a longer block, so the whole-run rho_c
-and sigma_c move in their last bits with it.
+consecutive steps, one row per step. The block is a time-major array of
+32 KB, but at least 8 rows (for N > 512) and at most the run's length,
+as `metrics.step_block_rows` declares; it starts as c_i*dE(t) for all
+its steps in one outer product. A step adds b_i*dO_prev and its noise
+to its own row in place and takes sum dS_i, which it needs for dO. When
+the block is full, and once when the run ends or diverges, its rows are
+merged into the run's `CrowdMoments`, copied into the N x T action
+matrix if the caller keeps one, and sum |dS_i| is taken for all of them
+in one row-wise `ordered_sum`. These are the floating-point operations
+of a one-step-at-a-time loop in the same order, so no bit of the
+trajectory or of the action matrix depends on the block size. The
+moments do: a merge rounds differently from a longer block, so the
+whole-run rho_c and sigma_c move in their last bits with it.
+`window_sync` merges a window in blocks of the same rule, so on the
+kept matrix of the steps in the moments it gives their bits.
 
 The loop records only what a step decides: its dS, N_H and action row.
 It keeps dO and O as scalars, for the feedback and the ceiling, and
@@ -85,14 +87,7 @@ from .dynamics import (
     ordered_sum,
     ruled,
 )
-from .metrics import (
-    CrowdMoments,
-    SyncReport,
-    observed_volatility,
-    order_ratio,
-    sync_report,
-    trendiness,
-)
+from .metrics import CrowdMoments, SyncReport, order_ratio, step_block_rows, sync_report
 from .rng import make_generator
 from .switching import (
     Stability,
@@ -108,12 +103,6 @@ DEFAULT_DIVERGENCE_CEILING = 1e12
 
 #: Uniform draws per block in `forced_ratio_samples`; bounds its memory.
 _DRAW_BLOCK = 2_000_000
-
-#: Bytes of the block of per-step actions `run` fills before copying it out,
-#: and the fewest steps a block holds: eight float64s fill a 64-byte cache
-#: line, so a copy writes whole lines of each agent's row of the N x T matrix.
-_STEP_BLOCK_BYTES = 2**15
-_STEP_BLOCK_MIN_ROWS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +395,7 @@ def run(
     moments = CrowdMoments(n)
 
     # One row of `block` per step: its actions, built in place (module docstring).
-    block_rows = min(T, max(_STEP_BLOCK_MIN_ROWS, _STEP_BLOCK_BYTES // (8 * n)))
+    block_rows = step_block_rows(n, T)
     block = np.empty((block_rows, n))
     fed_back = np.empty(n)
 
@@ -568,15 +557,7 @@ def window_reports(
 def _whole_run_report(result: ScenarioResult) -> SyncReport:
     """The report of the steps in the run's moments: all, or all but a non-finite last one."""
     k = result.moments.count
-    rho_c, sigma_c = result.moments.sync()
-    return SyncReport(
-        start=0,
-        stop=k,
-        rho_c=rho_c,
-        sigma_c=sigma_c,
-        sigma_o=observed_volatility(result.config.a, sigma_c),
-        t_d=trendiness(result.dO[:k]) if k else 0.0,
-    )
+    return SyncReport.from_sync(result.moments.sync(), result.dO[:k], result.config.a)
 
 
 def run_spec(spec: ScenarioSpec, seed: int | None = None, **overrides) -> ScenarioResult:
@@ -626,12 +607,14 @@ def forced_ratio_samples(
     priority are reactive, the rest normal. Each trial drives one step
     with observation increment `dO_drive`, zero external force, and
     i.i.d. uniform noise of half-width `noise_amp` (one value, or one
-    per agent); returns the per-trial order parameters.
+    per agent); returns the per-trial order parameters. `seed` must meet
+    the rule of the `ScenarioSpec` field of that name.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    check_fields(ScenarioSpec, {"seed": seed})
     n = config.n
     n_h = min(int(math.floor(ratio * n + 0.5)), n)
     base = np.where(_switch_rank(config) < n_h, config.b_high, config.b_low) * dO_drive

@@ -1,12 +1,16 @@
 """Order parameter, crowd correlation, volatility, trendiness."""
 
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import crowdsync.metrics as metrics_module
 from crowdsync.dynamics import CrowdConfig, ordered_sum
 from crowdsync.metrics import (
     CrowdMoments,
@@ -25,7 +29,11 @@ from crowdsync.metrics import (
     window_sync,
 )
 from crowdsync.rng import make_generator
-from crowdsync.scenarios import forced_ratio_samples
+from crowdsync.scenario_io import load_scenario
+from crowdsync.scenarios import forced_ratio_samples, run_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import generate  # noqa: E402
 
 
 def random_panel(rng, n=None, t=None):
@@ -253,19 +261,21 @@ def windows(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(windows())
-@example(np.array([[0.1, 0.7, 0.3], [0.3, 0.1, 0.9], [-0.4, -0.8, -1.2]]))
-def test_weighted_and_direct_paths_agree(arr):
-    """The direct kernel against the matrix form on the same window.
+@given(windows(), st.integers(1, 12))
+@example(np.array([[0.1, 0.7, 0.3], [0.3, 0.1, 0.9], [-0.4, -0.8, -1.2]]), 2)
+def test_weighted_and_direct_paths_agree(arr, block_rows):
+    """The streamed kernel, merged in blocks of `block_rows` steps, against the matrix form.
 
-    Both start from the same centred rows, so sigma_c^2 agrees to
-    rounding of sum_i sigma_i^2. When the agents cancel the aggregate
-    (sigma_c^2 below 1e-3 of that sum) the matrix form's sigma_c is the
-    square root of a cancelling sum and rho_c of either form is set by
-    rounding, so only the variances are compared there.
+    sigma_c^2 agrees to rounding of sum_i sigma_i^2. When the agents
+    cancel the aggregate (sigma_c^2 below 1e-3 of that sum) the matrix
+    form's sigma_c is the square root of a cancelling sum and rho_c of
+    either form is set by rounding, so only the variances are compared
+    there.
     """
     panel = DecisionPanel.from_series(arr)
-    rho_c, sigma_c = window_sync(arr)
+    budget = 8 * arr.shape[0] * block_rows
+    with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
+        rho_c, sigma_c = window_sync(arr)
     sigma_ref = crowd_volatility(panel.per_agent_sigma, panel.corr)
     scale = float(np.sum(panel.per_agent_sigma**2))
     assert abs(sigma_c**2 - sigma_ref**2) <= 1e-12 * scale
@@ -274,6 +284,35 @@ def test_weighted_and_direct_paths_agree(arr):
         assert abs(rho_c - crowd_correlation(panel)) <= 1e-12
     if scale == 0.0:
         assert (rho_c, sigma_c) == (0.0, 0.0)
+
+
+def _two_pass_sync(actions):
+    """(rho_c, sigma_c) of an N x w window in two passes, in np.longdouble."""
+    x = actions.astype(np.longdouble)
+    centred = x - x.mean(axis=1, keepdims=True)
+    agg = centred.sum(axis=0)
+    sigma_c = np.sqrt(agg @ agg / x.shape[1])
+    sigma = np.sqrt((centred * centred).sum(axis=1) / x.shape[1])
+    live = sigma > 0
+    rho = (centred[live] @ agg) / x.shape[1] / (sigma[live] * sigma_c)
+    return rho.sum() / x.shape[0], sigma_c
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_window_sync_keeps_its_digits_on_a_long_window(seed, tmp_path):
+    """The benchmark's long-horizon crowd (N = 100, w = 2e4) against a long-double two-pass form.
+
+    Sums over all 2e4 steps of the centred window at once lose about two
+    digits here (rho_c off by 4e-14 to 1e-13); merged in blocks of 40
+    steps, rho_c and sigma_c stay within 1e-15.
+    """
+    workload = generate("long-horizon", seed, tmp_path / "in", tmp_path / "out")
+    actions = run_spec(load_scenario(workload.scenario_files[0])).agent_actions
+    assert actions.shape == (100, 20_000)
+    rho_c, sigma_c = window_sync(actions)
+    rho_ref, sigma_ref = _two_pass_sync(actions)
+    assert abs(rho_c - rho_ref) <= 1e-15
+    assert abs(sigma_c - sigma_ref) <= 1e-15 * sigma_ref
 
 
 def test_crowd_correlation_with_constant_agents_present():
@@ -322,7 +361,7 @@ def test_agent_of_equal_actions_is_constant_in_every_form():
     assert (x + x + x) / 3 != x
     rows = np.array([[x, x, x, x], [0.1, 0.7, 0.3, 0.2]])
     sigma = float(np.std(rows[1]))
-    forms = {"direct": window_sync(rows)}
+    forms = {"window_sync": window_sync(rows)}
     forms.update({f"streamed{splits}": _streamed(rows, *splits) for splits in ((), (1,), (3,), (1, 2))})
     for form, (rho_c, sigma_c) in forms.items():
         assert rho_c == pytest.approx(0.5, abs=1e-15), form
@@ -434,6 +473,11 @@ def test_sync_report_cancelling_agents_is_total():
     assert report.rho_c == 0.0
     assert report.sigma_c == 0.0
     assert report.sigma_o == 0.0
+
+
+def test_sync_report_refuses_a_dO_window_of_another_length():
+    with pytest.raises(ValueError, match=r"^dO_window must hold the window's 4 increments, got 3$"):
+        sync_report(np.ones((2, 4)), np.zeros(3), a=0.5)
 
 
 def test_sync_report_allocates_no_n_by_n_matrix():

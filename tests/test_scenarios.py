@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import crowdsync.metrics as metrics_module
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise, ordered_sum
 from crowdsync.metrics import order_parameter_closed_form, window_sync
@@ -223,8 +224,13 @@ def test_non_finite_divergence_ceiling_rejected(ceiling):
 
 
 def test_negative_seed_rejected_by_name():
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5), seed=-1)
+    calls = [
+        lambda: run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5), seed=-1),
+        lambda: forced_ratio_samples(simple_config(), 0.5, seed=-1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            call()
 
 
 def test_pinned_reactive_bypasses_rule():
@@ -426,8 +432,24 @@ def test_step_records_are_internally_consistent(case, options):
     assert result.truncated_at == (T - 1 if result.diverged else None)
 
 
+def _direct_sync(window):
+    """(rho_c, sigma_c) of an N x w window in one pass over its centred rows, not merged.
+
+    An agent whose actions are all equal is centred on its first action,
+    as in the merge; there is no roundoff threshold on the aggregate.
+    """
+    constant = np.all(window == window[:, :1], axis=1, keepdims=True)
+    centred = window - np.where(constant, window[:, :1], window.mean(axis=1, keepdims=True))
+    agg = centred.sum(axis=0)
+    sigma_c = np.sqrt(agg @ agg / window.shape[1])
+    sigma = np.sqrt(np.einsum("ij,ij->i", centred, centred) / window.shape[1])
+    rho = np.zeros(window.shape[0])
+    np.divide(centred @ agg / window.shape[1], sigma * sigma_c, out=rho, where=sigma * sigma_c > 0.0)
+    return float(rho.mean()), float(sigma_c)
+
+
 def _assert_moments_match_the_direct_form(result):
-    """The run's streamed (rho_c, sigma_c) against `window_sync` on the steps they cover.
+    """The run's streamed (rho_c, sigma_c) against `_direct_sync` on the steps they cover.
 
     Each form centres every action once, so each is off by rounding of the
     actions' magnitudes, not of their spread. With Q = sum_i mean_t x_i(t)**2
@@ -445,7 +467,7 @@ def _assert_moments_match_the_direct_form(result):
         assert (rho_c, sigma_c) == (0.0, 0.0)
         return
     window = result.agent_actions[:, :k]
-    rho_ref, sigma_ref = window_sync(window)
+    rho_ref, sigma_ref = _direct_sync(window)
     square = np.mean(window**2, axis=1)
     bound = window.shape[0] * float(square.sum())
     assert abs(sigma_c**2 - sigma_ref**2) <= 1e-12 * bound + np.finfo(float).tiny
@@ -480,7 +502,7 @@ def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_
     runs = [run(cfg, rule, profile, seed, **options)]  # default block size
     # one-row blocks, the shape of a per-step loop; then blocks of `block_rows` rows
     for budget in (1, 8 * cfg.n * block_rows):
-        with mock.patch.multiple(scenarios_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
+        with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
             runs.append(run(cfg, rule, profile, seed, **options))
     results = [_result_bytes(r) for r in runs]
     assert results[1] == results[0]
@@ -488,6 +510,38 @@ def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_
     # the streamed moments round with the block size, so they are held to a tolerance
     for r in runs:
         _assert_moments_match_the_direct_form(r)
+
+
+# Finite actions until step 4, whose aggregate overflows: the moments hold steps 0-3.
+_OVERFLOWING = (CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=0.5, c=[1.0, 0.5]), SwitchRule(1.0),
+                explicit_profile(6, [1.0, -1.0, 2.0, 0.5, 1.5e308, 0.0]), 0, None, False)
+
+
+def _assert_window_sync_gives_the_moments(result):
+    """The whole-run window over the kept matrix has the bits of the run's moments."""
+    k = result.moments.count
+    if k == result.steps_run:
+        assert window_reports(result, k) == window_reports(result)
+    elif k:  # the moments leave out the step at which O became inf or NaN
+        assert window_sync(result.agent_actions[:, :k]) == result.moments.sync()
+
+
+@pytest.mark.parametrize("name", ["fig4-stable", "fig5-unstable", "fig6-bubble"])
+def test_whole_run_window_equals_the_moments_on_goldens(golden, name):
+    _assert_window_sync_gives_the_moments(run_spec(golden(name)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
+@example(case=_OVERFLOWING, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
+         block_rows=3)
+@example(case=_WIDE_NOISY, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
+         block_rows=3)
+def test_whole_run_window_equals_the_moments(case, options, block_rows):
+    cfg, rule, profile, seed, _, _ = case
+    options = _capped(options, cfg.n)
+    with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=8 * cfg.n * block_rows, _STEP_BLOCK_MIN_ROWS=1):
+        _assert_window_sync_gives_the_moments(run(cfg, rule, profile, seed, **options))
 
 
 def test_quiet_steps_are_filled_not_stepped():
