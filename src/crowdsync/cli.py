@@ -10,6 +10,7 @@ message on stderr.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -131,9 +132,12 @@ def _cmd_metrics(args) -> int:
     if w < 1:
         print(f"error: --window must be >= 1, got {w}", file=sys.stderr)
         return 1
-    table = read_table(args.table, columns=("t", "dO", "R"))  # perfbench traces count rows by "t"
-    dO = table["dO"]
-    r_col = table["R"]
+    table = read_table(args.table, columns=("t", "dO", "R", "O"))  # perfbench traces count rows by "t"
+    # a run that overflowed ends at a step whose O is inf or NaN; as in `summarize`, it is left out
+    O = table["O"]
+    steps = len(O) - 1 if len(O) and not math.isfinite(O[-1]) else len(O)
+    dO = table["dO"][:steps]
+    r_col = table["R"][:steps]
     rows = []
     for start in range(0, len(dO) - w + 1, w):
         seg = slice(start, start + w)

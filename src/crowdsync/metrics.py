@@ -217,13 +217,14 @@ class CrowdMoments:
     """Streaming (rho_c, sigma_c) of a crowd's actions, merged block by block.
 
     `add` takes a k x N block of time-major rows, one row per step, and
-    merges its moments into the running ones; `sync` gives (rho_c,
-    sigma_c) of every row added so far. It holds the step count and,
-    per agent, the mean, the sum of squared deviations `m2` and the
-    co-moment with the aggregate, plus the aggregate's `agg_m2`; the
-    aggregate's mean is the sum of the agents' means. Memory is O(N)
-    for any number of steps. The result rounds with the block edges;
-    it agrees with the matrix form up to roundoff (tested).
+    merges its moments into the running ones; `add_repeats` merges k
+    copies of one row in O(N); `sync` gives (rho_c, sigma_c) of every
+    row added so far. It holds the step count and, per agent, the mean,
+    the sum of squared deviations `m2` and the co-moment with the
+    aggregate, plus the aggregate's `agg_m2`; the aggregate's mean is the
+    sum of the agents' means. Memory is O(N) for any number of steps.
+    The result rounds with the block edges; it agrees with the matrix
+    form up to roundoff (tested).
     """
 
     def __init__(self, n: int) -> None:
@@ -242,14 +243,30 @@ class CrowdMoments:
         np.copyto(block_mean, rows[0], where=(rows == rows[0]).all(axis=0))  # constant agents
         centred = rows - block_mean
         agg = centred.sum(axis=1)
+        self._merge(block_mean, k, np.einsum("ti,ti->i", centred, centred), agg @ centred, float(agg @ agg))
+
+    def add_repeats(self, row: np.ndarray, k: int) -> None:
+        """Merge k copies of one finite row: the bits of `add(np.tile(row, (k, 1)))`, in O(N).
+
+        In `add`, such a block's mean is the row, so its centred rows, their
+        aggregate and every sum of their products are exact +0.0, and only
+        the delta terms are left. They are still added to +0.0, so that a
+        -0.0 term rounds as it does in `add`. An inf or NaN in the row
+        would make its centred rows NaN in `add`, so the row must be finite.
+        """
+        if k:
+            self._merge(row, k, 0.0, 0.0, 0.0)
+
+    def _merge(self, block_mean, k: int, m2, comoment, agg_m2: float) -> None:
+        """Merge a block of k steps with these mean and centred sums into the running moments."""
         total = self.count + k
         delta = block_mean - self.mean
         d_agg = float(delta.sum())
         weight = self.count * k / total
         self.mean += delta * (k / total)
-        self.m2 += np.einsum("ti,ti->i", centred, centred) + delta * delta * weight
-        self.comoment += agg @ centred + delta * (d_agg * weight)
-        self.agg_m2 += float(agg @ agg) + d_agg * d_agg * weight
+        self.m2 += m2 + delta * delta * weight
+        self.comoment += comoment + delta * (d_agg * weight)
+        self.agg_m2 += agg_m2 + d_agg * d_agg * weight
         self.count = total
 
     def sync(self) -> tuple[float, float]:

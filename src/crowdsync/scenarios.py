@@ -28,13 +28,14 @@ whole-run rho_c and sigma_c move in their last bits with it.
 kept matrix of the steps in the moments it gives their bits.
 
 The loop records only what a step decides: its dS, N_H and action row.
-It keeps dO and O as scalars, for the feedback and the ceiling, and
-rebuilds the couplings b_i only when N_H changes. After the loop, the
-other columns are derived once with the loop's floating-point
-operations: dO = a*dS, O as the left-to-right sum of dO from +0.0 (so a
-first dO of -0.0 gives O = +0.0, as in the loop), and B (the ordered
-sum of the couplings), a*B and its stability class once per run of
-steps with one N_H.
+It keeps dO and O as scalars, for the feedback and the ceiling. When
+N_H changes, it sets the couplings b_i of only the agents whose place
+in switch priority lies between the old count and the new one. After
+the loop, the other columns are derived once with the loop's
+floating-point operations: dO = a*dS, O as the left-to-right sum of dO
+from +0.0 (so a first dO of -0.0 gives O = +0.0, as in the loop), and
+B (the ordered sum of the couplings), a*B and its stability class once
+per distinct N_H.
 
 Exact repeats. A step is a function of the trailing |dO| window (which
 gives N_H), dO_prev, dE(t) and the noise. So in a crowd without noise,
@@ -45,13 +46,18 @@ for bit: the same action row, dS and N_H, and O grows by the same dO.
 This is the crowd that has settled: a contracting crowd at rest
 (dO = 0) or a crowd whose loop gain is pinned at 1 carrying a constant
 dO. The loop counts such a streak of equal dO (0.0 and -0.0 differ; a
-NaN matches nothing) and, once it holds, fills the rest of the current
-block in a few array operations, up to the first step whose dE differs:
-it copies the row, dS and N_H, and checks the ceiling on the filled O
+NaN matches nothing) and, once it holds, fills the steps up to the
+first one whose dE bits differ (found by a binary search in the run's
+change points of dE), or to the run's end, across block edges. It
+copies the row, dS and N_H, and checks the ceiling on the filled O
 taken by `np.add.accumulate`, the same sequential additions as the
 loop's O += dO, so the first filled step with |O| over the ceiling ends
-the run as it would have. A block's first step is always computed, so a
-loop of one-row blocks never fills.
+the run as it would have. The block edges stay where N and T put them,
+so the moments keep their bits. A block that holds only filled steps costs
+O(N): it merges through `CrowdMoments.add_repeats`, which gives the
+bits of `add` on its rows, and its sum |dS_i| is one `ordered_sum` of
+the row. A block that a fill enters part way gets the row copied into
+its first rows, and computing resumes at the first step after the fill.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). Amplifying configurations are expected to blow up;
@@ -366,8 +372,9 @@ def run(
     The loop records each step's dS and N_H, and derives the other
     columns from them once it ends. A crowd without noise whose dO has
     repeated bit for bit over a full switch-rule window repeats its last
-    step while dE keeps its bits; those steps are filled in bulk. Every
-    bit is as a step-by-step loop gives it (module docstring).
+    step while dE keeps its bits; those steps are filled in bulk, across
+    block edges, and a block of them only costs O(N). Every bit is as a
+    step-by-step loop gives it (module docstring).
 
     Noise models: per-agent uniform noise enters each agent's action;
     aggregate drift+diffusion noise enters the observation update and is
@@ -379,7 +386,7 @@ def run(
         raise ValueError(f"pinned_reactive={pinned_reactive} outside [0, {n}]")
     check_fields(ScenarioSpec, {"seed": seed, "divergence_ceiling": divergence_ceiling})
     b_low, b_high, c_vec, amp = config.b_low, config.b_high, config.c, config.noise_amp
-    rank = _switch_rank(config)
+    priority = switch_priority(b_high)
 
     model = config.noise_model
     uniform = isinstance(model, UniformNoise)
@@ -403,28 +410,48 @@ def run(
     dO_prev = initial_dO
     O = 0.0
     n_h = pinned_reactive
-    coupled_for = None  # the N_H that b_eff was built for
+    b_eff = b_low.copy()
+    coupled_for = 0  # the N_H that b_eff is built for
     diverged = False
     steps_run = T
 
     # Exact repeats (module docstring): `streak` counts the steps whose dO has
-    # the bits of the step before; dE is compared by its bits too.
+    # the bits of the step before; dE is compared by its bits, and a fill ends
+    # at the next step whose dE bits change. Steps before `filled_to` are
+    # computed or filled; `fill_row` is the action row that the fill repeats.
     steady = isinstance(model, NoNoise)
     window = rule.window
     dE_bits = np.ascontiguousarray(dE_arr, dtype=np.float64).view(np.int64)
+    dE_changes = np.flatnonzero(dE_bits[1:] != dE_bits[:-1]) + 1
     streak = 0
+    filled_to = 0
 
     # A diverging run overflows on purpose; the ceiling check below reports it.
+    # Only the diverging step can hold inf or NaN actions: when O is not finite,
+    # the block that ends at the run's last step leaves that step out of the moments.
     with np.errstate(over="ignore", invalid="ignore"):
         for t0 in range(0, T, block_rows):
-            rows = np.multiply.outer(dE_arr[t0 : t0 + block_rows], c_vec, out=block[: T - t0])
-            t_end = t0 + len(rows)
-            steps = enumerate(rows, t0)
+            if t0 >= steps_run:
+                break
+            t_end = min(t0 + block_rows, steps_run)
+            if filled_to >= t_end:  # a block of repeats only costs O(N) (module docstring)
+                if actions is not None:
+                    actions[:, t0:t_end] = fill_row[:, None]
+                moments.add_repeats(fill_row, t_end - t0 - (t_end == steps_run and not math.isfinite(O)))
+                out_abs[t0:t_end] = ordered_sum(np.abs(fill_row))
+                continue
+            rows = np.multiply.outer(dE_arr[t0:t_end], c_vec, out=block[: t_end - t0])
+            lead = max(filled_to - t0, 0)  # rows of a fill that began in an earlier block
+            if lead:
+                rows[:lead] = fill_row
+            steps = enumerate(rows[lead:], t0 + lead)
             for t, ds_i in steps:
                 if pinned_reactive is None:
                     n_h = update_reactive_count(history, rule, n)
                 if n_h != coupled_for:
-                    b_eff = np.where(rank < n_h, b_high, b_low)
+                    # only the agents in priority between the two counts switch
+                    switched = priority[min(n_h, coupled_for) : max(n_h, coupled_for)]
+                    b_eff[switched] = (b_high if n_h > coupled_for else b_low)[switched]
                     coupled_for = n_h
                 ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
                 if uniform:
@@ -447,17 +474,13 @@ def run(
                     diverged = True
                     steps_run = t + 1
                     break
-                if streak >= window and t >= window and t + 1 < t_end:
+                if streak >= window and t >= window:
                     # the |dO| window is full and constant, so each next step
                     # with dE's bits repeats this one until dE changes
-                    changed = np.flatnonzero(dE_bits[t + 1 : t_end] != dE_bits[t])
-                    k = int(changed[0]) if changed.size else t_end - t - 1
+                    change = np.searchsorted(dE_changes, t, side="right")
+                    k = (int(dE_changes[change]) if change < len(dE_changes) else T) - t - 1
                     if k == 0:
                         continue
-                    fill = slice(t + 1, t + 1 + k)
-                    rows[fill.start - t0 : fill.stop - t0] = ds_i
-                    out_dS[fill] = dS
-                    out_nh[fill] = n_h
                     filled_O = np.add.accumulate(np.concatenate(([O], np.full(k, dO))))  # O += dO, k times
                     over = np.flatnonzero(~(np.abs(filled_O[1:]) <= divergence_ceiling))
                     if over.size:  # the run ends at the first filled step over the ceiling
@@ -465,30 +488,37 @@ def run(
                         diverged = True
                         steps_run = t + k + 1
                     O = float(filled_O[k])
+                    filled_to = t + 1 + k
+                    fill_row = ds_i.copy()
+                    rows[t + 1 - t0 : filled_to - t0] = ds_i
+                    out_dS[t + 1 : filled_to] = dS
+                    out_nh[t + 1 : filled_to] = n_h
                     if diverged:
                         break
                     streak += k
-                    next(islice(steps, k - 1, None), None)  # skip the filled rows
-            done = rows[: steps_run - t0]  # every row of the block, or up to the diverging step
+                    next(islice(steps, k - 1, None), None)  # skip the filled rows of this block
+            t_stop = min(t_end, steps_run)
+            done = rows[: t_stop - t0]  # every row of the block, or up to the diverging step
             if actions is not None:
-                actions[:, t0 : t0 + len(done)] = done.T
-            # only the diverging step can hold inf or NaN actions; the moments leave it out
-            moments.add(done if math.isfinite(O) else done[:-1])
-            out_abs[t0 : t0 + len(done)] = ordered_sum(np.abs(done, out=done))
-            if diverged:
-                break
+                actions[:, t0:t_stop] = done.T
+            moments.add(done[:-1] if t_stop == steps_run and not math.isfinite(O) else done)
+            out_abs[t0:t_stop] = ordered_sum(np.abs(done, out=done))
 
         # The columns that dS and N_H determine, derived once (module docstring).
         dS, n_reactive = out_dS[:steps_run], out_nh[:steps_run]
         dO = a * dS
+        E, S = np.cumsum(dE_arr[:steps_run]), np.cumsum(dS)
         O_from_zero = np.zeros(steps_run + 1)
         O_from_zero[1:] = dO
         np.add.accumulate(O_from_zero, out=O_from_zero)  # the loop's O += dO, from +0.0
-        # the first step of each run of steps with one N_H
+        # the first step of each run of steps with one N_H, and the couplings'
+        # sum once per distinct N_H
         coupled = np.r_[0, np.flatnonzero(n_reactive[1:] != n_reactive[:-1]) + 1]
-        b_runs = [ordered_sum(np.where(rank < k, b_high, b_low)) for k in n_reactive[coupled]]
         lengths = np.diff(coupled, append=steps_run).tolist()
-        b_total = np.repeat(b_runs, lengths)
+        run_counts = n_reactive[coupled].tolist()
+        rank = _switch_rank(config)
+        b_sums = {k: ordered_sum(np.where(rank < k, b_high, b_low)) for k in set(run_counts)}
+        b_total = np.repeat([b_sums[k] for k in run_counts], lengths)
         ab = a * b_total
     stability: list[Stability] = []
     for gain, length in zip(ab[coupled].tolist(), lengths):
@@ -501,9 +531,9 @@ def run(
         seed=seed,
         t=np.arange(steps_run),
         dE=dE_arr[:steps_run].copy(),
-        E=np.cumsum(dE_arr[:steps_run]),
+        E=E,
         dS=dS,
-        S=np.cumsum(dS),
+        S=S,
         dO=dO,
         O=O_from_zero[1:],
         n_reactive=n_reactive,

@@ -8,7 +8,7 @@ import pytest
 import crowdsync.scenarios as scenarios_module
 from crowdsync.cli import main
 from crowdsync.metrics import CrowdMoments
-from crowdsync.scenario_io import TABLE_COLUMNS
+from crowdsync.scenario_io import TABLE_COLUMNS, WINDOW_COLUMNS
 
 SCENARIO = """
 name = {name}
@@ -169,6 +169,38 @@ def test_metrics_checks_window_before_reading_table(tmp_path, capsys):
     argv = ["metrics", "--table", str(tmp_path / "missing.csv"), "--window", "0"]
     assert main(argv) == 1
     assert "--window must be >= 1" in capsys.readouterr().err
+
+
+# The overflowing crowd of the scenario tests: O is inf at step 4, so the run stops there.
+OVERFLOWING = """
+name = overflowing
+crowd.n = 2
+crowd.a = 1.0
+crowd.b_low = 0.0
+crowd.b_high = 0.5
+crowd.c = 1.0, 0.5
+rule.saturation_scale = 1.0
+profile.kind = explicit
+profile.series = 1.0, -1.0, 2.0, 0.5, 1.5e308, 0.0
+run.steps = 6
+"""
+
+
+def test_metrics_leaves_out_the_step_at_which_o_overflowed(tmp_path, capsys):
+    """As in the summary: no NaN cell and no numpy warning (tier-1 makes a warning an error)."""
+    path = tmp_path / "overflowing.scenario"
+    path.write_text(OVERFLOWING, encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert "diverged after 5 steps" in capsys.readouterr().out
+    table = str(tmp_path / "overflowing_timeseries.csv")
+    tables = {}
+    for window in ("2", "4", "5"):
+        assert main(["metrics", "--table", table, "--window", window]) == 0
+        tables[window] = capsys.readouterr().out
+    head = ",".join(WINDOW_COLUMNS) + "\n"
+    assert tables["2"] == head + "0,2,1,0.75,0.5\n2,4,1,0.375,1\n"  # windows before step 4, as before
+    assert tables["4"] == head + "0,4,1,1.4402148277253641,0.75\n"
+    assert tables["5"] == head  # steps 0-3 fill no window of 5
 
 
 TABLE_HEAD = ",".join(TABLE_COLUMNS) + "\n0,0,0,0,0,0,0,0,0,0,0,0,contracting\n"

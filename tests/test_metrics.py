@@ -369,6 +369,38 @@ def test_agent_of_equal_actions_is_constant_in_every_form():
     assert DecisionPanel.from_series(rows).per_agent_sigma[0] == 0.0
 
 
+# Finite actions, signed zeros among them, small enough that no square or sum overflows.
+_ACTION = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-1e100, 1e100)
+
+
+@st.composite
+def repeat_merges(draw):
+    """A row, a repeat count and a prior block (None, or a finite k x N block added first)."""
+    n = draw(st.integers(1, 6))
+    row = draw(hnp.arrays(np.float64, n, elements=_ACTION))
+    prior = draw(st.none() | hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.just(n)), elements=_ACTION))
+    return row, draw(st.integers(1, 20)), prior
+
+
+def _moment_bits(moments):
+    return (moments.count, moments.mean.tobytes(), moments.m2.tobytes(), moments.comoment.tobytes(),
+            np.float64(moments.agg_m2).tobytes())
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeat_merges())
+@example((np.array([-0.0, 0.0]), 3, np.array([[-0.0, -0.0]])))  # signed zeros in the row and the prior block
+def test_merging_repeats_of_a_row_gives_the_bits_of_adding_them(case):
+    row, k, prior = case
+    closed, tiled = CrowdMoments(len(row)), CrowdMoments(len(row))
+    if prior is not None:
+        closed.add(prior)
+        tiled.add(prior)
+    closed.add_repeats(row, k)
+    tiled.add(np.tile(row, (k, 1)))
+    assert _moment_bits(closed) == _moment_bits(tiled)
+
+
 def test_crowd_correlation_all_zero_panel_is_error():
     panel = DecisionPanel.from_series(np.zeros((3, 50)))
     with pytest.raises(InvalidPanelError):

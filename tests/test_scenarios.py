@@ -3,6 +3,7 @@
 import math
 import os
 import tracemalloc
+from collections import deque
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,13 @@ from crowdsync.scenarios import (
     window_reports,
     zero_profile,
 )
-from crowdsync.switching import Stability, SwitchRule, classify_stability, switch_priority
+from crowdsync.switching import (
+    Stability,
+    SwitchRule,
+    classify_stability,
+    switch_priority,
+    update_reactive_count,
+)
 from crowdsync.rng import make_generator
 
 
@@ -370,6 +377,12 @@ _KICKED = (CrowdConfig(n=3, a=0.3, b_low=0.0, b_high=0.8, c=[1.0, -0.5, 0.25]), 
 _WARMING = (CrowdConfig(n=2, a=1.0, b_low=0.5, b_high=1.0, c=1.0), SwitchRule(1.0, window=1),
             zero_profile(6), 0, None, False)
 
+# N > 512, so 8-row blocks. Quiet, so steps 6-20 repeat step 5, across the block
+# edges at 8 and 16; kicked at step 21, in mid-block; at rest again (N_H = 0,
+# dO = +0.0) from step 33, so steps 39-59 repeat step 38, across three edges.
+_WIDE_SETTLED = (CrowdConfig(n=600, a=1 / 600, b_low=0.0, b_high=0.5, c=1.0), SwitchRule(0.3),
+                 step_profile(60, 1.0, 21), 0, None, False)
+
 _RUN_OPTIONS = st.fixed_dictionaries({
     "pinned_reactive": st.none() | st.integers(0, 6),  # capped at the drawn n
     "initial_dO": st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-2.0, 2.0),
@@ -430,6 +443,72 @@ def test_step_records_are_internally_consistent(case, options):
     assert result.diverged == (not abs(result.O[-1]) <= ceiling)
     assert T == profile.length or result.diverged
     assert result.truncated_at == (T - 1 if result.diverged else None)
+
+
+def _per_step_run(cfg, rule, profile, seed, pinned_reactive, initial_dO, divergence_ceiling):
+    """The step loop one step at a time: no blocks, no filled repeats, no derived columns.
+
+    Returns each step's (dS, N_H, O, action row) and whether the run diverged.
+    """
+    rng, model, n = make_generator(seed), cfg.noise_model, cfg.n
+    history = deque(maxlen=rule.window)
+    dO_prev, O = initial_dO, 0.0
+    steps = []
+    for dE in profile.increments.tolist():
+        n_h = update_reactive_count(history, rule, n) if pinned_reactive is None else pinned_reactive
+        ds_i = dE * cfg.c + _couplings(cfg, n_h) * dO_prev
+        if isinstance(model, UniformNoise):
+            ds_i += rng.uniform(-1.0, 1.0, n) * cfg.noise_amp
+        elif isinstance(model, WienerNoise):
+            agg_eps = model.mu * cfg.dt + model.sigma * math.sqrt(cfg.dt) * float(rng.standard_normal())
+            ds_i += agg_eps / (cfg.a * n)
+        dS = ordered_sum(ds_i.tolist())
+        dO = cfg.a * dS
+        O += dO
+        steps.append((dS, n_h, O, ds_i))
+        history.append(dO)
+        dO_prev = dO
+        if not abs(O) <= divergence_ceiling:
+            return steps, True
+    return steps, False
+
+
+_SETTLED_OPTIONS = {"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12}
+
+# Gain 1 and dO = 0.5e308 from step 0: steps 2-3 repeat step 1, and O overflows to inf at step 3.
+_OVERFLOWING_FILL = (CrowdConfig(n=1, a=1.0, b_low=0.0, b_high=1.0, c=1.0), SwitchRule(1.0, window=1),
+                     explicit_profile(6, [0.5e308] + [0.0] * 5), 0, None, False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
+@example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=4)
+@example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=1)
+@example(case=_KICKED, options={**_SETTLED_OPTIONS, "initial_dO": -0.0}, block_rows=1)
+@example(case=_WARMING, options={**_SETTLED_OPTIONS, "initial_dO": 1.0, "divergence_ceiling": 1e3}, block_rows=4)
+@example(case=_WIDE_NOISY, options=_SETTLED_OPTIONS, block_rows=3)
+@example(case=_WIDE_SETTLED, options=_SETTLED_OPTIONS, block_rows=1)
+@example(case=_WIDE_SETTLED, options=_SETTLED_OPTIONS, block_rows=5)
+@example(case=_OVERFLOWING_FILL, options={**_SETTLED_OPTIONS, "pinned_reactive": 1, "divergence_ceiling": 1.7e308},
+         block_rows=1)
+def test_run_equals_a_per_step_loop(case, options, block_rows):
+    """run(), in its default blocks and in blocks of `block_rows` rows, against `_per_step_run`, bit for bit."""
+    cfg, rule, profile, seed, _, _ = case
+    options = _capped(options, cfg.n)
+    with np.errstate(over="ignore", invalid="ignore"):  # diverging crowds overflow on purpose
+        steps, diverged = _per_step_run(cfg, rule, profile, seed, **options)
+    dS, n_h, O, rows = zip(*steps)
+    results = [run(cfg, rule, profile, seed, **options)]
+    with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=8 * cfg.n * block_rows, _STEP_BLOCK_MIN_ROWS=1):
+        results.append(run(cfg, rule, profile, seed, **options))
+    for result in results:
+        assert _bits(result.dS) == _bits(dS)
+        assert result.n_reactive.tolist() == list(n_h)
+        assert _bits(result.O) == _bits(O)
+        assert _bits(result.agent_actions) == _bits(np.array(rows).T)
+        assert (result.diverged, result.steps_run) == (diverged, len(steps))
+        # the moments hold every step but one at which O became inf or NaN
+        assert result.moments.count == len(steps) - (not math.isfinite(O[-1]))
 
 
 def _direct_sync(window):
@@ -493,14 +572,14 @@ def _result_bytes(result) -> dict:
 @example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=8)  # step 26: 3rd row of steps 24-31
 @example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=40)  # steps 6-26 repeat step 5
 @example(case=_KICKED, options={"pinned_reactive": None, "initial_dO": -0.0, "divergence_ceiling": 1e12},
-         block_rows=8)  # steps 9-12 repeat step 8; step 13 is computed
+         block_rows=8)  # steps 3-12 repeat step 2, across the block edge at 8; step 13 is computed
 @example(case=_WARMING, options={"pinned_reactive": None, "initial_dO": 1.0, "divergence_ceiling": 1e3},
          block_rows=4)
 def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_rows):
     cfg, rule, profile, seed, _, _ = case
     options = _capped(options, cfg.n)
     runs = [run(cfg, rule, profile, seed, **options)]  # default block size
-    # one-row blocks, the shape of a per-step loop; then blocks of `block_rows` rows
+    # one-row blocks, whose every edge a fill crosses; then blocks of `block_rows` rows
     for budget in (1, 8 * cfg.n * block_rows):
         with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
             runs.append(run(cfg, rule, profile, seed, **options))
@@ -544,15 +623,29 @@ def test_whole_run_window_equals_the_moments(case, options, block_rows):
         _assert_window_sync_gives_the_moments(run(cfg, rule, profile, seed, **options))
 
 
-def test_quiet_steps_are_filled_not_stepped():
-    # dO is exactly 0 from step 16 on; a loop that computed each of the T steps
-    # would call the switch rule T times
-    T = 2000
+def _computed_steps(n):
+    """A quiet-tailed step crowd of `n` agents, and the steps its run computed (calls to the switch rule)."""
     rule_fn = scenarios_module.update_reactive_count
     with mock.patch.object(scenarios_module, "update_reactive_count", wraps=rule_fn) as counted:
-        result = run(simple_config(), SwitchRule(0.3), step_profile(T, 1.0, 5))
-    assert not np.any(result.dO[16:])
-    assert counted.call_count < T / 4
+        result = run(simple_config(n=n, a=1 / n), SwitchRule(0.3), step_profile(2000, 1.0, 5))
+    return result, counted.call_count
+
+
+def test_quiet_steps_are_filled_not_stepped():
+    # dO is exactly 0 from step 16 on, so its streak holds at step 16 + window and
+    # every later step is filled; a loop that computed each step would call the
+    # switch rule 2000 times
+    result, computed = _computed_steps(100)
+    assert result.dO[15] != 0.0 and not np.any(result.dO[16:])
+    assert computed == 16 + SwitchRule(0.3).window + 1
+
+
+def test_wide_quiet_steps_are_filled_across_block_edges():
+    # N > 512 runs in 8-row blocks; no step after the settle point is computed
+    result, computed = _computed_steps(600)
+    settle = int(np.flatnonzero(result.dO)[-1]) + 1
+    assert settle < 40 and not np.any(result.dO[settle:])
+    assert computed == settle + SwitchRule(0.3).window + 1
 
 
 def test_tripling_example_diverges_at_step_5():
