@@ -160,7 +160,8 @@ def _cmd_curve(args) -> int:
     else:
         default_trials = 1000
         e_max = 10.0 * float(np.mean(cfg.b_high)) * abs(args.drive)
-        points = [(float(e), 1.0, float(e)) for e in np.linspace(0.0, e_max, args.points)]
+        with np.errstate(invalid="ignore"):  # e_max may be inf; forced_ratio_samples refuses its points
+            points = [(float(e), 1.0, float(e)) for e in np.linspace(0.0, e_max, args.points)]
     trials = args.trials if args.trials is not None else default_trials
     xs: list[float] = []
     means: list[float] = []

@@ -1,10 +1,12 @@
 """Seeded random-number streams.
 
 All randomness in the package flows through Philox (counter-based) bit
-generators keyed via ``numpy.random.SeedSequence``. A run, a sweep point,
-or a Monte-Carlo sampler owns its own generator; nothing is shared, so
-an identical seed reproduces bit-identical draws on any machine running
-the same numpy build.
+generators keyed via ``numpy.random.SeedSequence``. A run or a sweep point
+owns its own generator, and each block of a Monte-Carlo sampler draws
+from a copy of the sampler's stream, advanced to the block's first draw
+(Philox gives 4 draws per counter step). Nothing is shared, so an
+identical seed reproduces bit-identical draws on any machine running the
+same numpy build, however the draws are split.
 """
 
 from __future__ import annotations

@@ -60,9 +60,10 @@ the row. A block that a fill enters part way gets the row copied into
 its first rows, and computing resumes at the first step after the fill.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
-profile, seed). Amplifying configurations are expected to blow up;
-a run truncates once |O| crosses the divergence ceiling and is marked
-diverged rather than failing.
+profile, seed). `forced_ratio_samples` draws its trials on threads, with
+bits that do not depend on them. Amplifying configurations are expected
+to blow up; a run truncates once |O| crosses the divergence ceiling and
+is marked diverged rather than failing.
 
 The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
 sums into the per-step order parameter after the loop. `summarize`
@@ -76,7 +77,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Sequence
@@ -107,8 +108,16 @@ SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 
 DEFAULT_DIVERGENCE_CEILING = 1e12
 
-#: Uniform draws per block in `forced_ratio_samples`; bounds its memory.
-_DRAW_BLOCK = 2_000_000
+#: Uniform draws per block in `forced_ratio_samples` (at least 4 rows), held by each
+#: drawing thread: 512 KB. It bounds the sampler's memory.
+_DRAW_BLOCK = 2**16
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one, else all of them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------------------------------------------------------------------------
@@ -635,31 +644,51 @@ def forced_ratio_samples(
 
     Bypasses the switch rule: the first round(ratio*N) agents in switch
     priority are reactive, the rest normal. Each trial drives one step
-    with observation increment `dO_drive`, zero external force, and
-    i.i.d. uniform noise of half-width `noise_amp` (one value, or one
-    per agent); returns the per-trial order parameters. `seed` must meet
-    the rule of the `ScenarioSpec` field of that name.
+    with observation increment `dO_drive` (finite), zero external force,
+    and i.i.d. uniform noise of half-width `noise_amp` (one value, or one
+    per agent, under the crowd's noise_amp rule); returns the per-trial
+    order parameters. `seed` must meet the rule of the `ScenarioSpec`
+    field of that name.
+
+    The trials are drawn as one stream, `make_generator(seed).uniform`
+    of shape (trials, N), cut into blocks of whole rows that threads draw
+    at the same time. A block starts at a multiple of 4 rows, and Philox
+    gives 4 draws per counter step, so the block's copy of the stream is
+    advanced to its first draw exactly; each row is summed alone. So no
+    bit of the result depends on the blocks or the thread count.
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not math.isfinite(dO_drive):
+        raise ValueError(f"dO_drive must be finite, got {dO_drive}")
     check_fields(ScenarioSpec, {"seed": seed})
+    replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
     n = config.n
     n_h = min(int(math.floor(ratio * n + 0.5)), n)
     base = np.where(_switch_rank(config) < n_h, config.b_high, config.b_low) * dO_drive
 
-    rng = make_generator(seed)
     out = np.empty(trials)
-    per_block = max(1, _DRAW_BLOCK // n)
-    done = 0
-    while done < trials:
-        k = min(per_block, trials - done)
-        acts = rng.uniform(-noise_amp, noise_amp, size=(k, n))
-        acts += base  # in place: one k x n array per block
+    rows = 4 * max(1, _DRAW_BLOCK // (4 * n))
+
+    def draw(start: int) -> None:
+        stop = min(start + rows, trials)
+        rng = make_generator(seed)
+        rng.bit_generator.advance(start * n // 4)
+        acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
+        acts += base  # in place: one block-sized array per thread
         sums = acts.sum(axis=1)
-        out[done : done + k] = order_ratio(sums, np.abs(acts, out=acts).sum(axis=1))
-        done += k
+        out[start:stop] = order_ratio(sums, np.abs(acts, out=acts).sum(axis=1))
+
+    starts = range(0, trials, rows)
+    workers = min(len(starts), _usable_cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw, starts))
+    else:
+        for start in starts:
+            draw(start)
     return out
 
 
@@ -773,9 +802,9 @@ def sweep(
 
     seed_policy "fixed" reuses `seed` for every run; "per-value" uses
     seed + index. The seed actually used is recorded in each point's summary.
-    Runs go to min(jobs, len(values), cpu_count) worker processes when
-    that is more than one. Every value is applied, and so checked, before
-    the first run.
+    Runs go to min(jobs, len(values), usable CPUs) worker processes when
+    that is more than one; a CPU is usable when the process may run on it.
+    Every value is applied, and so checked, before the first run.
     """
     if seed_policy not in ("fixed", "per-value"):
         raise ValueError(f"seed_policy must be 'fixed' or 'per-value', got {seed_policy!r}")
@@ -787,7 +816,7 @@ def sweep(
         (apply_sweep_value(config, rule, param, v), param, v, profile, s, divergence_ceiling)
         for v, s in zip(values, seeds)
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))

@@ -85,6 +85,17 @@ def test_order_vs_ratio_curve_uses_each_agents_noise(tmp_path):
     assert float(rows[0.5]["mean_R"]) < 1.0 and float(rows[0.5]["stderr_R"]) > 0.0
 
 
+@pytest.mark.parametrize("drive", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", ["order-vs-ratio", "order-vs-noise"])
+def test_curve_refuses_non_finite_drive(kind, drive, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["curve", "--scenario", write_scenario(tmp_path), "--kind", kind,
+            "--points", "3", f"--drive={drive}", "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, "dO_drive must be finite")
+    assert not out.exists()
+
+
 def test_run_refuses_name_that_leaves_out(tmp_path, capsys):
     out = tmp_path / "a" / "out"
     scenario = write_scenario(tmp_path, name="../escaped")

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import crowdsync.metrics as metrics_module
+import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, ordered_sum
 from crowdsync.metrics import (
     CrowdMoments,
@@ -526,17 +527,18 @@ def test_sync_report_allocates_no_n_by_n_matrix():
 
 
 def test_forced_ratio_samples_holds_one_draw_block():
-    """The draws of a block are shifted and folded in place: one k x N array, not three."""
+    """Each of 2 threads shifts and folds its block in place: one block-sized array per thread."""
     n, trials = 500, 2000
     cfg = CrowdConfig(n=n, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
-    tracemalloc.start()
+    tracemalloc.start()  # it traces numpy's allocations on every thread
     try:
-        forced_ratio_samples(cfg, 0.5, noise_amp=0.5, trials=trials)
+        with mock.patch.object(scenarios_module, "_usable_cpus", return_value=2):
+            forced_ratio_samples(cfg, 0.5, noise_amp=0.5, trials=trials)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    block = trials * n * 8  # 8 MB; all trials fit one block here
-    assert peak < 1.5 * block
+    blocks = 2 * scenarios_module._DRAW_BLOCK * 8  # about 1 MB; the 8 MB of draws take 16 blocks
+    assert peak < 1.5 * blocks
 
 
 def test_window_sync_rejects_empty_window():

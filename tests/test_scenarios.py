@@ -713,6 +713,45 @@ def test_forced_ratio_validation():
         forced_ratio_samples(cfg, 1.5)
     with pytest.raises(ValueError):
         forced_ratio_samples(cfg, 0.5, trials=0)
+    for drive in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^dO_drive must be finite"):
+            forced_ratio_samples(cfg, 0.5, dO_drive=drive)
+    for noise_amp in (math.nan, math.inf, -0.5, np.r_[np.zeros(9), math.nan], np.zeros(3)):
+        with pytest.raises(ValueError, match="noise_amp"):
+            forced_ratio_samples(cfg, 0.5, noise_amp=noise_amp)
+
+
+def sequential_forced_ratio(config, ratio, dO_drive, noise_amp, trials, seed):
+    """The sampler's trials as one draw of the stream, summed row by row."""
+    n_h = min(int(math.floor(ratio * config.n + 0.5)), config.n)
+    rank = np.empty(config.n, dtype=np.intp)
+    rank[switch_priority(config.b_high)] = np.arange(config.n)
+    base = np.where(rank < n_h, config.b_high, config.b_low) * dO_drive
+    acts = make_generator(seed).uniform(-noise_amp, noise_amp, (trials, config.n)) + base
+    return metrics_module.order_ratio(acts.sum(axis=1), np.abs(acts).sum(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    trials=st.integers(1, 300),
+    cpus=st.integers(1, 5),
+    block_rows=st.floats(0.0, 4.0),
+    per_agent=st.booleans(),
+    ratio=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32),
+)
+@example(n=5, trials=299, cpus=2, block_rows=0.0, per_agent=False, ratio=0.3, seed=0)
+@example(n=39, trials=300, cpus=5, block_rows=4.0, per_agent=True, ratio=1.0, seed=7)
+def test_forced_ratio_bits_do_not_depend_on_the_split(n, trials, cpus, block_rows, per_agent, ratio, seed):
+    """Any block size and thread count give the bits of one sequential draw."""
+    noise_amp = np.linspace(0.0, 2.0, n) if per_agent else 0.7
+    cfg = CrowdConfig(n=n, a=0.01, b_low=np.linspace(-0.5, 0.4, n), b_high=1.0, c=1.0)
+    draw_block = max(1, round(block_rows * n))  # 1 to 4n draws
+    with mock.patch.multiple(scenarios_module, _DRAW_BLOCK=draw_block, _usable_cpus=lambda: cpus):
+        got = forced_ratio_samples(cfg, ratio, 1.3, noise_amp, trials, seed)
+    want = sequential_forced_ratio(cfg, ratio, 1.3, noise_amp, trials, seed)
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +842,8 @@ def test_sweep_caps_worker_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(scenarios_module, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)  # CPUs outside the affinity set do not count
     cfg = simple_config(n=5)
     rule = SwitchRule(saturation_scale=1.0)
     prof = zero_profile(5)
@@ -813,6 +853,10 @@ def test_sweep_caps_worker_count(monkeypatch):
     sweep(cfg, rule, "a", [0.01] * 2, prof, jobs=64)
     sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=2)
     assert seen == [3, 2, 2]
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64)
     assert seen == [3, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64)
+    assert seen == [3, 2, 2, 4]
