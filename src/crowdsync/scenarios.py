@@ -108,8 +108,9 @@ SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 
 DEFAULT_DIVERGENCE_CEILING = 1e12
 
-#: Uniform draws per block in `forced_ratio_samples` (at least 4 rows), held by each
-#: drawing thread: 512 KB. It bounds the sampler's memory.
+#: Uniform draws per block in `forced_ratio_samples`: 512 KB. A block has at least 4
+#: rows, so it holds max(_DRAW_BLOCK, 4N) draws, and each of the min(blocks, usable CPUs)
+#: drawing threads holds one block: the sampler's peak grows with the CPU count.
 _DRAW_BLOCK = 2**16
 
 
@@ -682,13 +683,8 @@ def forced_ratio_samples(
         out[start:stop] = order_ratio(sums, np.abs(acts, out=acts).sum(axis=1))
 
     starts = range(0, trials, rows)
-    workers = min(len(starts), _usable_cpus())
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, starts))
-    else:
-        for start in starts:
-            draw(start)
+    with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
+        list(pool.map(draw, starts))
     return out
 
 
