@@ -46,18 +46,18 @@ for bit: the same action row, dS and N_H, and O grows by the same dO.
 This is the crowd that has settled: a contracting crowd at rest
 (dO = 0) or a crowd whose loop gain is pinned at 1 carrying a constant
 dO. The loop counts such a streak of equal dO (0.0 and -0.0 differ; a
-NaN matches nothing) and, once it holds, fills the steps up to the
-first one whose dE bits differ (found by a binary search in the run's
-change points of dE), or to the run's end, across block edges. It
-copies the row, dS and N_H, and checks the ceiling on the filled O
-taken by `np.add.accumulate`, the same sequential additions as the
-loop's O += dO, so the first filled step with |O| over the ceiling ends
-the run as it would have. The block edges stay where N and T put them,
-so the moments keep their bits. A block that holds only filled steps costs
-O(N): it merges through `CrowdMoments.add_repeats`, which gives the
-bits of `add` on its rows, and its sum |dS_i| is one `ordered_sum` of
-the row. A block that a fill enters part way gets the row copied into
-its first rows, and computing resumes at the first step after the fill.
+NaN matches nothing). Before each block, if the streak holds, it fills
+every whole block before the one that holds the next step whose dE bits
+differ (found by a binary search in the run's change points of dE), or
+every block to the run's end, with the last computed step: its action
+row, dS and N_H. O is taken by `np.add.accumulate`, the same sequential
+additions as the loop's O += dO; if it would cross the ceiling, the fill
+stops at the edge of the block that holds the crossing, and that block
+is computed, so the loop finds the divergence as it would have. So a
+block is either computed or filled whole, and the block edges stay where
+N and T put them. A filled block costs O(N): it merges through
+`CrowdMoments.add_repeats`, which gives the bits of `add` on its rows,
+and the fill takes sum |dS_i| of the row once.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). `forced_ratio_samples` draws its trials on threads, with
@@ -79,7 +79,6 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -382,9 +381,9 @@ def run(
     The loop records each step's dS and N_H, and derives the other
     columns from them once it ends. A crowd without noise whose dO has
     repeated bit for bit over a full switch-rule window repeats its last
-    step while dE keeps its bits; those steps are filled in bulk, across
-    block edges, and a block of them only costs O(N). Every bit is as a
-    step-by-step loop gives it (module docstring).
+    step while dE keeps its bits; the whole blocks of such steps are
+    filled in bulk, at O(N) a block. Every bit is as a step-by-step loop
+    gives it (module docstring).
 
     Noise models: per-agent uniform noise enters each agent's action;
     aggregate drift+diffusion noise enters the observation update and is
@@ -426,36 +425,46 @@ def run(
     steps_run = T
 
     # Exact repeats (module docstring): `streak` counts the steps whose dO has
-    # the bits of the step before; dE is compared by its bits, and a fill ends
-    # at the next step whose dE bits change. Steps before `filled_to` are
-    # computed or filled; `fill_row` is the action row that the fill repeats.
+    # the bits of the step before; dE is compared by its bits, and a fill stops
+    # before the block that holds the next step whose dE bits change.
     steady = isinstance(model, NoNoise)
     window = rule.window
     dE_bits = np.ascontiguousarray(dE_arr, dtype=np.float64).view(np.int64)
     dE_changes = np.flatnonzero(dE_bits[1:] != dE_bits[:-1]) + 1
     streak = 0
-    filled_to = 0
 
     # A diverging run overflows on purpose; the ceiling check below reports it.
     # Only the diverging step can hold inf or NaN actions: when O is not finite,
     # the block that ends at the run's last step leaves that step out of the moments.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0 in range(0, T, block_rows):
-            if t0 >= steps_run:
-                break
-            t_end = min(t0 + block_rows, steps_run)
-            if filled_to >= t_end:  # a block of repeats only costs O(N) (module docstring)
-                if actions is not None:
-                    actions[:, t0:t_end] = fill_row[:, None]
-                moments.add_repeats(fill_row, t_end - t0 - (t_end == steps_run and not math.isfinite(O)))
-                out_abs[t0:t_end] = ordered_sum(np.abs(fill_row))
-                continue
+        t0 = 0
+        while t0 < steps_run:
+            if streak >= window and t0 > window:
+                # the |dO| window is full and constant, so each next step with
+                # dE's bits repeats the last one: fill the whole blocks before
+                # the block of the next dE change, or to the run's end
+                change = np.searchsorted(dE_changes, t0)
+                stop = T if change == len(dE_changes) else int(dE_changes[change])
+                if stop < T:  # the block that holds the change is computed
+                    stop -= (stop - t0) % block_rows
+                filled_O = np.add.accumulate(np.r_[O, np.full(stop - t0, dO_prev)])  # O += dO, step by step
+                over = np.flatnonzero(~(np.abs(filled_O[1:]) <= divergence_ceiling))
+                if over.size:  # the block that crosses the ceiling is computed, and diverges
+                    stop = t0 + int(over[0]) // block_rows * block_rows
+                if stop > t0:
+                    O = float(filled_O[stop - t0])
+                    if actions is not None:
+                        actions[:, t0:stop] = last_row[:, None]
+                    out_dS[t0:stop] = dS
+                    out_nh[t0:stop] = n_h
+                    out_abs[t0:stop] = ordered_sum(np.abs(last_row))
+                    for edge in range(t0, stop, block_rows):  # merged at the loop's block edges
+                        moments.add_repeats(last_row, min(edge + block_rows, stop) - edge)
+                    t0 = stop
+                    continue
+            t_end = min(t0 + block_rows, T)
             rows = np.multiply.outer(dE_arr[t0:t_end], c_vec, out=block[: t_end - t0])
-            lead = max(filled_to - t0, 0)  # rows of a fill that began in an earlier block
-            if lead:
-                rows[:lead] = fill_row
-            steps = enumerate(rows[lead:], t0 + lead)
-            for t, ds_i in steps:
+            for t, ds_i in enumerate(rows, t0):
                 if pinned_reactive is None:
                     n_h = update_reactive_count(history, rule, n)
                 if n_h != coupled_for:
@@ -484,35 +493,14 @@ def run(
                     diverged = True
                     steps_run = t + 1
                     break
-                if streak >= window and t >= window:
-                    # the |dO| window is full and constant, so each next step
-                    # with dE's bits repeats this one until dE changes
-                    change = np.searchsorted(dE_changes, t, side="right")
-                    k = (int(dE_changes[change]) if change < len(dE_changes) else T) - t - 1
-                    if k == 0:
-                        continue
-                    filled_O = np.add.accumulate(np.concatenate(([O], np.full(k, dO))))  # O += dO, k times
-                    over = np.flatnonzero(~(np.abs(filled_O[1:]) <= divergence_ceiling))
-                    if over.size:  # the run ends at the first filled step over the ceiling
-                        k = int(over[0]) + 1
-                        diverged = True
-                        steps_run = t + k + 1
-                    O = float(filled_O[k])
-                    filled_to = t + 1 + k
-                    fill_row = ds_i.copy()
-                    rows[t + 1 - t0 : filled_to - t0] = ds_i
-                    out_dS[t + 1 : filled_to] = dS
-                    out_nh[t + 1 : filled_to] = n_h
-                    if diverged:
-                        break
-                    streak += k
-                    next(islice(steps, k - 1, None), None)  # skip the filled rows of this block
             t_stop = min(t_end, steps_run)
             done = rows[: t_stop - t0]  # every row of the block, or up to the diverging step
             if actions is not None:
                 actions[:, t0:t_stop] = done.T
             moments.add(done[:-1] if t_stop == steps_run and not math.isfinite(O) else done)
+            last_row = done[-1].copy()  # the row a fill repeats, before |.| overwrites it
             out_abs[t0:t_stop] = ordered_sum(np.abs(done, out=done))
+            t0 = t_end
 
         # The columns that dS and N_H determine, derived once (module docstring).
         dS, n_reactive = out_dS[:steps_run], out_nh[:steps_run]
@@ -648,8 +636,9 @@ def forced_ratio_samples(
     with observation increment `dO_drive` (finite), zero external force,
     and i.i.d. uniform noise of half-width `noise_amp` (one value, or one
     per agent, under the crowd's noise_amp rule); returns the per-trial
-    order parameters. `seed` must meet the rule of the `ScenarioSpec`
-    field of that name.
+    order parameters. A trial whose sum of |actions| overflows is
+    refused with a ValueError. `seed` must meet the rule of the
+    `ScenarioSpec` field of that name.
 
     The trials are drawn as one stream, `make_generator(seed).uniform`
     of shape (trials, N), cut into blocks of whole rows that threads draw
@@ -668,7 +657,8 @@ def forced_ratio_samples(
     replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
     n = config.n
     n_h = min(int(math.floor(ratio * n + 0.5)), n)
-    base = np.where(_switch_rank(config) < n_h, config.b_high, config.b_low) * dO_drive
+    with np.errstate(over="ignore"):  # an action that overflows fails the check in `draw`
+        base = np.where(_switch_rank(config) < n_h, config.b_high, config.b_low) * dO_drive
 
     out = np.empty(trials)
     rows = 4 * max(1, _DRAW_BLOCK // (4 * n))
@@ -677,10 +667,14 @@ def forced_ratio_samples(
         stop = min(start + rows, trials)
         rng = make_generator(seed)
         rng.bit_generator.advance(start * n // 4)
-        acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
-        acts += base  # in place: one block-sized array per thread
-        sums = acts.sum(axis=1)
-        out[start:stop] = order_ratio(sums, np.abs(acts, out=acts).sum(axis=1))
+        with np.errstate(over="ignore", invalid="ignore"):  # per thread; the check below reports it
+            acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
+            acts += base  # in place: one block-sized array per thread
+            sums = acts.sum(axis=1)
+            magnitudes = np.abs(acts, out=acts).sum(axis=1)
+        if not np.isfinite(magnitudes).all():  # sum |x| bounds |sum x|: both are finite or this is not
+            raise ValueError(f"dO_drive={dO_drive:g} overflows the sum of a trial's actions")
+        out[start:stop] = order_ratio(sums, magnitudes)
 
     starts = range(0, trials, rows)
     with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:

@@ -96,6 +96,17 @@ def test_curve_refuses_non_finite_drive(kind, drive, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind, drive", [("order-vs-ratio", "1e308"), ("order-vs-noise", "1e307")])
+def test_curve_refuses_drive_whose_sums_overflow(kind, drive, tmp_path, capsys, scenario_dir):
+    # finite actions b*dO_drive (and noise up to 10*b_high*dO_drive) whose sum over fig4's 100 agents overflows
+    out = tmp_path / "out"
+    argv = ["curve", "--scenario", str(scenario_dir / "fig4-stable.scenario"), "--kind", kind,
+            "--trials", "10", f"--drive={drive}", "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, f"dO_drive={float(drive):g} overflows")
+    assert not out.exists()
+
+
 def test_run_refuses_name_that_leaves_out(tmp_path, capsys):
     out = tmp_path / "a" / "out"
     scenario = write_scenario(tmp_path, name="../escaped")

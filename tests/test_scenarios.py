@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tracemalloc
 from collections import deque
 from itertools import accumulate
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import crowdsync.metrics as metrics_module
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise, ordered_sum
-from crowdsync.metrics import order_parameter_closed_form, window_sync
+from crowdsync.metrics import order_parameter_closed_form, step_block_rows, window_sync
 from crowdsync.scenario_io import load_scenario
 from crowdsync.scenarios import (
     ForceProfile,
@@ -484,7 +485,9 @@ _OVERFLOWING_FILL = (CrowdConfig(n=1, a=1.0, b_low=0.0, b_high=1.0, c=1.0), Swit
 @given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
 @example(case=_TRIPLING, options=_TRIPLING_OPTIONS, block_rows=4)
 @example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=1)
+@example(case=_MARGINAL, options=_MARGINAL_OPTIONS, block_rows=8)  # step 26: 3rd row of steps 24-31
 @example(case=_KICKED, options={**_SETTLED_OPTIONS, "initial_dO": -0.0}, block_rows=1)
+@example(case=_KICKED, options={**_SETTLED_OPTIONS, "initial_dO": -0.0}, block_rows=8)  # kick at 13: steps 8-15
 @example(case=_WARMING, options={**_SETTLED_OPTIONS, "initial_dO": 1.0, "divergence_ceiling": 1e3}, block_rows=4)
 @example(case=_WIDE_NOISY, options=_SETTLED_OPTIONS, block_rows=3)
 @example(case=_WIDE_SETTLED, options=_SETTLED_OPTIONS, block_rows=1)
@@ -624,28 +627,32 @@ def test_whole_run_window_equals_the_moments(case, options, block_rows):
 
 
 def _computed_steps(n):
-    """A quiet-tailed step crowd of `n` agents, and the steps its run computed (calls to the switch rule)."""
+    """A quiet-tailed step crowd of `n` agents, the steps its run computed (calls to the
+    switch rule), and the first block edge at or after the step whose streak first holds.
+    """
     rule_fn = scenarios_module.update_reactive_count
     with mock.patch.object(scenarios_module, "update_reactive_count", wraps=rule_fn) as counted:
         result = run(simple_config(n=n, a=1 / n), SwitchRule(0.3), step_profile(2000, 1.0, 5))
-    return result, counted.call_count
+    settle = int(np.flatnonzero(result.dO)[-1]) + 1
+    rows = step_block_rows(n, 2000)
+    return result, counted.call_count, settle, -(-(settle + SwitchRule(0.3).window + 1) // rows) * rows
 
 
 def test_quiet_steps_are_filled_not_stepped():
-    # dO is exactly 0 from step 16 on, so its streak holds at step 16 + window and
-    # every later step is filled; a loop that computed each step would call the
-    # switch rule 2000 times
-    result, computed = _computed_steps(100)
-    assert result.dO[15] != 0.0 and not np.any(result.dO[16:])
-    assert computed == 16 + SwitchRule(0.3).window + 1
+    # dO is exactly 0 from step 16 on, so its streak holds at step 16 + window, and
+    # every block after the one that holds that step is filled; in 40-row blocks,
+    # the steps before 40 are computed, where a loop that computed each step
+    # would call the switch rule 2000 times
+    result, computed, settle, edge = _computed_steps(100)
+    assert settle == 16 and not np.any(result.dO[16:])
+    assert computed == edge == 40
 
 
 def test_wide_quiet_steps_are_filled_across_block_edges():
-    # N > 512 runs in 8-row blocks; no step after the settle point is computed
-    result, computed = _computed_steps(600)
-    settle = int(np.flatnonzero(result.dO)[-1]) + 1
+    # N > 512 runs in 8-row blocks; no block after the one where the streak holds is computed
+    result, computed, settle, edge = _computed_steps(600)
     assert settle < 40 and not np.any(result.dO[settle:])
-    assert computed == settle + SwitchRule(0.3).window + 1
+    assert computed == edge == 24
 
 
 def test_tripling_example_diverges_at_step_5():
@@ -716,6 +723,11 @@ def test_forced_ratio_validation():
     for drive in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^dO_drive must be finite"):
             forced_ratio_samples(cfg, 0.5, dO_drive=drive)
+    # finite drives whose sum of actions overflows; an action that overflows; actions +-1e308 whose sum is 0
+    for crowd, ratio, drive in ((cfg, 1.0, 1e308), (simple_config(n=10, b_high=1e300), 1.0, 1e10),
+                                (simple_config(n=2, b_low=-1.0, b_high=1.0), 0.5, 1e308)):
+        with pytest.raises(ValueError, match=re.escape(f"dO_drive={drive:g} overflows")):
+            forced_ratio_samples(crowd, ratio, dO_drive=drive)
     for noise_amp in (math.nan, math.inf, -0.5, np.r_[np.zeros(9), math.nan], np.zeros(3)):
         with pytest.raises(ValueError, match="noise_amp"):
             forced_ratio_samples(cfg, 0.5, noise_amp=noise_amp)
