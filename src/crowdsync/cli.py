@@ -151,6 +151,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    if args.points < 1:
+        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
+        return 1
     spec = _load(args)
     cfg = spec.config
     # (x, reactive ratio, noise half-width) of each curve point
@@ -159,9 +162,14 @@ def _cmd_curve(args) -> int:
         points = [(float(r), float(r), cfg.noise_amp) for r in np.linspace(0.0, 1.0, args.points)]
     else:
         default_trials = 1000
-        e_max = 10.0 * float(np.mean(cfg.b_high)) * abs(args.drive)
-        with np.errstate(invalid="ignore"):  # e_max may be inf; forced_ratio_samples refuses its points
+        # e_max may overflow, or be NaN with the drive; each is refused below or by forced_ratio_samples
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_max = 10.0 * float(np.mean(cfg.b_high)) * abs(args.drive)
             points = [(float(e), 1.0, float(e)) for e in np.linspace(0.0, e_max, args.points)]
+        if math.isfinite(args.drive) and not math.isfinite(e_max):
+            print(f"error: --drive {args.drive:g} makes the largest noise half-width "
+                  f"10*mean(b_high)*|drive| overflow to {e_max}", file=sys.stderr)
+            return 1
     trials = args.trials if args.trials is not None else default_trials
     xs: list[float] = []
     means: list[float] = []

@@ -10,7 +10,8 @@ The reader checks only the form of a value; the field or builder it
 sets checks the value. Parsing reports every problem at once with line
 numbers; emission produces a canonical form that is stable under
 re-parsing. Result tables are comma-separated with fixed headers and
-floats printed to 17 significant digits so every value round-trips.
+floats printed to 17 significant digits so every value round-trips;
+no cell is quoted, and the time-series reader refuses a quote.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import difflib
 import inspect
 import io
 import math
+import operator
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
@@ -385,21 +387,27 @@ def _write(text: str, destination: str | Path) -> Path:
 def format_table(result: ScenarioResult) -> str:
     """TimeSeriesTable as CSV text: one row per executed step.
 
-    Cells are made a column at a time, "%d" for the integer columns
-    t and N_H and "%.17g" for the floats, formatting each distinct value
-    of a column once: a long run repeats most values (B, AB, N_H, ratio
-    and stability are piecewise constant). A row is its cells joined by
-    commas; no cell holds a comma or quote, so the bytes are those of
-    `csv.writer`.
+    "%d" for the integer columns t and N_H, "%.17g" for the floats. A
+    settled run repeats its rows but for t, so the cells after t are
+    made once per run of consecutive rows whose every such cell keeps
+    its bits (0.0 and -0.0 differ), and each distinct value of a column
+    among those rows is formatted once (`_column_cells`). No cell holds
+    a comma or quote, so the bytes are those of `csv.writer`.
     """
-    numeric = (
-        result.t, result.E, result.dE, result.S, result.dS, result.O, result.dO,
-        result.n_reactive, result.n_reactive / result.config.n,
-        result.b_total, result.ab, result.r_instant,
-    )
-    columns = [_column_cells(col) for col in numeric]
-    columns.append([s.value for s in result.stability_trace])
-    return "".join([",".join(TABLE_COLUMNS), "\n", *[",".join(row) + "\n" for row in zip(*columns)]])
+    numeric = (result.E, result.dE, result.S, result.dS, result.O, result.dO, result.n_reactive,
+               result.n_reactive / result.config.n, result.b_total, result.ab, result.r_instant)
+    stability = result.stability_trace
+    changed = np.ones(len(stability), dtype=bool)  # where a run starts
+    changed[1:] = np.fromiter(map(operator.is_not, stability[1:], stability[:-1]), bool, len(stability) - 1)
+    for col in numeric:
+        bits = col.view(np.int64) if col.dtype == np.float64 else col
+        changed[1:] |= bits[1:] != bits[:-1]
+    starts = np.flatnonzero(changed)
+    last = [stability[i].value + "\n" for i in starts.tolist()]
+    cells = [[""] * len(starts), *(_column_cells(col[starts]) for col in numeric), last]
+    rests = np.array([",".join(row) for row in zip(*cells)], dtype=object)  # each run's ",E,...,stability\n"
+    rows = map(operator.add, map(str, result.t.tolist()), rests[np.cumsum(changed) - 1].tolist())
+    return "".join([",".join(TABLE_COLUMNS), "\n", *rows])
 
 
 def _column_cells(values: np.ndarray) -> list[str]:
@@ -474,43 +482,53 @@ def emit_window_table(rows, destination: str | Path) -> Path:
 def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) -> dict[str, np.ndarray]:
     """Read a time-series table back into arrays of the named columns (default: all).
 
-    An empty file, a foreign header, a row of the wrong width or a cell
-    of a named column that is not a number raises TableFormatError
-    naming the file and the line. Cells of the other columns are not
-    converted, so they are not validated. A name that is not a table
-    column raises ValueError.
+    A settled run repeats its rows but for t, so each distinct rest of
+    a row (the text after its t cell) is split, width-checked and
+    converted once, and the rows gather its values. An empty file, a
+    foreign header, a row of the wrong width, a quote (tables have no
+    quoting) or a cell of a named column that is not a number raises
+    TableFormatError naming the file and the earliest such line. Cells
+    of the other columns are not converted, so they are not validated.
+    A name that is not a table column raises ValueError.
     """
     for col in columns:
         if col not in TABLE_COLUMNS:
             raise ValueError(f"unknown table column {col!r}; valid: {', '.join(TABLE_COLUMNS)}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TABLE_COLUMNS:
-            got = "an empty file" if header is None else f"the header {header!r}"
-            raise TableFormatError(f"{path}: line 1: expected the header {TABLE_COLUMNS!r}, got {got}")
-        rows, lines = [], []
-        for row in reader:
-            if len(row) != len(TABLE_COLUMNS):
-                raise TableFormatError(
-                    f"{path}: line {reader.line_num}: expected {len(TABLE_COLUMNS)} fields, got {len(row)}"
-                )
-            rows.append(row)
-            lines.append(reader.line_num)
+    with open(path, encoding="utf-8") as fh:  # universal newlines: a CRLF table reads as LF
+        text = fh.read()
+    if '"' in text:
+        line = text.count("\n", 0, text.index('"')) + 1
+        raise TableFormatError(f"{path}: line {line}: a quote; table cells are never quoted")
+    lines = text.removesuffix("\n").split("\n") if text else []
+    del text  # the lines hold its text: freed, it does not add to the peak memory below
+    header = (lines[0].split(",") if lines[0] else []) if lines else None  # csv.reader's fields
+    if header != TABLE_COLUMNS:
+        got = "an empty file" if header is None else f"the header {header!r}"
+        raise TableFormatError(f"{path}: line 1: expected the header {TABLE_COLUMNS!r}, got {got}")
+    body = lines[1:]
+    rests: dict[str, int] = {}  # each distinct rest's index, in the order of first occurrence
+    row_rest = np.array([rests.setdefault(line.partition(",")[2], len(rests)) for line in body], dtype=np.intp)
+    distinct = [rest.split(",") for rest in rests]
+    for j, cells in enumerate(distinct):
+        if len(cells) != len(TABLE_COLUMNS) - 1:
+            k = int(np.argmax(row_rest == j))  # the first row with this rest
+            got = body[k].count(",") + 1 if body[k] else 0  # as csv.reader counts
+            raise TableFormatError(f"{path}: line {k + 2}: expected {len(TABLE_COLUMNS)} fields, got {got}")
     out: dict[str, np.ndarray] = {}
     for col in columns:
-        idx = TABLE_COLUMNS.index(col)
-        values = [row[idx] for row in rows]
-        if col == "stability":
-            out[col] = np.array(values)
-            continue
-        convert = int if col in ("t", "N_H") else float
+        idx = TABLE_COLUMNS.index(col) - 1  # in a row's rest; t is the part before it
+        if idx < 0:
+            values, where = [line.partition(",")[0] for line in body], np.arange(len(body))
+        else:
+            values, where = [cells[idx] for cells in distinct], row_rest
+        convert = {"t": int, "N_H": int, "stability": str}.get(col, float)
         try:
-            out[col] = np.array([convert(v) for v in values])
+            out[col] = np.array([convert(v) for v in values])[where]
         except ValueError:
-            for line, v in zip(lines, values):
+            for j, v in enumerate(values):
                 try:
                     convert(v)
                 except ValueError as exc:
+                    line = 2 + int(np.argmax(where == j))
                     raise TableFormatError(f"{path}: line {line}: {col}: {exc}") from None
     return out

@@ -107,6 +107,27 @@ def test_curve_refuses_drive_whose_sums_overflow(kind, drive, tmp_path, capsys, 
     assert not out.exists()
 
 
+def test_curve_refuses_drive_whose_noise_range_overflows(tmp_path, capsys, scenario_dir):
+    # 10 * mean(b_high) * 1e308 is inf, and linspace(0, inf) would give NaN noise half-widths
+    out = tmp_path / "out"
+    argv = ["curve", "--scenario", str(scenario_dir / "fig4-stable.scenario"), "--kind", "order-vs-noise",
+            "--drive", "1e308", "--points", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, "error: --drive 1e+308 makes the largest noise half-width", "overflow to inf")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+@pytest.mark.parametrize("kind", ["order-vs-ratio", "order-vs-noise"])
+def test_curve_refuses_points_below_one(kind, points, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["curve", "--scenario", write_scenario(tmp_path), "--kind", kind,
+            "--points", points, "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, f"error: --points must be >= 1, got {points}")
+    assert not out.exists()
+
+
 def test_run_refuses_name_that_leaves_out(tmp_path, capsys):
     out = tmp_path / "a" / "out"
     scenario = write_scenario(tmp_path, name="../escaped")

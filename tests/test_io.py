@@ -449,6 +449,50 @@ def test_read_table_converts_only_the_named_columns(tmp_path):
         read_table(path, columns=("dO", "dQ"))
 
 
+def _same_arrays(a: dict, b: dict) -> bool:
+    """Equal keys, dtypes and bytes: NaN cells compare equal, and 0.0 and -0.0 differ."""
+    return list(a) == list(b) and all(a[k].dtype == b[k].dtype and a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def test_read_table_reads_crlf_and_a_missing_final_newline(tmp_path, golden):
+    lf = emit_table(run_spec(golden("fig6-bubble")), tmp_path / "lf.csv")
+    text = lf.read_text(encoding="utf-8")
+    (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    (tmp_path / "open.csv").write_text(text.removesuffix("\n"), encoding="utf-8")
+    table = read_table(lf)
+    assert _same_arrays(read_table(tmp_path / "crlf.csv"), table)
+    assert _same_arrays(read_table(tmp_path / "open.csv"), table)
+
+
+_GOOD_ROW = "0,0,0,0,0,0,0.5,0,0,0,0,1,contracting"
+_BAD_DO = "0,0,0,0,0,x,0,0,0,0,1,contracting"  # a row's rest, after its t cell: dO is "x"
+
+#: body lines after the header, and the error they give; each line's number is its index + 2
+_MALFORMED_BODIES = {
+    "blank line": ([_GOOD_ROW, "", _GOOD_ROW], "line 3: expected 13 fields, got 0"),
+    "blank last line": ([_GOOD_ROW, _GOOD_ROW, ""], "line 4: expected 13 fields, got 0"),
+    "one cell": ([_GOOD_ROW, "7"], "line 3: expected 13 fields, got 1"),
+    "14 cells": ([_GOOD_ROW, _GOOD_ROW + ",0"], "line 3: expected 13 fields, got 14"),
+    "the earlier of two widths": ([_GOOD_ROW, _GOOD_ROW + ",0", "2", _GOOD_ROW + ",0"],
+                                  "line 3: expected 13 fields, got 14"),
+    "a repeated bad dO cell": ([_GOOD_ROW, "1," + _BAD_DO, "2," + _BAD_DO.replace("x", "y"), "3," + _BAD_DO],
+                               "line 3: dO: could not convert string to float: 'x'"),
+    "a bad t cell": ([_GOOD_ROW, "1.5" + _GOOD_ROW[1:]], "line 3: t: invalid literal for int() with base 10: '1.5'"),
+    "a quoted cell": ([_GOOD_ROW, _GOOD_ROW.replace(",0.5,", ',"0.5",'), '"x"'],
+                      "line 3: a quote; table cells are never quoted"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_BODIES)
+def test_read_table_reports_the_first_bad_line(case, tmp_path):
+    body, message = _MALFORMED_BODIES[case]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([",".join(TABLE_COLUMNS), *body]) + "\n", encoding="utf-8")
+    with pytest.raises(TableFormatError) as exc_info:
+        read_table(path, columns=("t", "dO"))
+    assert str(exc_info.value) == f"invalid table: {path}: {message}"
+
+
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
 @example(0.0)
 @example(-0.0)
@@ -521,12 +565,54 @@ _ONE_ROW = _table_result(1, 3, [np.array([x]) for x in (0.0, -0.0, 1.5, float("n
 _SIGNED_ZEROS = _table_result(3, 2, [np.array([0.0, -0.0, 0.0])] * 9, [0, 1, 0], [Stability.CONTRACTING] * 3)
 
 
+# A long settled stretch that a -0.0 in dO (step 30) and a stability change alone (step 45) split.
+_SETTLED = _table_result(
+    60, 3,
+    [np.r_[np.linspace(-1.0, 1.0, 5), np.full(55, x)] for x in (2.5, 0.0, 1e-300, 0.0, 7.0, 0.0, 1.5, 1.5, 1.0)],
+    [0, 1, 2, 3, 3] + [3] * 55,
+    [Stability.CONTRACTING] * 5 + [Stability.MARGINAL] * 40 + [Stability.AMPLIFYING] * 15,
+)
+_SETTLED.dO[30:40] = -0.0
+
+
 @settings(max_examples=100, deadline=None)
 @given(table_results())
 @example(_ONE_ROW)
 @example(_SIGNED_ZEROS)
+@example(_SETTLED)
 def test_format_table_matches_the_row_formatter(result):
     assert format_table(result) == row_formatted_table(result)
+
+
+def _assert_table_reads_back(result, path):
+    """read_table(emit_table(result)) gives every column back: t and N_H as int64, stability as its strings."""
+    table = read_table(emit_table(result, path))
+    assert list(table) == TABLE_COLUMNS
+    assert table["t"].dtype == table["N_H"].dtype == np.int64
+    assert table["t"].tolist() == result.t.tolist()
+    assert table["N_H"].tolist() == result.n_reactive.tolist()
+    assert table["stability"].tolist() == [s.value for s in result.stability_trace]
+    floats = (result.E, result.dE, result.S, result.dS, result.O, result.dO, result.n_reactive / result.config.n,
+              result.b_total, result.ab, result.r_instant)
+    for name, want in zip(["E", "dE", "S", "dS", "O", "dO", "ratio", "B", "AB", "R"], floats):
+        got = table[name]
+        nan = np.isnan(want)  # "%.17g" prints every NaN payload as "nan"
+        assert got.dtype == np.float64 and np.array_equal(np.isnan(got), nan), name
+        assert got[~nan].tobytes() == want[~nan].tobytes(), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_results())
+@example(_ONE_ROW)
+@example(_SIGNED_ZEROS)
+@example(_SETTLED)
+def test_read_table_inverts_emit_table(tmp_path_factory, result):
+    _assert_table_reads_back(result, tmp_path_factory.mktemp("table") / "t.csv")
+
+
+@pytest.mark.parametrize("name", ["fig4-stable", "fig5-unstable", "fig6-bubble"])
+def test_golden_tables_read_back(name, tmp_path, golden):
+    _assert_table_reads_back(run_spec(golden(name)), tmp_path / "t.csv")
 
 
 # ---------------------------------------------------------------------------

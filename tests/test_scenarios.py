@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 import crowdsync.metrics as metrics_module
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise, ordered_sum
-from crowdsync.metrics import order_parameter_closed_form, step_block_rows, window_sync
+from crowdsync.metrics import CrowdMoments, order_parameter_closed_form, step_block_rows, window_sync
 from crowdsync.scenario_io import load_scenario
 from crowdsync.scenarios import (
     ForceProfile,
@@ -495,23 +495,36 @@ _OVERFLOWING_FILL = (CrowdConfig(n=1, a=1.0, b_low=0.0, b_high=1.0, c=1.0), Swit
 @example(case=_OVERFLOWING_FILL, options={**_SETTLED_OPTIONS, "pinned_reactive": 1, "divergence_ceiling": 1.7e308},
          block_rows=1)
 def test_run_equals_a_per_step_loop(case, options, block_rows):
-    """run(), in its default blocks and in blocks of `block_rows` rows, against `_per_step_run`, bit for bit."""
+    """run(), in its default blocks and in blocks of `block_rows` rows, against `_per_step_run`, bit for bit.
+
+    The moments are held against the oracle's rows merged with `CrowdMoments.add`
+    in the run's blocks, whose edges a fill must keep.
+    """
     cfg, rule, profile, seed, _, _ = case
     options = _capped(options, cfg.n)
     with np.errstate(over="ignore", invalid="ignore"):  # diverging crowds overflow on purpose
         steps, diverged = _per_step_run(cfg, rule, profile, seed, **options)
     dS, n_h, O, rows = zip(*steps)
-    results = [run(cfg, rule, profile, seed, **options)]
+    results = [(run(cfg, rule, profile, seed, **options), step_block_rows(cfg.n, profile.length))]
     with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=8 * cfg.n * block_rows, _STEP_BLOCK_MIN_ROWS=1):
-        results.append(run(cfg, rule, profile, seed, **options))
-    for result in results:
+        results.append((run(cfg, rule, profile, seed, **options), step_block_rows(cfg.n, profile.length)))
+    # the moments hold every step but one at which O became inf or NaN
+    merged = rows[: len(steps) - (not math.isfinite(O[-1]))]
+    for result, rows_per_block in results:
         assert _bits(result.dS) == _bits(dS)
         assert result.n_reactive.tolist() == list(n_h)
         assert _bits(result.O) == _bits(O)
         assert _bits(result.agent_actions) == _bits(np.array(rows).T)
         assert (result.diverged, result.steps_run) == (diverged, len(steps))
-        # the moments hold every step but one at which O became inf or NaN
-        assert result.moments.count == len(steps) - (not math.isfinite(O[-1]))
+        reference = CrowdMoments(cfg.n)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in run(): huge finite actions overflow m2
+            for start in range(0, len(merged), rows_per_block):
+                reference.add(np.array(merged[start : start + rows_per_block]))
+        assert _moment_bits(result.moments) == _moment_bits(reference)
+
+
+def _moment_bits(moments) -> tuple:
+    return (moments.count, _bits(moments.mean), _bits(moments.m2), _bits(moments.comoment), _bits(moments.agg_m2))
 
 
 def _direct_sync(window):
