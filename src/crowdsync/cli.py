@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import CrowdError
+from .dynamics import CrowdError, UniformNoise
 from .metrics import trendiness
 from .scenario_io import (
     emit_curve_table,
@@ -158,8 +158,9 @@ def _cmd_curve(args) -> int:
     cfg = spec.config
     # (x, reactive ratio, noise half-width) of each curve point
     if args.kind == "order-vs-ratio":
-        default_trials = 200 if np.any(cfg.noise_amp) else 1
-        points = [(float(r), float(r), cfg.noise_amp) for r in np.linspace(0.0, 1.0, args.points)]
+        amp = cfg.noise_amp if isinstance(cfg.noise_model, UniformNoise) else 0.0  # as in `run`
+        default_trials = 200 if np.any(amp) else 1
+        points = [(float(r), float(r), amp) for r in np.linspace(0.0, 1.0, args.points)]
     else:
         default_trials = 1000
         # e_max may overflow, or be NaN with the drive; each is refused below or by forced_ratio_samples

@@ -35,16 +35,26 @@ all equal is centred on its first action, not on their rounded mean
 so its deviations are exact zeros and it stays constant in both forms;
 a block of equal actions does the same in a merge.
 
+Rounding bounds use gamma_k = k*u / (1 - k*u) with u = 2**-53 (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 4); each is first
+order in u. An agent's mean over T steps is a sum of T actions divided
+by T, so rounding can move it by gamma_T times its mean |action|, which
+is at most |mean_i| + sigma_i (`_mean_rounding`). An agent whose spread
+is within that, sigma_i <= gamma_T * (|mean_i| + sigma_i), cannot be
+told from a constant one, and counts as constant in both forms: the
+matrix form zeroes its centred row. (Two actions one ulp apart are such
+an agent: centred on their rounded mean, sigma_i is ulp/sqrt(2) in one
+form and ulp/2 in the other, and its correlation is set by rounding.)
+
 "Constant up to roundoff" (`_constant_up_to_roundoff`, read by
-`CrowdMoments.sync`): an aggregate value is a recursive sum of
-the N centred actions x_i(t), each rounded once when it was centred, so
-its error is at most gamma_N * sum_i |x_i(t)|, with
-gamma_k = k*u / (1 - k*u) and u = 2**-53 (Higham, Accuracy and Stability
-of Numerical Algorithms, ch. 4). By Cauchy-Schwarz the mean square of
-that error is at most gamma_N**2 * N * sum_i sigma_i**2, so an aggregate
-with sigma_c**2 <= gamma_N**2 * N * sum_i sigma_i**2 cannot be told from
-a constant one. The bound is first order in u and leaves out the
-rounding of the means.
+`CrowdMoments.sync`): an aggregate value is a recursive sum of the N
+centred actions x_i(t), each rounded once when it was centred, so its
+error is at most gamma_N * sum_i |x_i(t)|; by Cauchy-Schwarz the root
+mean square of that error is at most gamma_N * sqrt(N * sum_i sigma_i**2).
+Each x_i(t) also carries the rounding of the mean it was centred on,
+whose root mean square over the steps is at most the agent's
+`_mean_rounding`. So an aggregate with sigma_c at most the sum of these
+bounds cannot be told from a constant one.
 """
 
 from __future__ import annotations
@@ -146,10 +156,12 @@ class DecisionPanel:
         n, t = arr.shape
         if n < 1 or t < 1:
             raise ValueError(f"panel needs at least one agent and one step, got {arr.shape}")
-        # a row of equal values is centred on its first value (module docstring)
+        # equal values are centred on the first, and a constant agent's row is zeroed (module docstring)
         mean = arr.mean(axis=1, keepdims=True)
         np.copyto(mean, arr[:, :1], where=(arr == arr[:, :1]).all(axis=1, keepdims=True))
         centered = arr - mean
+        spread = np.sqrt(np.einsum("it,it->i", centered, centered) / t)
+        centered[spread <= _mean_rounding(spread, np.abs(mean[:, 0]), t)] = 0.0
         cov = (centered @ centered.T) / t
         cov = (cov + cov.T) / 2.0
         sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
@@ -274,16 +286,19 @@ class CrowdMoments:
 
         With x_i the centred actions and dS = sum_i x_i the aggregate,
         sigma_c = std(dS) and rho_c = (1/N) sum_i cov(x_i, dS) / (sigma_i sigma_c),
-        where constant agents (sigma_i = 0) count as 0. An aggregate that
-        is constant up to roundoff gives (0, 0).
+        where constant agents (sigma_i within the rounding of their mean)
+        count as 0. An aggregate that is constant up to roundoff gives (0, 0).
         """
-        n = self.m2.shape[0]
-        if _constant_up_to_roundoff(self.agg_m2, float(self.m2.sum()), n):
+        n, t = self.m2.shape[0], self.count
+        if not t:
             return 0.0, 0.0
-        sigma_c = float(np.sqrt(self.agg_m2 / self.count))
-        sigma = np.sqrt(self.m2 / self.count)
+        sigma_c = float(np.sqrt(self.agg_m2 / t))
+        sigma = np.sqrt(self.m2 / t)
+        rounding = _mean_rounding(sigma, np.abs(self.mean), t)
+        if _constant_up_to_roundoff(sigma_c, sigma, rounding):
+            return 0.0, 0.0
         rho = np.zeros(n)
-        np.divide(self.comoment / self.count, sigma * sigma_c, out=rho, where=sigma > 0.0)
+        np.divide(self.comoment / t, sigma * sigma_c, out=rho, where=sigma > rounding)
         return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c
 
 
@@ -309,10 +324,20 @@ def window_sync(actions) -> tuple[float, float]:
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-def _constant_up_to_roundoff(agg_m2: float, agents_m2: float, n: int) -> bool:
-    """Whether sigma_c**2 <= gamma_N**2 * N * sum_i sigma_i**2 (module docstring)."""
-    gamma = n * _UNIT_ROUNDOFF / (1.0 - n * _UNIT_ROUNDOFF)
-    return agg_m2 <= gamma * gamma * n * agents_m2
+def _gamma(k: int) -> float:
+    """gamma_k = k*u / (1 - k*u), the relative error bound of a recursive sum of k + 1 terms."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _mean_rounding(sigma: np.ndarray, abs_mean: np.ndarray, steps: int) -> np.ndarray:
+    """gamma_T * (|mean_i| + sigma_i): how far rounding moves an agent's mean of T steps (module docstring)."""
+    return _gamma(steps) * (abs_mean + sigma)
+
+
+def _constant_up_to_roundoff(sigma_c: float, sigma: np.ndarray, mean_rounding: np.ndarray) -> bool:
+    """Whether sigma_c <= gamma_N * sqrt(N * sum_i sigma_i**2) + sum_i mean_rounding_i (module docstring)."""
+    n = sigma.shape[0]
+    return sigma_c <= _gamma(n) * float(np.sqrt(n * (sigma @ sigma))) + float(mean_rounding.sum())
 
 
 def trendiness(dO_series) -> float:

@@ -6,25 +6,29 @@ The name, crowd.*, rule.* and run.* keys each set one dataclass field
 (`_FIELD_KEYS`), and a key's type, default and rule are those of the
 field it sets. The profile.* keys of each kind are the parameters of
 its builder in `PROFILE_BUILDERS`, read from the builder's signature.
-The reader checks only the form of a value; the field or builder it
-sets checks the value. Parsing reports every problem at once with line
-numbers; emission produces a canonical form that is stable under
-re-parsing. Result tables are comma-separated with fixed headers and
-floats printed to 17 significant digits so every value round-trips;
-no cell is quoted, and the time-series reader refuses a quote.
+Each form of value has one converter (`_int`, `_float`, `_bool`,
+`_floats`, `_choice`) that checks only the form; the field or builder
+it sets checks the value. Parsing reports every problem at once with
+line numbers, a byte that is not UTF-8 included; emission produces a
+canonical form that is stable under re-parsing. Result tables are
+comma-separated with fixed headers and floats printed as "%.17g", so
+every value round-trips. Each table has one writer, which joins its
+cells with commas (`_csv`, or `format_table` for the time series). No
+cell is quoted, as none can hold a comma, quote or line break: the one
+free-text cell, a summary's name, is held to that by the rule of
+`RunSummary.name`. The time-series reader refuses a quote.
 """
 
 from __future__ import annotations
 
-import csv
 import difflib
 import inspect
-import io
 import math
 import operator
 from dataclasses import MISSING, fields
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence, get_type_hints
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -64,6 +68,7 @@ WINDOW_COLUMNS = ["window_start", "window_stop", "t_d", "sigma_o", "mean_R"]
 
 #: The noise model of each crowd.noise value.
 _NOISE_KINDS = {"none": NoNoise, "uniform": UniformNoise, "wiener": WienerNoise}
+_NOISE_NAMES = {model: kind for kind, model in _NOISE_KINDS.items()}
 
 #: (key prefix, class, fields) of the keys that set a dataclass field, in
 #: canonical order; the profile.* keys come just before the profile's length.
@@ -88,25 +93,6 @@ def _field_keys(prefix: str, cls: type, names: tuple[str, ...]) -> list[tuple[st
 
 
 _FIELDS = tuple(entry for group in _FIELD_KEYS for entry in _field_keys(*group))
-
-#: How a field's file value is read, by the field's type; n is the crowd size, if known.
-_READERS = {
-    str: lambda r, key, n: r.text(key),
-    int: lambda r, key, n: r.int_(key),
-    float: lambda r, key, n: r.float_(key),
-    bool: lambda r, key, n: r.bool_(key),
-    int | None: lambda r, key, n: None if r.text(key).lower() == "none" else r.int_(key),
-    np.ndarray: lambda r, key, n: r.float_list(key, n),
-    NoiseModel: lambda r, key, n: _NOISE_KINDS.get(r.choice(key, _NOISE_KINDS)),
-}
-
-#: How a profile parameter's file value is read, by the parameter's type.
-_PARAM_READERS = {
-    int: lambda r, key: r.int_(key, minimum=0),
-    float: lambda r, key: r.float_(key),
-    list: lambda r, key: r.float_list(key, None),
-}
-
 
 def _profile_params(builder) -> tuple[tuple[str, type, bool], ...]:
     """(key, int/float/list, optional) of each builder parameter after `length`, by key."""
@@ -164,93 +150,74 @@ def _tokenize(text: str) -> tuple[dict[str, tuple[int, str]], list[str]]:
     return entries, errors
 
 
-class _Reader:
-    """The form of raw entries, accumulating errors instead of raising.
+class _BadValue(ValueError):
+    """A value of the wrong form; its message follows the key."""
 
-    The typed readers take a present key, and report a malformed value
-    with `fail`; `read` turns that into MISSING.
+
+def _int(text: str, minimum: int | None = None) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise _BadValue(f"expected an integer, got {text!r}") from None
+    if minimum is not None and value < minimum:
+        raise _BadValue(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise _BadValue(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise _BadValue(f"must be finite, got {text!r}")
+    return value
+
+
+def _bool(text: str) -> bool:
+    if text.lower() in ("true", "yes", "1"):
+        return True
+    if text.lower() in ("false", "no", "0"):
+        return False
+    raise _BadValue(f"expected true/false, got {text!r}")
+
+
+def _floats(text: str, n: int | None = None) -> np.ndarray:
+    """A float64 array: a scalar expanded to n copies, or a comma list of exactly n values.
+
+    With n None, any number of values.
     """
-
-    def __init__(self, entries: dict[str, tuple[int, str]], errors: list[str]):
-        self.entries = entries
-        self.errors = errors
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def fail(self, key: str, msg: str) -> None:
-        entry = self.entries.get(key)
-        where = f"line {entry[0]}: " if entry else ""
-        self.errors.append(f"{where}{key}: {msg}")
-
-    def read(self, key: str, reader, required: bool, *args):
-        """`reader(self, key, *args)`; MISSING if the key is absent (an error if required) or malformed."""
-        if key not in self.entries:
-            if required:
-                self.errors.append(f"missing required key {key!r}")
-            return MISSING
-        count = len(self.errors)
-        value = reader(self, key, *args)
-        return value if len(self.errors) == count else MISSING
-
-    def text(self, key: str) -> str:
-        return self.entries[key][1]
-
-    def choice(self, key: str, choices: Iterable[str]) -> str:
-        value = self.text(key)
-        if value not in choices:
-            self.fail(key, f"must be one of {', '.join(choices)}; got {value!r}")
-        return value
-
-    def int_(self, key: str, minimum: int | None = None):
-        text = self.text(key)
-        try:
-            value = int(text)
-        except ValueError:
-            self.fail(key, f"expected an integer, got {text!r}")
-            return None
-        if minimum is not None and value < minimum:
-            self.fail(key, f"must be >= {minimum}, got {value}")
-        return value
-
-    def float_(self, key: str):
-        text = self.text(key)
-        try:
-            value = float(text)
-        except ValueError:
-            self.fail(key, f"expected a number, got {text!r}")
-            return None
-        if not math.isfinite(value):
-            self.fail(key, f"must be finite, got {text!r}")
-        return value
-
-    def bool_(self, key: str):
-        text = self.text(key)
-        if text.lower() in ("true", "yes", "1"):
-            return True
-        if text.lower() in ("false", "no", "0"):
-            return False
-        self.fail(key, f"expected true/false, got {text!r}")
-        return None
-
-    def float_list(self, key: str, n: int | None):
-        """A float64 array: a scalar expanded to n copies, or a comma list of exactly n values.
-
-        With n None, any number of values.
-        """
-        text = self.text(key)
-        try:
-            values = [float(p) for p in text.split(",")]
-        except ValueError:
-            self.fail(key, f"expected a number or comma-separated numbers, got {text!r}")
-            return None
-        if not all(math.isfinite(v) for v in values):
-            self.fail(key, f"must be finite, got {text!r}")
-        elif n is not None and len(values) == 1:
-            return np.full(n, values[0])
-        elif n is not None and len(values) != n:
-            self.fail(key, f"expected 1 or {n} values, got {len(values)}")
+    try:
+        values = [float(p) for p in text.split(",")]
+    except ValueError:
+        raise _BadValue(f"expected a number or comma-separated numbers, got {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise _BadValue(f"must be finite, got {text!r}")
+    if n is None or len(values) == n:
         return np.array(values)
+    if len(values) == 1:
+        return np.full(n, values[0])
+    raise _BadValue(f"expected 1 or {n} values, got {len(values)}")
+
+
+def _choice(text: str, choices: Iterable[str]) -> str:
+    if text not in choices:
+        raise _BadValue(f"must be one of {', '.join(choices)}; got {text!r}")
+    return text
+
+
+#: How a field's file value is read, by the field's type; an agent column is read by `_floats`.
+_READERS = {
+    str: str,
+    int: _int,
+    float: _float,
+    bool: _bool,
+    int | None: lambda text: None if text.lower() == "none" else _int(text),
+    NoiseModel: lambda text: _NOISE_KINDS[_choice(text, _NOISE_KINDS)],
+}
+
+#: How a profile parameter's file value is read, by the parameter's type.
+_PARAM_READERS = {int: partial(_int, minimum=0), float: _float, list: _floats}
 
 
 def parse_scenario(text: str) -> ScenarioSpec:
@@ -265,15 +232,31 @@ def parse_scenario(text: str) -> ScenarioSpec:
     problem found, each with its line number where one applies.
     """
     entries, errors = _tokenize(text)
-    r = _Reader(entries, errors)
+
+    def fail(key: str, message: str) -> None:
+        where = f"line {entries[key][0]}: " if key in entries else ""
+        errors.append(f"{where}{key}: {message}")
+
+    def read(key: str, convert, required: bool = True):
+        """`convert` of the key's value; MISSING if the key is absent (an error if required) or malformed."""
+        if key not in entries:
+            if required:
+                errors.append(f"missing required key {key!r}")
+            return MISSING
+        try:
+            return convert(entries[key][1])
+        except _BadValue as exc:
+            fail(key, str(exc))
+            return MISSING
 
     given: dict[type, dict] = {cls: {} for _, cls, _ in _FIELD_KEYS}
     for key, cls, name, typ, required in _FIELDS:
-        value = r.read(key, _READERS[typ], required, given[CrowdConfig].get("n"))
+        convert = partial(_floats, n=given[CrowdConfig].get("n")) if typ is np.ndarray else _READERS[typ]
+        value = read(key, convert, required)
         if value is not MISSING:
             broken = field_errors(cls, {name: value})
             for _, message in broken:
-                r.fail(key, message)
+                fail(key, message)
             if not broken:
                 given[cls][name] = value
 
@@ -282,31 +265,30 @@ def parse_scenario(text: str) -> ScenarioSpec:
     columns = [crowd.get(c, getattr(CrowdConfig, c, None)) for c in AGENT_COLUMNS]
     if "n" in crowd and all(col is not None for col in columns):
         for column, message in agent_column_errors(*np.broadcast_arrays(*columns)):
-            r.fail(f"crowd.{column}", message)
+            fail(f"crowd.{column}", message)
 
-    kind = r.read("profile.kind", _Reader.choice, True, _PROFILE_PARAMS)
+    kind = read("profile.kind", partial(_choice, choices=_PROFILE_PARAMS))
     profile = None
     if kind is not MISSING:
-        errors_before = len(errors)
-        params = {}
-        for key, typ, optional in _PROFILE_PARAMS[kind]:
-            value = r.read(f"profile.{key}", _PARAM_READERS[typ], not optional)
-            if value is not MISSING:
-                params[key] = value
-        params_ok = len(errors) == errors_before
-        for key in _PROFILE_KEYS - {k for k, _, _ in _PROFILE_PARAMS[kind]} - {"kind"}:
-            if r.has(f"profile.{key}"):
-                r.fail(f"profile.{key}", f"not a parameter of profile kind {kind!r}")
+        params = {
+            key: read(f"profile.{key}", _PARAM_READERS[typ], not optional)
+            for key, typ, optional in _PROFILE_PARAMS[kind]
+            if not optional or f"profile.{key}" in entries
+        }
+        own = {"profile.kind", *(f"profile.{key}" for key, _, _ in _PROFILE_PARAMS[kind])}
+        for key in entries:  # in line order
+            if key.startswith("profile.") and key not in own:
+                fail(key, f"not a parameter of profile kind {kind!r}")
         steps = given[ForceProfile].get("length")
-        if params_ok and steps is not None:
+        if steps is not None and all(value is not MISSING for value in params.values()):
             try:
                 profile = build_profile(kind, params, steps)
             except ValueError as exc:
-                r.fail("profile.kind", str(exc))
+                fail("profile.kind", str(exc))
 
     noise = crowd.get("noise_model")
-    if noise is not WienerNoise and (r.has("crowd.mu") or r.has("crowd.sigma")):
-        r.fail("crowd.noise", "crowd.mu/crowd.sigma are only meaningful with noise = wiener")
+    if noise is not WienerNoise and ("crowd.mu" in entries or "crowd.sigma" in entries):
+        fail("crowd.noise", "crowd.mu/crowd.sigma are only meaningful with noise = wiener")
 
     if errors:
         raise ScenarioFormatError(errors)
@@ -318,7 +300,21 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    return parse_scenario(_read_text(path, lambda message: ScenarioFormatError([message])))
+
+
+def _read_text(path: str | Path, error: Callable[[str], CrowdError]) -> str:
+    """A UTF-8 file's text, CRLF and CR read as LF; a byte that is not UTF-8 raises `error` naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return _newlines(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[: exc.start].decode("utf-8")).count("\n") + 1
+        raise error(f"{path}: line {line}: not UTF-8 (byte 0x{data[exc.start]:02x}: {exc.reason})") from None
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +332,7 @@ def _fmt(value) -> str:
         return repr(float(value[0])) if np.all(value == value[0]) else ", ".join(map(repr, value.tolist()))
     if value is None:
         return "none"
-    for kind, model in _NOISE_KINDS.items():
-        if isinstance(value, model):
-            return kind
-    return str(value)
+    return _NOISE_NAMES.get(type(value)) or str(value)
 
 
 def format_scenario(spec: ScenarioSpec) -> str:
@@ -367,15 +360,12 @@ def format_scenario(spec: ScenarioSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def _g17(x: float) -> str:
-    return format(float(x), ".17g")
+    return "%.17g" % x
 
 
 def _csv(header: list[str], rows: Iterable[list]) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
+    """The header and rows as comma-separated lines; no cell holds a comma, a quote or a line break."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
 def _write(text: str, destination: str | Path) -> Path:
@@ -391,8 +381,8 @@ def format_table(result: ScenarioResult) -> str:
     settled run repeats its rows but for t, so the cells after t are
     made once per run of consecutive rows whose every such cell keeps
     its bits (0.0 and -0.0 differ), and each distinct value of a column
-    among those rows is formatted once (`_column_cells`). No cell holds
-    a comma or quote, so the bytes are those of `csv.writer`.
+    among those rows is formatted once (`_column_cells`). As in `_csv`,
+    no cell holds a comma, a quote or a line break.
     """
     numeric = (result.E, result.dE, result.S, result.dS, result.O, result.dO, result.n_reactive,
                result.n_reactive / result.config.n, result.b_total, result.ab, result.r_instant)
@@ -436,23 +426,9 @@ def format_summary(summary: RunSummary) -> str:
 
 
 def _summary_row(s: RunSummary) -> list:
-    return [
-        s.name,
-        s.steps_run,
-        "true" if s.diverged else "false",
-        "" if s.truncated_at is None else s.truncated_at,
-        s.seed,
-        _g17(s.peak_O),
-        _g17(s.final_O),
-        _g17(s.peak_ratio),
-        _g17(s.final_ratio),
-        _g17(s.mean_R),
-        _g17(s.rho_c),
-        _g17(s.sigma_c),
-        _g17(s.sigma_o),
-        _g17(s.t_d),
-        s.stability_final.value,
-    ]
+    floats = [_g17(getattr(s, column)) for column in SUMMARY_COLUMNS[5:-1]]  # peak_O to t_d
+    truncated = "" if s.truncated_at is None else s.truncated_at
+    return [s.name, s.steps_run, _fmt(s.diverged), truncated, s.seed, *floats, s.stability_final.value]
 
 
 def emit_summary(summary: RunSummary, destination: str | Path) -> Path:
@@ -484,18 +460,18 @@ def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) 
 
     A settled run repeats its rows but for t, so each distinct rest of
     a row (the text after its t cell) is split, width-checked and
-    converted once, and the rows gather its values. An empty file, a
-    foreign header, a row of the wrong width, a quote (tables have no
-    quoting) or a cell of a named column that is not a number raises
-    TableFormatError naming the file and the earliest such line. Cells
-    of the other columns are not converted, so they are not validated.
-    A name that is not a table column raises ValueError.
+    converted once, and the rows gather its values. A byte that is not
+    UTF-8, an empty file, a foreign header, a row of the wrong width, a
+    quote (tables have no quoting) or a cell of a named column that is
+    not a number raises TableFormatError naming the file and the
+    earliest such line. Cells of the other columns are not converted,
+    so they are not validated. A name that is not a table column raises
+    ValueError.
     """
     for col in columns:
         if col not in TABLE_COLUMNS:
             raise ValueError(f"unknown table column {col!r}; valid: {', '.join(TABLE_COLUMNS)}")
-    with open(path, encoding="utf-8") as fh:  # universal newlines: a CRLF table reads as LF
-        text = fh.read()
+    text = _read_text(path, TableFormatError)
     if '"' in text:
         line = text.count("\n", 0, text.index('"')) + 1
         raise TableFormatError(f"{path}: line {line}: a quote; table cells are never quoted")

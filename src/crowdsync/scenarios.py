@@ -688,9 +688,15 @@ def forced_ratio_samples(
 
 @dataclass
 class RunSummary:
-    """One-row digest of a run, the unit emitted by sweeps and the CLI."""
+    """One-row digest of a run, the unit emitted by sweeps and the CLI.
 
-    name: str
+    `name` is a table cell, and table cells are not quoted, so it holds
+    no comma, quote or line break.
+    """
+
+    name: str = ruled(
+        lambda name: not set(name) & set(',"\r\n'), "run name must hold no comma, quote, CR or LF; got {!r}"
+    )
     steps_run: int
     diverged: bool
     truncated_at: int | None
@@ -705,6 +711,9 @@ class RunSummary:
     sigma_o: float
     t_d: float
     stability_final: Stability
+
+    def __post_init__(self) -> None:
+        check_fields(RunSummary, vars(self))
 
 
 def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
@@ -794,11 +803,17 @@ def sweep(
     seed + index. The seed actually used is recorded in each point's summary.
     Runs go to min(jobs, len(values), usable CPUs) worker processes when
     that is more than one; a CPU is usable when the process may run on it.
-    Every value is applied, and so checked, before the first run.
+    Every value is applied, and so checked, before the first run. Only
+    a crowd with uniform noise draws noise_amp, so sweeping it is
+    refused on any other crowd.
     """
     if seed_policy not in ("fixed", "per-value"):
         raise ValueError(f"seed_policy must be 'fixed' or 'per-value', got {seed_policy!r}")
     _check_sweep_param(param)  # the only check of `param` when there are no values
+    if param == "noise_amp" and not isinstance(config.noise_model, UniformNoise):
+        model = type(config.noise_model).__name__
+        raise ValueError(f"cannot sweep noise_amp: the crowd's noise model is {model}, "
+                         "and only uniform noise (crowd.noise = uniform) draws it")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [seed if seed_policy == "fixed" else seed + i for i in range(len(values))]

@@ -262,3 +262,52 @@ def test_metrics_refuses_malformed_table(case, tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert main(["metrics", "--table", str(path), "--window", "1"]) == 1
     assert_one_line_error(capsys, f"error: invalid table: {path}: ", fragment)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_validate_names_the_file_and_line_of_a_byte_that_is_not_utf8(newline, tmp_path, capsys):
+    path = tmp_path / "latin.scenario"
+    text = SCENARIO.format(name="cli").replace("crowd.n = 10", "crowd.n = 1\xff0")
+    path.write_bytes(text.replace("\n", newline).encode("latin-1"))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert_one_line_error(capsys, f"error: invalid scenario: {path}: line 3: "
+                          "not UTF-8 (byte 0xff: invalid start byte)")
+
+
+def test_metrics_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "table.csv"
+    path.write_bytes((TABLE_HEAD + "1,0,0,0,0,0,0,0,0,0,0,0,contracting\n").encode("utf-8") + b"2,\xe2\x82,0\n")
+    assert main(["metrics", "--table", str(path), "--window", "1"]) == 1
+    assert_one_line_error(capsys, f"error: invalid table: {path}: line 4: "
+                          "not UTF-8 (byte 0xe2: invalid continuation byte)")
+
+
+def _fig4_with(tmp_path, scenario_dir, noise_amp: str) -> str:
+    """fig4-stable, whose noise is none, with its crowd.noise_amp set: `run` ignores it."""
+    text = (scenario_dir / "fig4-stable.scenario").read_text(encoding="utf-8")
+    path = tmp_path / f"amp{noise_amp}.scenario"
+    path.write_text(text.replace("crowd.noise_amp = 0.0", f"crowd.noise_amp = {noise_amp}"), encoding="utf-8")
+    return str(path)
+
+
+def test_order_vs_ratio_curve_follows_the_noise_model(tmp_path, scenario_dir, capsys):
+    """A crowd without uniform noise draws no per-agent noise, in `curve` as in `run`."""
+    curves = []
+    for amp in ("0.0", "0.3"):
+        out = tmp_path / f"out{amp}"
+        argv = ["curve", "--scenario", _fig4_with(tmp_path, scenario_dir, amp), "--kind", "order-vs-ratio",
+                "--points", "3", "--out", str(out)]
+        assert main(argv) == 0
+        curves.append((out / "fig4-stable_curve_order-vs-ratio.csv").read_text(encoding="utf-8"))
+    assert curves[1] == curves[0]
+    assert curves[0].splitlines()[1] == "0,0,0"  # one trial (stderr 0) of an all-normal crowd with b_low = 0
+    capsys.readouterr()
+
+
+def test_sweep_refuses_noise_amp_without_uniform_noise(tmp_path, scenario_dir, capsys):
+    out = tmp_path / "out"
+    argv = ["sweep", "--scenario", _fig4_with(tmp_path, scenario_dir, "0.3"), "--param", "noise_amp",
+            "--values", "0.1,0.2", "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, "cannot sweep noise_amp: the crowd's noise model is NoNoise")
+    assert not out.exists()

@@ -1,7 +1,13 @@
 """Scenario parsing/emission and result tables."""
 
+import csv
+import io
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +15,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from crowdsync.dynamics import AGENT_COLUMNS, CrowdConfig, NoNoise, UniformNoise, WienerNoise
 from crowdsync.scenario_io import (
+    SUMMARY_COLUMNS,
     ScenarioFormatError,
     TABLE_COLUMNS,
     TableFormatError,
     _PROFILE_PARAMS,
+    _summary_row,
     emit_table,
     format_scenario,
     format_summary,
@@ -368,6 +376,60 @@ def test_profile_builder_error_is_reported_on_the_kind_line():
     assert exc_info.value.errors == ["line 9: profile.kind: onset 99 outside [0, 5)"]
 
 
+#: (file, its full error list) for each form a value can break
+BAD_FORMS = {
+    "integer": (MINIMAL.replace("crowd.n = 10", "crowd.n = ten"),
+                ["line 3: crowd.n: expected an integer, got 'ten'"]),
+    "bool": (MINIMAL + "run.overlap = maybe\n", ["line 11: run.overlap: expected true/false, got 'maybe'"]),
+    "number list": (MINIMAL.replace("crowd.c = 1.0", "crowd.c = 1.0, x"),
+                    ["line 7: crowd.c: expected a number or comma-separated numbers, got '1.0, x'"]),
+    "noise kind": (MINIMAL + "crowd.noise = pink\n",
+                   ["line 11: crowd.noise: must be one of none, uniform, wiener; got 'pink'"]),
+    "profile kind": (MINIMAL.replace("profile.kind = zero", "profile.kind = square"),
+                     ["line 9: profile.kind: must be one of zero, step, ramp, bubble, explicit; got 'square'"]),
+    "key = value": (MINIMAL.replace("crowd.n = 10", "crowd.n 10"),
+                    ["line 3: expected 'key = value', got 'crowd.n 10'", "missing required key 'crowd.n'"]),
+    "negative profile integer": (
+        MINIMAL.replace("profile.kind = zero", "profile.kind = step\nprofile.height = 1.0\nprofile.onset = -1"),
+        ["line 11: profile.onset: must be >= 0, got -1"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FORMS)
+def test_each_bad_form_has_its_message(case):
+    text, errors = BAD_FORMS[case]
+    with pytest.raises(ScenarioFormatError) as exc_info:
+        parse_scenario(text)
+    assert exc_info.value.errors == errors
+
+
+_FOREIGN_PARAMS = MINIMAL.replace(
+    "profile.kind = zero", "profile.kind = zero\nprofile.height = 1.0\nprofile.onset = 2\nprofile.slope = 1.0"
+)
+_PRINT_ERRORS = """
+import sys
+from crowdsync.scenario_io import ScenarioFormatError, parse_scenario
+try:
+    parse_scenario(sys.stdin.read())
+except ScenarioFormatError as exc:
+    print(exc.errors)
+"""
+
+
+def test_keys_foreign_to_the_profile_kind_are_reported_in_line_order():
+    """The report does not follow the hash seed of the process that parses."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    outputs = [
+        subprocess.run([sys.executable, "-c", _PRINT_ERRORS], input=_FOREIGN_PARAMS, capture_output=True,
+                       text=True, check=True, env={**env, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "3")
+    ]
+    want = [f"line {line}: profile.{key}: not a parameter of profile kind 'zero'"
+            for line, key in ((10, "height"), (11, "onset"), (12, "slope"))]
+    assert outputs == [f"{want}\n"] * 2
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -423,6 +485,27 @@ def test_summary_row_shape(golden):
     assert row["peak_ratio"] == "1"
     assert row["name"] == "fig5-unstable"
     assert row["stability_final"] == "amplifying"
+
+
+@pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "cr\rcr", "lf\nlf"])
+def test_summary_name_holds_no_comma_quote_or_line_break(bad):
+    with pytest.raises(ValueError) as exc_info:
+        summarize(quiescent_result(), name=bad)
+    assert str(exc_info.value) == f"run name must hold no comma, quote, CR or LF; got {bad!r}"
+
+
+_QUIET_SUMMARY = summarize(quiescent_result())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.characters(exclude_characters=',"\r\n')))
+@example("x\x00\t y")
+def test_summary_bytes_are_those_of_csv_writer(name):
+    """Every name the rule allows is a cell that `csv.writer` would not quote."""
+    summary = replace(_QUIET_SUMMARY, name=name)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([SUMMARY_COLUMNS, _summary_row(summary)])
+    assert format_summary(summary) == buf.getvalue()
 
 
 def test_read_table_rejects_foreign_header(tmp_path):

@@ -264,6 +264,9 @@ def windows(draw):
 @settings(max_examples=300, deadline=None)
 @given(windows(), st.integers(1, 12))
 @example(np.array([[0.1, 0.7, 0.3], [0.3, 0.1, 0.9], [-0.4, -0.8, -1.2]]), 2)
+# an agent whose two actions are one ulp apart: its spread is within rounding of its values
+@example(np.array([[1e-6, np.nextafter(1e-6, 1)]]), 1)
+@example(np.array([[1e-6, np.nextafter(1e-6, 1)], [0.0, 1e-6]]), 1)
 def test_weighted_and_direct_paths_agree(arr, block_rows):
     """The streamed kernel, merged in blocks of `block_rows` steps, against the matrix form.
 
