@@ -172,16 +172,14 @@ def _cmd_curve(args) -> int:
                   f"10*mean(b_high)*|drive| overflow to {e_max}", file=sys.stderr)
             return 1
     trials = args.trials if args.trials is not None else default_trials
-    xs: list[float] = []
-    means: list[float] = []
-    stderrs: list[float] = []
-    for i, (x, ratio, noise_amp) in enumerate(points):
-        samples = forced_ratio_samples(
-            cfg, ratio, dO_drive=args.drive, noise_amp=noise_amp, trials=trials, seed=spec.seed + i,
-        )
-        xs.append(x)
-        means.append(float(samples.mean()))
-        stderrs.append(_stderr(samples))
+    # point i draws from seed + i
+    samples = forced_ratio_samples(
+        cfg, [(ratio, noise_amp) for _, ratio, noise_amp in points],
+        dO_drive=args.drive, trials=trials, seed=spec.seed,
+    )
+    xs = [x for x, _, _ in points]
+    means = [float(row.mean()) for row in samples]
+    stderrs = [_stderr(row) for row in samples]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = emit_curve_table(xs, means, stderrs, out / f"{spec.name}_curve_{args.kind}.csv")

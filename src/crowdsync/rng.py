@@ -2,9 +2,11 @@
 
 All randomness in the package flows through Philox (counter-based) bit
 generators keyed via ``numpy.random.SeedSequence``. A run or a sweep point
-owns its own generator, and each block of a Monte-Carlo sampler draws
-from a copy of the sampler's stream, advanced to the block's first draw
-(Philox gives 4 draws per counter step). Nothing is shared, so an
+owns its own generator; a run draws a block of steps' uniform noise at
+once, which gives the bits of one draw per step. Point i of a
+Monte-Carlo sampler owns the stream of seed + i, and each block of its
+trials draws from a copy of that stream, advanced to the block's first
+draw (Philox gives 4 draws per counter step). Nothing is shared, so an
 identical seed reproduces bit-identical draws on any machine running the
 same numpy build, however the draws are split.
 """

@@ -21,6 +21,7 @@ free-text cell, a summary's name, is held to that by the rule of
 
 from __future__ import annotations
 
+import codecs
 import difflib
 import inspect
 import math
@@ -304,8 +305,11 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def _read_text(path: str | Path, error: Callable[[str], CrowdError]) -> str:
-    """A UTF-8 file's text, CRLF and CR read as LF; a byte that is not UTF-8 raises `error` naming its line."""
-    data = Path(path).read_bytes()
+    """A UTF-8 file's text, CRLF and CR read as LF; a byte that is not UTF-8 raises `error` naming its line.
+
+    A leading byte-order mark is dropped, as the "utf-8-sig" codec drops it.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return _newlines(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

@@ -14,12 +14,15 @@ Actions dS_i = c_i*dE + b_i*dO_prev (+ noise) are built in a block of
 consecutive steps, one row per step. The block is a time-major array of
 32 KB, but at least 8 rows (for N > 512) and at most the run's length,
 as `metrics.step_block_rows` declares; it starts as c_i*dE(t) for all
-its steps in one outer product. A step adds b_i*dO_prev and its noise
-to its own row in place and takes sum dS_i, which it needs for dO. When
-the block is full, and once when the run ends or diverges, its rows are
-merged into the run's `CrowdMoments`, copied into the N x T action
-matrix if the caller keeps one, and sum |dS_i| is taken for all of them
-in one row-wise `ordered_sum`. These are the floating-point operations
+its steps in one outer product. A crowd with uniform noise draws the
+block's noise at its start, as one (rows, N) uniform draw scaled by the
+half-widths: Philox gives it the bits of one draw per step, in order. A
+step adds b_i*dO_prev and then its noise row to its own row in place
+and takes sum dS_i, which it needs for dO. When the block is full, and
+once when the run ends or diverges, its rows are merged into the run's
+`CrowdMoments`, copied into the N x T action matrix if the caller keeps
+one, and sum |dS_i| is taken for all of them in one row-wise
+`ordered_sum`. These are the floating-point operations
 of a one-step-at-a-time loop in the same order, so no bit of the
 trajectory or of the action matrix depends on the block size. The
 moments do: a merge rounds differently from a longer block, so the
@@ -60,8 +63,9 @@ N and T put them. A filled block costs O(N): it merges through
 and the fill takes sum |dS_i| of the row once.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
-profile, seed). `forced_ratio_samples` draws its trials on threads, with
-bits that do not depend on them. Amplifying configurations are expected
+profile, seed). `forced_ratio_samples` draws the trials of all its points
+on one pool of threads, with bits that do not depend on them, and draws
+nothing for a point without noise. Amplifying configurations are expected
 to blow up; a run truncates once |O| crosses the divergence ceiling and
 is marked diverged rather than failing.
 
@@ -108,8 +112,9 @@ SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 DEFAULT_DIVERGENCE_CEILING = 1e12
 
 #: Uniform draws per block in `forced_ratio_samples`: 512 KB. A block has at least 4
-#: rows, so it holds max(_DRAW_BLOCK, 4N) draws, and each of the min(blocks, usable CPUs)
-#: drawing threads holds one block: the sampler's peak grows with the CPU count.
+#: rows, so it holds max(_DRAW_BLOCK, 4N) draws. The blocks of every point share one pool
+#: of min(blocks, usable CPUs) threads, and each thread holds one block at a time: the
+#: sampler's peak grows with the CPU count, not with the number of points.
 _DRAW_BLOCK = 2**16
 
 
@@ -385,10 +390,13 @@ def run(
     filled in bulk, at O(N) a block. Every bit is as a step-by-step loop
     gives it (module docstring).
 
-    Noise models: per-agent uniform noise enters each agent's action;
-    aggregate drift+diffusion noise enters the observation update and is
-    attributed equally across agents so dS = sum dS_i and dO = a*dS stay
-    exact. With no noise the generator is never consumed.
+    Noise models: per-agent uniform noise enters each agent's action,
+    drawn once per block for all its steps (module docstring); a run
+    that diverges in mid-block leaves the rest of the block's draws
+    unread. Aggregate drift+diffusion noise enters the observation
+    update, one normal draw a step, and is attributed equally across
+    agents so dS = sum dS_i and dO = a*dS stay exact. With no noise the
+    generator is never consumed.
     """
     n, a, dt = config.n, config.a, config.dt
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
@@ -464,6 +472,9 @@ def run(
                     continue
             t_end = min(t0 + block_rows, T)
             rows = np.multiply.outer(dE_arr[t0:t_end], c_vec, out=block[: t_end - t0])
+            if uniform:  # the bits of one draw per step; rows past a divergence are never read
+                noise = rng.uniform(-1.0, 1.0, rows.shape)
+                noise *= amp
             for t, ds_i in enumerate(rows, t0):
                 if pinned_reactive is None:
                     n_h = update_reactive_count(history, rule, n)
@@ -474,7 +485,7 @@ def run(
                     coupled_for = n_h
                 ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
                 if uniform:
-                    ds_i += rng.uniform(-1.0, 1.0, n) * amp
+                    ds_i += noise[t - t0]
                 elif wiener:
                     agg_eps = model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
                     ds_i += agg_eps / (a * n)
@@ -623,62 +634,84 @@ def aggregate_trajectory(
 
 def forced_ratio_samples(
     config: CrowdConfig,
-    ratio: float,
+    points: Sequence[tuple[float, float | np.ndarray]],
     dO_drive: float = 1.0,
-    noise_amp: float | np.ndarray = 0.0,
     trials: int = 1,
     seed: int = 0,
 ) -> np.ndarray:
-    """Order parameter of one driven step at a pinned reactive fraction.
+    """Order parameters of one driven step at pinned reactive fractions: one row per point.
 
-    Bypasses the switch rule: the first round(ratio*N) agents in switch
-    priority are reactive, the rest normal. Each trial drives one step
-    with observation increment `dO_drive` (finite), zero external force,
-    and i.i.d. uniform noise of half-width `noise_amp` (one value, or one
-    per agent, under the crowd's noise_amp rule); returns the per-trial
-    order parameters. A trial whose sum of |actions| overflows is
-    refused with a ValueError. `seed` must meet the rule of the
-    `ScenarioSpec` field of that name.
+    A point is (ratio, noise_amp). It bypasses the switch rule: the first
+    round(ratio*N) agents in switch priority are reactive, the rest
+    normal. Each of its trials drives one step with observation increment
+    `dO_drive` (finite), zero external force, and i.i.d. uniform noise of
+    half-width `noise_amp` (one value, or one per agent, under the crowd's
+    noise_amp rule). Returns the (len(points), trials) order parameters.
+    Every point is checked before the first draw. A trial whose sum of
+    |actions| overflows is refused with a ValueError. `seed` must meet the
+    rule of the `ScenarioSpec` field of that name.
 
-    The trials are drawn as one stream, `make_generator(seed).uniform`
-    of shape (trials, N), cut into blocks of whole rows that threads draw
-    at the same time. A block starts at a multiple of 4 rows, and Philox
-    gives 4 draws per counter step, so the block's copy of the stream is
-    advanced to its first draw exactly; each row is summed alone. So no
-    bit of the result depends on the blocks or the thread count.
+    Point i's trials are drawn as one stream, `make_generator(seed + i).uniform`
+    of shape (trials, N), cut into blocks of whole rows; the blocks of all
+    points are drawn on one pool of threads. A block starts at a multiple
+    of 4 rows, and Philox gives 4 draws per counter step, so the block's
+    copy of the stream is advanced to its first draw exactly; each row is
+    summed alone. So no bit of the result depends on the blocks or the
+    thread count. A point whose every half-width is 0 draws nothing: each
+    of its draws would be +0.0, so every trial is the row `base + 0.0`
+    (a -0.0 action becomes +0.0), summed once.
     """
-    if not 0.0 <= ratio <= 1.0:
-        raise ValueError(f"ratio must be in [0, 1], got {ratio}")
+    for ratio, _ in points:
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"ratio must be in [0, 1], got {ratio}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not math.isfinite(dO_drive):
         raise ValueError(f"dO_drive must be finite, got {dO_drive}")
     check_fields(ScenarioSpec, {"seed": seed})
-    replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
+    for _, noise_amp in points:
+        replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
     n = config.n
-    n_h = min(int(math.floor(ratio * n + 0.5)), n)
-    with np.errstate(over="ignore"):  # an action that overflows fails the check in `draw`
-        base = np.where(_switch_rank(config) < n_h, config.b_high, config.b_low) * dO_drive
-
-    out = np.empty(trials)
+    rank = _switch_rank(config)
+    out = np.empty((len(points), trials))
     rows = 4 * max(1, _DRAW_BLOCK // (4 * n))
 
-    def draw(start: int) -> None:
-        stop = min(start + rows, trials)
-        rng = make_generator(seed)
-        rng.bit_generator.advance(start * n // 4)
+    def base(i: int) -> np.ndarray:
+        """Point i's actions without noise."""
+        n_h = min(int(math.floor(points[i][0] * n + 0.5)), n)
+        with np.errstate(over="ignore"):  # an action that overflows fails the check in `fold`
+            return np.where(rank < n_h, config.b_high, config.b_low) * dO_drive
+
+    def fold(acts: np.ndarray, into: np.ndarray) -> None:
+        """Writes the order parameter of each row of `acts` (trials x N) into `into`; overwrites `acts`."""
         with np.errstate(over="ignore", invalid="ignore"):  # per thread; the check below reports it
-            acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
-            acts += base  # in place: one block-sized array per thread
             sums = acts.sum(axis=1)
             magnitudes = np.abs(acts, out=acts).sum(axis=1)
         if not np.isfinite(magnitudes).all():  # sum |x| bounds |sum x|: both are finite or this is not
             raise ValueError(f"dO_drive={dO_drive:g} overflows the sum of a trial's actions")
-        out[start:stop] = order_ratio(sums, magnitudes)
+        into[:] = order_ratio(sums, magnitudes)
 
-    starts = range(0, trials, rows)
-    with ThreadPoolExecutor(min(len(starts), _usable_cpus())) as pool:
-        list(pool.map(draw, starts))
+    def draw(task: tuple[int, int]) -> None:
+        i, start = task
+        stop = min(start + rows, trials)
+        noise_amp = points[i][1]
+        rng = make_generator(seed + i)
+        rng.bit_generator.advance(start * n // 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
+            acts += base(i)  # in place: one block-sized array per thread
+        fold(acts, out[i, start:stop])
+
+    tasks = []
+    for i, (_, noise_amp) in enumerate(points):
+        if np.any(noise_amp):
+            tasks += [(i, start) for start in range(0, trials, rows)]
+        else:  # no draw: each would be +0.0 (docstring)
+            fold((base(i) + 0.0)[None, :], out[i, :1])
+            out[i, 1:] = out[i, 0]
+    if tasks:
+        with ThreadPoolExecutor(min(len(tasks), _usable_cpus())) as pool:
+            list(pool.map(draw, tasks))
     return out
 
 

@@ -2,9 +2,11 @@
 
 import csv
 import tracemalloc
+from unittest import mock
 
 import pytest
 
+import crowdsync.cli as cli_module
 import crowdsync.scenarios as scenarios_module
 from crowdsync.cli import main
 from crowdsync.metrics import CrowdMoments
@@ -83,6 +85,18 @@ def test_order_vs_ratio_curve_uses_each_agents_noise(tmp_path):
     with open(tmp_path / "noisy_curve_order-vs-ratio.csv", newline="", encoding="utf-8") as fh:
         rows = {float(r["x"]): r for r in csv.DictReader(fh)}
     assert float(rows[0.5]["mean_R"]) < 1.0 and float(rows[0.5]["stderr_R"]) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["order-vs-ratio", "order-vs-noise"])
+def test_curve_samples_every_point_in_one_call(kind, tmp_path):
+    """One sampler call, and so one thread pool, per curve, not one per point."""
+    sampler = mock.patch.object(cli_module, "forced_ratio_samples", wraps=cli_module.forced_ratio_samples)
+    with sampler as samples:
+        argv = ["curve", "--scenario", write_scenario(tmp_path), "--kind", kind,
+                "--points", "5", "--trials", "8", "--out", str(tmp_path)]
+        assert main(argv) == 0
+    assert samples.call_count == 1
+    assert len(samples.call_args.args[1]) == 5  # every point
 
 
 @pytest.mark.parametrize("drive", ["nan", "inf", "-inf"])
@@ -280,6 +294,37 @@ def test_metrics_names_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, ca
     assert main(["metrics", "--table", str(path), "--window", "1"]) == 1
     assert_one_line_error(capsys, f"error: invalid table: {path}: line 4: "
                           "not UTF-8 (byte 0xe2: invalid continuation byte)")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_validate_reads_a_scenario_that_starts_with_a_byte_order_mark(newline, tmp_path, capsys):
+    path = tmp_path / "bom.scenario"
+    text = SCENARIO.format(name="cli").lstrip("\n")  # the mark sits before the first key
+    path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", newline).encode("utf-8"))
+    assert main(["validate", "--scenario", str(path)]) == 0
+    assert capsys.readouterr() == (f"{path}: valid\n", "")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_a_byte_order_mark_leaves_the_line_of_a_bad_byte(newline, tmp_path, capsys):
+    path = tmp_path / "bom.scenario"
+    text = SCENARIO.format(name="cli").lstrip("\n").replace("crowd.n = 10", "crowd.n = 1\xff0")
+    path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", newline).encode("latin-1"))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    assert_one_line_error(capsys, f"error: invalid scenario: {path}: line 2: "
+                          "not UTF-8 (byte 0xff: invalid start byte)")
+
+
+def test_metrics_reads_a_table_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    text = TABLE_HEAD + "1,0,0,0,0,0,0.5,0,0.5,0,0,0,contracting\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["metrics", "--table", str(plain), "--window", "1"]) == 0
+    want = capsys.readouterr()
+    assert main(["metrics", "--table", str(marked), "--window", "1"]) == 0
+    assert capsys.readouterr() == want
+    assert want.out.count("\n") == 3  # the header and one window a row
 
 
 def _fig4_with(tmp_path, scenario_dir, noise_amp: str) -> str:

@@ -169,7 +169,7 @@ def test_closed_form_rejects_inconsistent_low_stats():
 def noisy_order_parameter(n, noise_amp, trials, seed):
     """Mean R of one step of a fully reactive crowd (b_high = 1) driven by dO = 1."""
     cfg = CrowdConfig(n=n, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
-    return float(forced_ratio_samples(cfg, 1.0, 1.0, noise_amp, trials, seed).mean())
+    return float(forced_ratio_samples(cfg, [(1.0, noise_amp)], 1.0, trials, seed).mean())
 
 
 def test_noisy_order_parameter_reduces_to_exact_at_zero_noise():
@@ -536,12 +536,28 @@ def test_forced_ratio_samples_holds_one_draw_block():
     tracemalloc.start()  # it traces numpy's allocations on every thread
     try:
         with mock.patch.object(scenarios_module, "_usable_cpus", return_value=2):
-            forced_ratio_samples(cfg, 0.5, noise_amp=0.5, trials=trials)
+            forced_ratio_samples(cfg, [(0.5, 0.5)], trials=trials)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     blocks = 2 * scenarios_module._DRAW_BLOCK * 8  # about 1 MB; the 8 MB of draws take 16 blocks
     assert peak < 1.5 * blocks
+
+
+def test_forced_ratio_samples_of_a_curve_hold_one_draw_block_per_thread():
+    """11 points on one pool of 2 threads: still one block per thread, plus the result."""
+    n, trials = 500, 2000
+    cfg = CrowdConfig(n=n, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
+    points = [(1.0, float(amp)) for amp in np.linspace(0.0, 0.5, 11)]  # as `curve --kind order-vs-noise`
+    tracemalloc.start()
+    try:
+        with mock.patch.object(scenarios_module, "_usable_cpus", return_value=2):
+            forced_ratio_samples(cfg, points, trials=trials)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    blocks = 2 * scenarios_module._DRAW_BLOCK * 8  # the 10 noisy points draw 80 MB, in 160 blocks
+    assert peak < 1.5 * blocks + len(points) * trials * 8
 
 
 def test_window_sync_rejects_empty_window():

@@ -49,8 +49,8 @@ def simple_config(n=100, a=0.01, b_low=0.0, b_high=0.5, c=1.0, **kw):
     return CrowdConfig(n=n, a=a, b_low=b_low, b_high=b_high, c=c, **kw)
 
 
-def forced_ratio_mean(config, ratio, **kw):
-    return float(forced_ratio_samples(config, ratio, **kw).mean())
+def forced_ratio_mean(config, ratio, noise_amp=0.0, **kw):
+    return float(forced_ratio_samples(config, [(ratio, noise_amp)], **kw).mean())
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +234,7 @@ def test_non_finite_divergence_ceiling_rejected(ceiling):
 def test_negative_seed_rejected_by_name():
     calls = [
         lambda: run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5), seed=-1),
-        lambda: forced_ratio_samples(simple_config(), 0.5, seed=-1),
+        lambda: forced_ratio_samples(simple_config(), [(0.5, 0.0)], seed=-1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
@@ -384,6 +384,14 @@ _WARMING = (CrowdConfig(n=2, a=1.0, b_low=0.5, b_high=1.0, c=1.0), SwitchRule(1.
 _WIDE_SETTLED = (CrowdConfig(n=600, a=1 / 600, b_low=0.0, b_high=0.5, c=1.0), SwitchRule(0.3),
                  step_profile(60, 1.0, 21), 0, None, False)
 
+# Uniform noise, so each block draws its noise at its start; a ramp, so a step
+# adds c_i*dE, b_i*dO_prev and the noise, all nonzero, in that order. All 3
+# agents tip at step 1 (gain 3), and O crosses 1e5 at step 11, in mid-block:
+# the rows drawn for steps 12-15 are never read.
+_NOISY_TIPPING = (CrowdConfig(n=3, a=1.0, b_low=0.0, b_high=1.0, c=[1.0, -0.3, 0.6], noise_amp=[0.1, 0.5, 0.2],
+                              noise_model=UniformNoise()), SwitchRule(0.5, window=2),
+                  ramp_profile(16, 0.7, 0, 16), 0, None, False)
+
 _RUN_OPTIONS = st.fixed_dictionaries({
     "pinned_reactive": st.none() | st.integers(0, 6),  # capped at the drawn n
     "initial_dO": st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-2.0, 2.0),
@@ -492,6 +500,8 @@ _OVERFLOWING_FILL = (CrowdConfig(n=1, a=1.0, b_low=0.0, b_high=1.0, c=1.0), Swit
 @example(case=_WIDE_NOISY, options=_SETTLED_OPTIONS, block_rows=3)
 @example(case=_WIDE_SETTLED, options=_SETTLED_OPTIONS, block_rows=1)
 @example(case=_WIDE_SETTLED, options=_SETTLED_OPTIONS, block_rows=5)
+@example(case=_NOISY_TIPPING, options={**_SETTLED_OPTIONS, "divergence_ceiling": 1e5}, block_rows=1)
+@example(case=_NOISY_TIPPING, options={**_SETTLED_OPTIONS, "divergence_ceiling": 1e5}, block_rows=8)  # steps 8-15
 @example(case=_OVERFLOWING_FILL, options={**_SETTLED_OPTIONS, "pinned_reactive": 1, "divergence_ceiling": 1.7e308},
          block_rows=1)
 def test_run_equals_a_per_step_loop(case, options, block_rows):
@@ -719,31 +729,31 @@ def test_forced_ratio_half_matches_closed_form():
 
 def test_forced_ratio_per_agent_noise_amplitudes():
     cfg = simple_config(n=7)
-    scalar = forced_ratio_samples(cfg, 0.5, noise_amp=0.3, trials=500, seed=2)
-    per_agent = forced_ratio_samples(cfg, 0.5, noise_amp=np.full(7, 0.3), trials=500, seed=2)
+    scalar = forced_ratio_samples(cfg, [(0.5, 0.3)], trials=500, seed=2)
+    per_agent = forced_ratio_samples(cfg, [(0.5, np.full(7, 0.3))], trials=500, seed=2)
     assert np.array_equal(per_agent, scalar)
-    assert np.all(forced_ratio_samples(cfg, 1.0, noise_amp=np.zeros(7), trials=50) == 1.0)
+    assert np.all(forced_ratio_samples(cfg, [(1.0, np.zeros(7))], trials=50) == 1.0)
     last_noisy = np.array([0.0] * 6 + [5.0])  # only the last agent's draws can break the sync
-    assert forced_ratio_samples(cfg, 1.0, noise_amp=last_noisy, trials=50).mean() < 1.0
+    assert forced_ratio_samples(cfg, [(1.0, last_noisy)], trials=50).mean() < 1.0
 
 
 def test_forced_ratio_validation():
     cfg = simple_config(n=10)
     with pytest.raises(ValueError):
-        forced_ratio_samples(cfg, 1.5)
+        forced_ratio_samples(cfg, [(1.5, 0.0)])
     with pytest.raises(ValueError):
-        forced_ratio_samples(cfg, 0.5, trials=0)
+        forced_ratio_samples(cfg, [(0.5, 0.0)], trials=0)
     for drive in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="^dO_drive must be finite"):
-            forced_ratio_samples(cfg, 0.5, dO_drive=drive)
+            forced_ratio_samples(cfg, [(0.5, 0.0)], dO_drive=drive)
     # finite drives whose sum of actions overflows; an action that overflows; actions +-1e308 whose sum is 0
     for crowd, ratio, drive in ((cfg, 1.0, 1e308), (simple_config(n=10, b_high=1e300), 1.0, 1e10),
                                 (simple_config(n=2, b_low=-1.0, b_high=1.0), 0.5, 1e308)):
         with pytest.raises(ValueError, match=re.escape(f"dO_drive={drive:g} overflows")):
-            forced_ratio_samples(crowd, ratio, dO_drive=drive)
+            forced_ratio_samples(crowd, [(ratio, 0.0)], dO_drive=drive)
     for noise_amp in (math.nan, math.inf, -0.5, np.r_[np.zeros(9), math.nan], np.zeros(3)):
         with pytest.raises(ValueError, match="noise_amp"):
-            forced_ratio_samples(cfg, 0.5, noise_amp=noise_amp)
+            forced_ratio_samples(cfg, [(0.5, noise_amp)])
 
 
 def sequential_forced_ratio(config, ratio, dO_drive, noise_amp, trials, seed):
@@ -756,27 +766,51 @@ def sequential_forced_ratio(config, ratio, dO_drive, noise_amp, trials, seed):
     return metrics_module.order_ratio(acts.sum(axis=1), np.abs(acts).sum(axis=1))
 
 
+_NOISE_KINDS = ("scalar", "per-agent", "zero", "zeros")
+
+
+def _half_width(kind, n):
+    """A point's noise half-width: 0.7, per-agent widths in [0, 2], or 0 as a scalar or per agent."""
+    return {"scalar": 0.7, "per-agent": np.linspace(0.0, 2.0, n), "zero": 0.0, "zeros": np.zeros(n)}[kind]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 40),
     trials=st.integers(1, 300),
     cpus=st.integers(1, 5),
     block_rows=st.floats(0.0, 4.0),
-    per_agent=st.booleans(),
-    ratio=st.sampled_from([0.0, 0.3, 1.0]),
+    points=st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from(_NOISE_KINDS)),
+                    min_size=1, max_size=4),
+    drive=st.sampled_from([1.3, -1.3]),
     seed=st.integers(0, 2**32),
 )
-@example(n=5, trials=299, cpus=2, block_rows=0.0, per_agent=False, ratio=0.3, seed=0)
-@example(n=39, trials=300, cpus=5, block_rows=4.0, per_agent=True, ratio=1.0, seed=7)
-def test_forced_ratio_bits_do_not_depend_on_the_split(n, trials, cpus, block_rows, per_agent, ratio, seed):
-    """Any block size and thread count give the bits of one sequential draw."""
-    noise_amp = np.linspace(0.0, 2.0, n) if per_agent else 0.7
-    cfg = CrowdConfig(n=n, a=0.01, b_low=np.linspace(-0.5, 0.4, n), b_high=1.0, c=1.0)
+@example(n=5, trials=299, cpus=2, block_rows=0.0, points=[(0.3, "scalar")], drive=1.3, seed=0)
+@example(n=39, trials=300, cpus=5, block_rows=4.0, points=[(1.0, "per-agent")], drive=1.3, seed=7)
+@example(n=6, trials=9, cpus=2, block_rows=1.0,  # -1.3 times b_low's 0.0 is a -0.0 action
+         points=[(0.0, "zero"), (0.3, "scalar"), (0.0, "zeros"), (1.0, "per-agent")], drive=-1.3, seed=3)
+def test_forced_ratio_bits_do_not_depend_on_the_split(n, trials, cpus, block_rows, points, drive, seed):
+    """Any block size and thread count give each point i the bits of one sequential draw from seed + i."""
+    cfg = CrowdConfig(n=n, a=0.01, b_low=np.r_[0.0, np.linspace(-0.5, 0.4, n - 1)], b_high=1.0, c=1.0)
     draw_block = max(1, round(block_rows * n))  # 1 to 4n draws
+    widths = [(ratio, _half_width(kind, n)) for ratio, kind in points]
     with mock.patch.multiple(scenarios_module, _DRAW_BLOCK=draw_block, _usable_cpus=lambda: cpus):
-        got = forced_ratio_samples(cfg, ratio, 1.3, noise_amp, trials, seed)
-    want = sequential_forced_ratio(cfg, ratio, 1.3, noise_amp, trials, seed)
-    assert got.tobytes() == want.tobytes()
+        got = forced_ratio_samples(cfg, widths, drive, trials, seed)
+    assert got.shape == (len(points), trials)
+    for i, (ratio, noise_amp) in enumerate(widths):
+        want = sequential_forced_ratio(cfg, ratio, drive, noise_amp, trials, seed + i)
+        assert got[i].tobytes() == want.tobytes()
+
+
+def test_forced_ratio_checks_every_point_before_drawing():
+    """A bad last point is refused before the first point draws."""
+    cfg = simple_config(n=10)
+    with mock.patch.object(scenarios_module, "make_generator", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError, match="ratio must be in"):
+            forced_ratio_samples(cfg, [(0.5, 0.3), (1.5, 0.3)])
+        with pytest.raises(ValueError, match="noise_amp"):
+            forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, -0.5)])
+        assert np.all(forced_ratio_samples(cfg, [(1.0, 0.0), (1.0, np.zeros(10))], trials=3) == 1.0)
 
 
 # ---------------------------------------------------------------------------
