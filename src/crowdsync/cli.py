@@ -215,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CrowdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate; Python's is often empty
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

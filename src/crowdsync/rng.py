@@ -9,6 +9,11 @@ trials draws from a copy of that stream, advanced to the block's first
 draw (Philox gives 4 draws per counter step). Nothing is shared, so an
 identical seed reproduces bit-identical draws on any machine running the
 same numpy build, however the draws are split.
+
+numpy loads ``numpy.random`` on first use, so importing this module does
+not: the first `make_generator` call does. Only a run whose crowd has
+uniform or Wiener noise, and a sampler point that draws, build one; a
+command that draws nothing never loads it.
 """
 
 from __future__ import annotations

@@ -22,14 +22,15 @@ free-text cell, a summary's name, is held to that by the rule of
 from __future__ import annotations
 
 import codecs
-import difflib
 import inspect
 import math
 import operator
+from array import array
 from dataclasses import MISSING, fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -143,6 +144,8 @@ def _tokenize(text: str) -> tuple[dict[str, tuple[int, str]], list[str]]:
             errors.append(f"line {lineno}: duplicate key {key!r} (first set at line {entries[key][0]})")
             continue
         if key not in _ALL_KEYS:
+            import difflib  # only a file with an unknown key pays for it
+
             hint = difflib.get_close_matches(key, sorted(_ALL_KEYS), n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             errors.append(f"line {lineno}: unknown key {key!r}{suffix}")
@@ -378,15 +381,31 @@ def _write(text: str, destination: str | Path) -> Path:
     return path
 
 
+#: Rows in one piece of the time-series table's text (`_table_chunks`): about 400 KB.
+TABLE_CHUNK_ROWS = 4096
+
+
 def format_table(result: ScenarioResult) -> str:
     """TimeSeriesTable as CSV text: one row per executed step.
 
-    "%d" for the integer columns t and N_H, "%.17g" for the floats. A
-    settled run repeats its rows but for t, so the cells after t are
-    made once per run of consecutive rows whose every such cell keeps
-    its bits (0.0 and -0.0 differ), and each distinct value of a column
-    among those rows is formatted once (`_column_cells`). As in `_csv`,
-    no cell holds a comma, a quote or a line break.
+    "%d" for the integer columns t and N_H, "%.17g" for the floats. The
+    text is the join of `_table_chunks`; `emit_table` writes the same
+    chunks without joining them. As in `_csv`, no cell holds a comma, a
+    quote or a line break.
+    """
+    return "".join(_table_chunks(result))
+
+
+def _table_chunks(result: ScenarioResult) -> Iterator[str]:
+    """The time-series table's text: its header, then its rows in pieces of `TABLE_CHUNK_ROWS`.
+
+    A settled run repeats its rows but for t, so the cells after t (a
+    row's rest) are made once per run of consecutive rows whose every
+    such cell keeps its bits (0.0 and -0.0 differ), and each distinct
+    value of a column among those rows is formatted once
+    (`_column_cells`). A piece converts its own t cells and puts each
+    before its run's rest. So beyond the distinct rests, a consumer
+    holds one piece.
     """
     numeric = (result.E, result.dE, result.S, result.dS, result.O, result.dO, result.n_reactive,
                result.n_reactive / result.config.n, result.b_total, result.ab, result.r_instant)
@@ -400,8 +419,12 @@ def format_table(result: ScenarioResult) -> str:
     last = [stability[i].value + "\n" for i in starts.tolist()]
     cells = [[""] * len(starts), *(_column_cells(col[starts]) for col in numeric), last]
     rests = np.array([",".join(row) for row in zip(*cells)], dtype=object)  # each run's ",E,...,stability\n"
-    rows = map(operator.add, map(str, result.t.tolist()), rests[np.cumsum(changed) - 1].tolist())
-    return "".join([",".join(TABLE_COLUMNS), "\n", *rows])
+    del cells  # the generator's frame lives while its chunks are written
+    run_of_row = np.cumsum(changed) - 1
+    yield ",".join(TABLE_COLUMNS) + "\n"
+    t, step = result.t, TABLE_CHUNK_ROWS
+    for i in range(0, len(t), step):  # each row's t cell, then its run's rest
+        yield "".join(chain.from_iterable(zip(map(str, t[i : i + step].tolist()), rests[run_of_row[i : i + step]])))
 
 
 def _column_cells(values: np.ndarray) -> list[str]:
@@ -421,8 +444,16 @@ def _column_cells(values: np.ndarray) -> list[str]:
 
 
 def emit_table(result: ScenarioResult, destination: str | Path) -> Path:
-    """Write the time-series table; identical results give identical bytes."""
-    return _write(format_table(result), destination)
+    """Write the time-series table; identical results give identical bytes.
+
+    The file gets `format_table`'s text, written chunk by chunk, so the
+    text is never held whole: beyond the run's arrays, the memory is that
+    of its distinct row rests and one chunk of `TABLE_CHUNK_ROWS` rows.
+    """
+    path = Path(destination)
+    with path.open("w", encoding="utf-8", newline="\n") as f:
+        f.writelines(_table_chunks(result))
+    return path
 
 
 def format_summary(summary: RunSummary) -> str:
@@ -462,46 +493,82 @@ def emit_window_table(rows, destination: str | Path) -> Path:
 def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) -> dict[str, np.ndarray]:
     """Read a time-series table back into arrays of the named columns (default: all).
 
-    A settled run repeats its rows but for t, so each distinct rest of
-    a row (the text after its t cell) is split, width-checked and
-    converted once, and the rows gather its values. A byte that is not
-    UTF-8, an empty file, a foreign header, a row of the wrong width, a
-    quote (tables have no quoting) or a cell of a named column that is
-    not a number raises TableFormatError naming the file and the
-    earliest such line. Cells of the other columns are not converted,
-    so they are not validated. A name that is not a table column raises
-    ValueError.
+    The file is read line by line, as UTF-8 with universal newlines and
+    without a leading byte-order mark, and its text is never held whole:
+    a row keeps only its t value and the index of its rest (the text
+    after its t cell). A settled run repeats its rows but for t, so each
+    distinct rest is split, width-checked and converted once, and the
+    rows gather its values; the memory is that of the distinct rests,
+    their cells of the named columns, and one number per row and named
+    column. A byte that is not UTF-8, an empty file, a foreign header, a
+    row of the wrong width, a quote (tables have no quoting) or a cell
+    of a named column that is not a number raises TableFormatError
+    naming the file and the earliest such line; of these, a bad byte is
+    reported first, then a quote, the header, the width, and then the
+    cells of the named columns in their order. Cells of the other
+    columns are not converted, so they are not validated. A name that
+    is not a table column raises ValueError.
     """
     for col in columns:
         if col not in TABLE_COLUMNS:
             raise ValueError(f"unknown table column {col!r}; valid: {', '.join(TABLE_COLUMNS)}")
-    text = _read_text(path, TableFormatError)
-    if '"' in text:
-        line = text.count("\n", 0, text.index('"')) + 1
-        raise TableFormatError(f"{path}: line {line}: a quote; table cells are never quoted")
-    lines = text.removesuffix("\n").split("\n") if text else []
-    del text  # the lines hold its text: freed, it does not add to the peak memory below
-    header = (lines[0].split(",") if lines[0] else []) if lines else None  # csv.reader's fields
+    convert_t = "t" in columns
+    header = None  # None for an empty file
+    quote = width = bad_t = None  # the first line of each problem, with what its message needs
+    rests: dict[str, int] = {}  # each distinct rest's index, in the order of first occurrence
+    row_rest = array("q")
+    t_values: list[int] = []
+    try:
+        # universal newlines; the mark is dropped as `_read_text` drops it. Every line is
+        # read whatever is found, so that a later byte that is not UTF-8 is still reported first.
+        with open(path, encoding="utf-8-sig") as f:
+            first = f.readline()  # "" only at the end of the file
+            if first:
+                first = first.removesuffix("\n")
+                header = first.split(",") if first else []  # csv.reader's fields
+                quote = 1 if '"' in first else None
+            for lineno, line in enumerate(f, start=2):
+                line = line.removesuffix("\n")
+                if quote is None and '"' in line:
+                    quote = lineno
+                t_text, _, rest = line.partition(",")
+                index = rests.get(rest)
+                if index is None:
+                    index = rests[rest] = len(rests)
+                    if width is None and rest.count(",") != len(TABLE_COLUMNS) - 2:
+                        width = (lineno, line.count(",") + 1 if line else 0)  # as csv.reader counts
+                row_rest.append(index)
+                if convert_t and bad_t is None:
+                    try:
+                        t_values.append(int(t_text))
+                    except ValueError as exc:
+                        bad_t = (lineno, str(exc))
+    except UnicodeDecodeError:
+        _read_text(path, TableFormatError)  # raises, naming the line of the first bad byte
+        raise
+    if quote is not None:
+        raise TableFormatError(f"{path}: line {quote}: a quote; table cells are never quoted")
     if header != TABLE_COLUMNS:
         got = "an empty file" if header is None else f"the header {header!r}"
         raise TableFormatError(f"{path}: line 1: expected the header {TABLE_COLUMNS!r}, got {got}")
-    body = lines[1:]
-    rests: dict[str, int] = {}  # each distinct rest's index, in the order of first occurrence
-    row_rest = np.array([rests.setdefault(line.partition(",")[2], len(rests)) for line in body], dtype=np.intp)
-    distinct = [rest.split(",") for rest in rests]
-    for j, cells in enumerate(distinct):
-        if len(cells) != len(TABLE_COLUMNS) - 1:
-            k = int(np.argmax(row_rest == j))  # the first row with this rest
-            got = body[k].count(",") + 1 if body[k] else 0  # as csv.reader counts
-            raise TableFormatError(f"{path}: line {k + 2}: expected {len(TABLE_COLUMNS)} fields, got {got}")
+    if width is not None:
+        raise TableFormatError(f"{path}: line {width[0]}: expected {len(TABLE_COLUMNS)} fields, got {width[1]}")
+    picks = {col: TABLE_COLUMNS.index(col) - 1 for col in columns if col != "t"}  # in a row's rest
+    cells: dict[str, list[str]] = {col: [] for col in picks}  # only the named columns' cells are kept
+    for rest in rests:
+        split = rest.split(",")
+        for col, idx in picks.items():
+            cells[col].append(split[idx])
+    where = np.asarray(row_rest, dtype=np.intp)
     out: dict[str, np.ndarray] = {}
     for col in columns:
-        idx = TABLE_COLUMNS.index(col) - 1  # in a row's rest; t is the part before it
-        if idx < 0:
-            values, where = [line.partition(",")[0] for line in body], np.arange(len(body))
-        else:
-            values, where = [cells[idx] for cells in distinct], row_rest
-        convert = {"t": int, "N_H": int, "stability": str}.get(col, float)
+        if col == "t":
+            if bad_t is not None:
+                raise TableFormatError(f"{path}: line {bad_t[0]}: t: {bad_t[1]}")
+            out[col] = np.array(t_values)
+            continue
+        values = cells[col]
+        convert = {"N_H": int, "stability": str}.get(col, float)
         try:
             out[col] = np.array([convert(v) for v in values])[where]
         except ValueError:

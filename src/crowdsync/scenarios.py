@@ -16,14 +16,16 @@ consecutive steps, one row per step. The block is a time-major array of
 as `metrics.step_block_rows` declares; it starts as c_i*dE(t) for all
 its steps in one outer product. A crowd with uniform noise draws the
 block's noise at its start, as one (rows, N) uniform draw scaled by the
-half-widths: Philox gives it the bits of one draw per step, in order. A
-step adds b_i*dO_prev and then its noise row to its own row in place
-and takes sum dS_i, which it needs for dO. When the block is full, and
-once when the run ends or diverges, its rows are merged into the run's
+half-widths: Philox gives it the bits of one draw per step, in order.
+Only a crowd with uniform or Wiener noise builds its generator; a run
+without noise never does, so it never loads `numpy.random`. A step adds
+b_i*dO_prev and then its noise row to its own row in place and takes
+sum dS_i, which it needs for dO. When the block is full, and once when
+the run ends or diverges, its rows are merged into the run's
 `CrowdMoments`, copied into the N x T action matrix if the caller keeps
 one, and sum |dS_i| is taken for all of them in one row-wise
-`ordered_sum`. These are the floating-point operations
-of a one-step-at-a-time loop in the same order, so no bit of the
+`ordered_sum`. These are the floating-point operations of a
+one-step-at-a-time loop in the same order, so no bit of the
 trajectory or of the action matrix depends on the block size. The
 moments do: a merge rounds differently from a longer block, so the
 whole-run rho_c and sigma_c move in their last bits with it.
@@ -65,9 +67,12 @@ and the fill takes sum |dS_i| of the row once.
 Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). `forced_ratio_samples` draws the trials of all its points
 on one pool of threads, with bits that do not depend on them, and draws
-nothing for a point without noise. Amplifying configurations are expected
-to blow up; a run truncates once |O| crosses the divergence ceiling and
-is marked diverged rather than failing.
+nothing for a point without noise. Each pool's module is imported where
+the pool is made: the sampler's threads when a point draws, and `sweep`'s
+processes (and with them `multiprocessing`) only for more than one
+worker. Amplifying configurations are expected to blow up; a run
+truncates once |O| crosses the divergence ceiling and is marked diverged
+rather than failing.
 
 The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
 sums into the per-step order parameter after the loop. `summarize`
@@ -81,7 +86,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -396,7 +400,7 @@ def run(
     unread. Aggregate drift+diffusion noise enters the observation
     update, one normal draw a step, and is attributed equally across
     agents so dS = sum dS_i and dO = a*dS stay exact. With no noise the
-    generator is never consumed.
+    generator is never built, and `numpy.random` is not imported.
     """
     n, a, dt = config.n, config.a, config.dt
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
@@ -408,7 +412,7 @@ def run(
     model = config.noise_model
     uniform = isinstance(model, UniformNoise)
     wiener = isinstance(model, WienerNoise)
-    rng = make_generator(seed)
+    rng = make_generator(seed) if uniform or wiener else None  # only noise draws
 
     T = profile.length
     dE_arr = profile.increments
@@ -647,7 +651,8 @@ def forced_ratio_samples(
     `dO_drive` (finite), zero external force, and i.i.d. uniform noise of
     half-width `noise_amp` (one value, or one per agent, under the crowd's
     noise_amp rule). Returns the (len(points), trials) order parameters.
-    Every point is checked before the first draw. A trial whose sum of
+    Every point is checked before the first draw, and a half-width whose
+    draw range 2*noise_amp overflows is refused. A trial whose sum of
     |actions| overflows is refused with a ValueError. `seed` must meet the
     rule of the `ScenarioSpec` field of that name.
 
@@ -671,6 +676,11 @@ def forced_ratio_samples(
     check_fields(ScenarioSpec, {"seed": seed})
     for _, noise_amp in points:
         replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
+        with np.errstate(over="ignore"):
+            width = np.subtract(noise_amp, np.negative(noise_amp))  # what `uniform` computes, high - low
+        if not np.isfinite(width).all():
+            raise ValueError(f"noise_amp {float(np.max(noise_amp)):g} makes the width of the "
+                             "uniform draw, 2*noise_amp, overflow")
     n = config.n
     rank = _switch_rank(config)
     out = np.empty((len(points), trials))
@@ -710,6 +720,8 @@ def forced_ratio_samples(
             fold((base(i) + 0.0)[None, :], out[i, :1])
             out[i, 1:] = out[i, 0]
     if tasks:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(min(len(tasks), _usable_cpus())) as pool:
             list(pool.map(draw, tasks))
     return out
@@ -856,6 +868,8 @@ def sweep(
     ]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only when a pool starts
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_one, tasks))
     return [_sweep_one(t) for t in tasks]

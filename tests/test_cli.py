@@ -1,7 +1,11 @@
 """The command-line entry point: exit codes, error lines, output locations."""
 
 import csv
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -128,6 +132,29 @@ def test_curve_refuses_drive_whose_noise_range_overflows(tmp_path, capsys, scena
             "--drive", "1e308", "--points", "3", "--out", str(out)]
     assert main(argv) == 1
     assert_one_line_error(capsys, "error: --drive 1e+308 makes the largest noise half-width", "overflow to inf")
+    assert not out.exists()
+
+
+def test_curve_refuses_noise_whose_draw_width_overflows(tmp_path, capsys):
+    """numpy's uniform(-1e308, 1e308) computes a width of inf and raises OverflowError."""
+    path = tmp_path / "wide.scenario"
+    path.write_text(SCENARIO.format(name="wide") + "crowd.noise = uniform\ncrowd.noise_amp = 1e308\n",
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["curve", "--scenario", str(path), "--kind", "order-vs-ratio", "--points", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, "error: noise_amp 1e+308 makes the width of the uniform draw, 2*noise_amp, overflow")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--trials", "--points"])
+def test_curve_reports_an_array_too_large_to_allocate(option, tmp_path, capsys, scenario_dir):
+    """10**14 float64 values (8e14 bytes) lie beyond a 47-bit address space, so nothing is allocated."""
+    out = tmp_path / "out"
+    argv = ["curve", "--scenario", str(scenario_dir / "fig4-stable.scenario"), "--kind", "order-vs-noise",
+            option, str(10**14), "--out", str(out)]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, "error: out of memory: Unable to allocate")
     assert not out.exists()
 
 
@@ -356,3 +383,44 @@ def test_sweep_refuses_noise_amp_without_uniform_noise(tmp_path, scenario_dir, c
     assert main(argv) == 1
     assert_one_line_error(capsys, "cannot sweep noise_amp: the crowd's noise model is NoNoise")
     assert not out.exists()
+
+
+# A fresh interpreter runs one command, then names which of the modules in argv[1] it loaded.
+_LOADED_AFTER = """
+import sys
+import crowdsync.cli
+code = crowdsync.cli.main(sys.argv[2:])
+print("loaded:", *(name for name in sys.argv[1].split(",") if name in sys.modules))
+sys.exit(code)
+"""
+
+#: Modules that only some commands use: the noise's generator, the two pools, the unknown-key hint.
+_ON_DEMAND = ("numpy.random", "concurrent.futures", "multiprocessing", "difflib")
+
+
+def _commands_and_their_unused_modules(scenario_dir, tmp_path):
+    fig4, fig6 = (str(scenario_dir / f"{name}.scenario") for name in ("fig4-stable", "fig6-bubble"))
+    table = str(tmp_path / "fig6-bubble_timeseries.csv")
+    return {
+        "run": (["run", "--scenario", fig6, "--out", str(tmp_path)], _ON_DEMAND),
+        "metrics": (["metrics", "--table", table, "--window", "5"], _ON_DEMAND),
+        "validate": (["validate", "--scenario", fig6], _ON_DEMAND),
+        # its noise curve draws on the sampler's threads
+        "curve": (["curve", "--scenario", fig4, "--kind", "order-vs-noise", "--points", "3", "--trials", "4",
+                   "--out", str(tmp_path)], ("multiprocessing",)),
+        "sweep": (["sweep", "--scenario", fig4, "--param", "b_high", "--values", "0.3,0.6", "--jobs", "1",
+                   "--out", str(tmp_path)], ("multiprocessing",)),
+    }
+
+
+@pytest.mark.parametrize("command", ["run", "metrics", "validate", "curve", "sweep"])
+def test_a_command_loads_no_module_it_does_not_use(command, tmp_path, scenario_dir, capsys):
+    """In-process tests have every module loaded already, so each command runs in a fresh interpreter."""
+    assert main(["run", "--scenario", str(scenario_dir / "fig6-bubble.scenario"), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv, unused = _commands_and_their_unused_modules(scenario_dir, tmp_path)[command]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER, ",".join(unused), *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"

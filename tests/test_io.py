@@ -6,17 +6,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import crowdsync.scenario_io as scenario_io
 from crowdsync.dynamics import AGENT_COLUMNS, CrowdConfig, NoNoise, UniformNoise, WienerNoise
 from crowdsync.scenario_io import (
     SUMMARY_COLUMNS,
     ScenarioFormatError,
+    TABLE_CHUNK_ROWS,
     TABLE_COLUMNS,
     TableFormatError,
     _PROFILE_PARAMS,
@@ -563,6 +567,11 @@ _MALFORMED_BODIES = {
     "a bad t cell": ([_GOOD_ROW, "1.5" + _GOOD_ROW[1:]], "line 3: t: invalid literal for int() with base 10: '1.5'"),
     "a quoted cell": ([_GOOD_ROW, _GOOD_ROW.replace(",0.5,", ',"0.5",'), '"x"'],
                       "line 3: a quote; table cells are never quoted"),
+    "a quote below a bad width": ([_GOOD_ROW, "7", _GOOD_ROW.replace(",0.5,", ',"0.5",')],
+                                  "line 4: a quote; table cells are never quoted"),
+    "a bad t cell above a bad width": (["x" + _GOOD_ROW[1:], _GOOD_ROW + ",0"], "line 3: expected 13 fields, got 14"),
+    "a bad t cell below a bad dO cell": ([_GOOD_ROW, "1," + _BAD_DO, "x" + _GOOD_ROW[1:]],
+                                         "line 4: t: invalid literal for int() with base 10: 'x'"),
 }
 
 
@@ -574,6 +583,15 @@ def test_read_table_reports_the_first_bad_line(case, tmp_path):
     with pytest.raises(TableFormatError) as exc_info:
         read_table(path, columns=("t", "dO"))
     assert str(exc_info.value) == f"invalid table: {path}: {message}"
+
+
+def test_read_table_reports_a_bad_byte_below_a_quote_first(tmp_path):
+    path = tmp_path / "t.csv"
+    head = ",".join(TABLE_COLUMNS) + "\n"
+    path.write_bytes((head + _GOOD_ROW.replace(",0.5,", ',"0.5",') + "\n").encode("utf-8") + b"1,\xff\n")
+    with pytest.raises(TableFormatError) as exc_info:
+        read_table(path)
+    assert str(exc_info.value) == f"invalid table: {path}: line 3: not UTF-8 (byte 0xff: invalid start byte)"
 
 
 @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
@@ -665,6 +683,48 @@ _SETTLED.dO[30:40] = -0.0
 @example(_SETTLED)
 def test_format_table_matches_the_row_formatter(result):
     assert format_table(result) == row_formatted_table(result)
+
+
+_EDGE = TABLE_CHUNK_ROWS + 50
+# Rows 10 to 4100 repeat but for t: a run of rows across the first chunk edge, between rows that differ.
+_ACROSS_A_CHUNK_EDGE = _table_result(
+    _EDGE, 2, [np.r_[np.arange(10.0), np.full(_EDGE - 55, 0.5), np.arange(45.0) + x] for x in range(9)],
+    [1] * _EDGE, [Stability.MARGINAL] * _EDGE,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_results(), st.integers(1, 8))
+@example(_SETTLED, 7)
+@example(_ACROSS_A_CHUNK_EDGE, TABLE_CHUNK_ROWS)
+def test_emit_table_writes_the_bytes_of_format_table(tmp_path_factory, result, chunk_rows):
+    """The file holds `format_table`'s text, written in chunks of at most `chunk_rows` rows."""
+    with mock.patch.object(scenario_io, "TABLE_CHUNK_ROWS", chunk_rows):
+        path = emit_table(result, tmp_path_factory.mktemp("table") / "t.csv")
+        text = format_table(result)
+        chunks = list(scenario_io._table_chunks(result))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert text == row_formatted_table(result)
+    assert all(chunk.count("\n") <= chunk_rows for chunk in chunks)
+
+
+def test_the_table_is_streamed_through_its_file(tmp_path, golden):
+    """A 20 000-row settled table is never held whole: writing it, and reading back the columns
+    `crowdsync metrics` reads, each peak below twice its size."""
+    spec = golden("fig6-bubble")
+    result = run(spec.config, spec.rule, build_profile("bubble", spec.profile.params, 20_000), keep_actions=False)
+    path = tmp_path / "t.csv"
+    peaks = []
+    for call in (lambda: emit_table(result, path), lambda: read_table(path, columns=("t", "dO", "R", "O"))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1.9e6  # about 100 bytes a row
+    assert max(peaks) < 2 * size, f"peaks {[round(p / size, 2) for p in peaks]} times the table's size"
 
 
 def _assert_table_reads_back(result, path):

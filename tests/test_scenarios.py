@@ -178,6 +178,16 @@ def test_run_is_bit_deterministic():
     assert not np.array_equal(r1.dO, r3.dO)
 
 
+def test_noiseless_run_builds_no_generator():
+    """Only noise draws: a run without it never calls `make_generator`."""
+    args = (simple_config(), SwitchRule(saturation_scale=0.5), step_profile(40, 1.0, 5), 3)
+    expected = run(*args)
+    with mock.patch.object(scenarios_module, "make_generator", side_effect=AssertionError("built")):
+        result = run(*args)
+    assert result.dO.tobytes() == expected.dO.tobytes()
+    assert np.array_equal(result.agent_actions, expected.agent_actions)
+
+
 def test_wiener_noise_preserves_record_invariants():
     cfg = simple_config(n=10, noise_model=WienerNoise(mu=0.01, sigma=0.1))
     result = run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(50), seed=7)
@@ -810,7 +820,16 @@ def test_forced_ratio_checks_every_point_before_drawing():
             forced_ratio_samples(cfg, [(0.5, 0.3), (1.5, 0.3)])
         with pytest.raises(ValueError, match="noise_amp"):
             forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, -0.5)])
+        # `uniform` draws from a range of width 2*noise_amp, which must be finite
+        with pytest.raises(ValueError, match=r"^noise_amp 1e\+308 makes the width of the uniform draw"):
+            forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, 1e308)])
+        per_agent = np.full(10, 0.3)
+        per_agent[7] = 9e307  # 1.8e308 wide
+        with pytest.raises(ValueError, match=r"^noise_amp 9e\+307 makes"):
+            forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, per_agent)])
         assert np.all(forced_ratio_samples(cfg, [(1.0, 0.0), (1.0, np.zeros(10))], trials=3) == 1.0)
+    # a width of 1.78e308 is finite; one agent keeps the trial's sum finite too
+    assert np.isfinite(forced_ratio_samples(simple_config(n=1), [(0.5, 8.9e307)], trials=4)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +919,7 @@ def test_sweep_caps_worker_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(scenarios_module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)  # imported where the pool is made
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # CPUs outside the affinity set do not count
     cfg = simple_config(n=5)
