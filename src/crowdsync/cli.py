@@ -107,7 +107,9 @@ def _cmd_sweep(args) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
-        print(f"error: --values must be comma-separated numbers, got {args.values!r}", file=sys.stderr)
+        values = []
+    if not values:
+        print(f"error: --values must be one or more comma-separated numbers, got {args.values!r}", file=sys.stderr)
         return 1
     points = run_sweep(
         spec.config,

@@ -2,8 +2,8 @@
 
 All randomness in the package flows through Philox (counter-based) bit
 generators keyed via ``numpy.random.SeedSequence``. A run or a sweep point
-owns its own generator; a run draws a block of steps' uniform noise at
-once, which gives the bits of one draw per step. Point i of a
+owns its own generator; a run draws a block of steps' noise at once,
+uniform or normal, which gives the bits of one draw per step. Point i of a
 Monte-Carlo sampler owns the stream of seed + i, and each block of its
 trials draws from a copy of that stream, advanced to the block's first
 draw (Philox gives 4 draws per counter step). Nothing is shared, so an

@@ -501,8 +501,9 @@ def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) 
     rows gather its values; the memory is that of the distinct rests,
     their cells of the named columns, and one number per row and named
     column. A byte that is not UTF-8, an empty file, a foreign header, a
-    row of the wrong width, a quote (tables have no quoting) or a cell
-    of a named column that is not a number raises TableFormatError
+    row of the wrong width, a quote (tables have no quoting), a cell of
+    a named column that is not a number or a t cell that is not its row
+    index (the line number - 2) raises TableFormatError
     naming the file and the earliest such line; of these, a bad byte is
     reported first, then a quote, the header, the width, and then the
     cells of the named columns in their order. Cells of the other
@@ -517,7 +518,6 @@ def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) 
     quote = width = bad_t = None  # the first line of each problem, with what its message needs
     rests: dict[str, int] = {}  # each distinct rest's index, in the order of first occurrence
     row_rest = array("q")
-    t_values: list[int] = []
     try:
         # universal newlines; the mark is dropped as `_read_text` drops it. Every line is
         # read whatever is found, so that a later byte that is not UTF-8 is still reported first.
@@ -538,9 +538,10 @@ def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) 
                     if width is None and rest.count(",") != len(TABLE_COLUMNS) - 2:
                         width = (lineno, line.count(",") + 1 if line else 0)  # as csv.reader counts
                 row_rest.append(index)
-                if convert_t and bad_t is None:
+                if convert_t and bad_t is None and t_text != str(lineno - 2):  # converted only if it differs
                     try:
-                        t_values.append(int(t_text))
+                        if int(t_text) != lineno - 2:
+                            bad_t = (lineno, f"expected row index {lineno - 2}, got {t_text!r}")
                     except ValueError as exc:
                         bad_t = (lineno, str(exc))
     except UnicodeDecodeError:
@@ -565,7 +566,7 @@ def read_table(path: str | Path, columns: Sequence[str] = tuple(TABLE_COLUMNS)) 
         if col == "t":
             if bad_t is not None:
                 raise TableFormatError(f"{path}: line {bad_t[0]}: t: {bad_t[1]}")
-            out[col] = np.array(t_values)
+            out[col] = np.arange(len(row_rest))
             continue
         values = cells[col]
         convert = {"N_H": int, "stability": str}.get(col, float)

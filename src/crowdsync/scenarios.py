@@ -14,11 +14,14 @@ Actions dS_i = c_i*dE + b_i*dO_prev (+ noise) are built in a block of
 consecutive steps, one row per step. The block is a time-major array of
 32 KB, but at least 8 rows (for N > 512) and at most the run's length,
 as `metrics.step_block_rows` declares; it starts as c_i*dE(t) for all
-its steps in one outer product. A crowd with uniform noise draws the
-block's noise at its start, as one (rows, N) uniform draw scaled by the
-half-widths: Philox gives it the bits of one draw per step, in order.
-Only a crowd with uniform or Wiener noise builds its generator; a run
-without noise never does, so it never loads `numpy.random`. A step adds
+its steps in one outer product. A crowd with noise draws the block's
+noise at its start, one row per step: uniform noise as one (rows, N)
+uniform draw scaled by the half-widths, Wiener noise as one (rows, 1)
+normal draw z, each agent's share of the step's shock being
+(mu*dt + sigma*sqrt(dt)*z) / (a*N). Philox gives either draw the bits
+of one draw per step, in order. Only a crowd with noise builds its
+generator; a run without noise never does, so it never loads
+`numpy.random`. A step adds
 b_i*dO_prev and then its noise row to its own row in place and takes
 sum dS_i, which it needs for dO. When the block is full, and once when
 the run ends or diverges, its rows are merged into the run's
@@ -44,25 +47,26 @@ per distinct N_H.
 
 Exact repeats. A step is a function of the trailing |dO| window (which
 gives N_H), dO_prev, dE(t) and the noise. So in a crowd without noise,
-once the last `rule.window` + 1 steps all have dO with the same bits and
-the window is full (the last step's index is at least `rule.window`),
+once the last `rule.window` + 1 steps all have dO with the same bits,
 the next step with dE of the same bits as the last one's repeats it bit
 for bit: the same action row, dS and N_H, and O grows by the same dO.
-This is the crowd that has settled: a contracting crowd at rest
-(dO = 0) or a crowd whose loop gain is pinned at 1 carrying a constant
-dO. The loop counts such a streak of equal dO (0.0 and -0.0 differ; a
-NaN matches nothing). Before each block, if the streak holds, it fills
-every whole block before the one that holds the next step whose dE bits
-differ (found by a binary search in the run's change points of dE), or
-every block to the run's end, with the last computed step: its action
-row, dS and N_H. O is taken by `np.add.accumulate`, the same sequential
-additions as the loop's O += dO; if it would cross the ceiling, the fill
-stops at the edge of the block that holds the crossing, and that block
-is computed, so the loop finds the divergence as it would have. So a
-block is either computed or filled whole, and the block edges stay where
-N and T put them. A filled block costs O(N): it merges through
-`CrowdMoments.add_repeats`, which gives the bits of `add` on its rows,
-and the fill takes sum |dS_i| of the row once.
+This is the crowd that has settled: a contracting crowd at rest (dO = 0)
+or a crowd whose loop gain is pinned at 1 carrying a constant dO. The
+loop's switch window holds those `rule.window` + 1 dO, one more than the
+rule reads. Before each block, if it is full and every entry has the
+bits of the newest (0.0 and -0.0 differ; a NaN dO has already ended the
+run), the loop fills every whole block before the one that holds the
+next step whose dE bits differ (found by a binary search in the run's
+change points of dE), or every block to the run's end, with the last
+computed step: its action row, dS and N_H. O is taken by
+`np.add.accumulate`, the same sequential additions as the loop's
+O += dO; if it would cross the ceiling, the fill stops at the edge of the
+block that holds the crossing, and that block is computed, so the loop
+finds the divergence as it would have. So a block is either computed or
+filled whole, and the block edges stay where N and T put them. A filled
+block costs O(N): it merges through `CrowdMoments.add_repeats`, which
+gives the bits of `add` on its rows, and the fill takes sum |dS_i| of
+the row once.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
 profile, seed). `forced_ratio_samples` draws the trials of all its points
@@ -107,6 +111,7 @@ from .switching import (
     Stability,
     SwitchRule,
     classify_stability,
+    reactive_couplings,
     switch_priority,
     update_reactive_count,
 )
@@ -394,13 +399,13 @@ def run(
     filled in bulk, at O(N) a block. Every bit is as a step-by-step loop
     gives it (module docstring).
 
-    Noise models: per-agent uniform noise enters each agent's action,
-    drawn once per block for all its steps (module docstring); a run
-    that diverges in mid-block leaves the rest of the block's draws
-    unread. Aggregate drift+diffusion noise enters the observation
-    update, one normal draw a step, and is attributed equally across
-    agents so dS = sum dS_i and dO = a*dS stay exact. With no noise the
-    generator is never built, and `numpy.random` is not imported.
+    Noise models: per-agent uniform noise enters each agent's action.
+    Aggregate drift+diffusion noise enters the observation update, one
+    normal draw a step, and is attributed equally across agents so
+    dS = sum dS_i and dO = a*dS stay exact. Either is drawn once per
+    block for all its steps (module docstring); a run that diverges in
+    mid-block leaves the rest of the block's draws unread. With no noise
+    the generator is never built, and `numpy.random` is not imported.
     """
     n, a, dt = config.n, config.a, config.dt
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
@@ -410,9 +415,7 @@ def run(
     priority = switch_priority(b_high)
 
     model = config.noise_model
-    uniform = isinstance(model, UniformNoise)
-    wiener = isinstance(model, WienerNoise)
-    rng = make_generator(seed) if uniform or wiener else None  # only noise draws
+    rng = None if isinstance(model, NoNoise) else make_generator(seed)  # only noise draws
 
     T = profile.length
     dE_arr = profile.increments
@@ -427,7 +430,9 @@ def run(
     block = np.empty((block_rows, n))
     fed_back = np.empty(n)
 
-    history: deque[float] = deque(maxlen=rule.window)
+    # The switch rule reads the last `rule.window` dO; one more tells whether they
+    # are exact repeats (module docstring).
+    history: deque[float] = deque(maxlen=rule.window + 1)
     dO_prev = initial_dO
     O = 0.0
     n_h = pinned_reactive
@@ -436,14 +441,10 @@ def run(
     diverged = False
     steps_run = T
 
-    # Exact repeats (module docstring): `streak` counts the steps whose dO has
-    # the bits of the step before; dE is compared by its bits, and a fill stops
-    # before the block that holds the next step whose dE bits change.
-    steady = isinstance(model, NoNoise)
-    window = rule.window
+    # dE is compared by its bits, and a fill stops before the block that holds
+    # the next step whose dE bits change.
     dE_bits = np.ascontiguousarray(dE_arr, dtype=np.float64).view(np.int64)
     dE_changes = np.flatnonzero(dE_bits[1:] != dE_bits[:-1]) + 1
-    streak = 0
 
     # A diverging run overflows on purpose; the ceiling check below reports it.
     # Only the diverging step can hold inf or NaN actions: when O is not finite,
@@ -451,10 +452,11 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = 0
         while t0 < steps_run:
-            if streak >= window and t0 > window:
-                # the |dO| window is full and constant, so each next step with
-                # dE's bits repeats the last one: fill the whole blocks before
-                # the block of the next dE change, or to the run's end
+            # A full window whose every dO has the bits of the newest (== finds the repeats
+            # cheaply, float.hex tells 0.0 from -0.0, and a NaN dO has ended the run): each next
+            # step with dE's bits repeats the last one, so fill the whole blocks before the
+            # block of the next dE change, or to the run's end.
+            if rng is None and history.count(dO_prev) == history.maxlen and len(set(map(float.hex, history))) == 1:
                 change = np.searchsorted(dE_changes, t0)
                 stop = T if change == len(dE_changes) else int(dE_changes[change])
                 if stop < T:  # the block that holds the change is computed
@@ -476,9 +478,13 @@ def run(
                     continue
             t_end = min(t0 + block_rows, T)
             rows = np.multiply.outer(dE_arr[t0:t_end], c_vec, out=block[: t_end - t0])
-            if uniform:  # the bits of one draw per step; rows past a divergence are never read
+            # one noise row per step, with the bits of one draw per step; rows past a divergence are never read
+            if isinstance(model, UniformNoise):
                 noise = rng.uniform(-1.0, 1.0, rows.shape)
                 noise *= amp
+            elif isinstance(model, WienerNoise):  # the aggregate shock, shared equally by the agents
+                z = rng.standard_normal((len(rows), 1))
+                noise = (model.mu * dt + model.sigma * math.sqrt(dt) * z) / (a * n)
             for t, ds_i in enumerate(rows, t0):
                 if pinned_reactive is None:
                     n_h = update_reactive_count(history, rule, n)
@@ -488,21 +494,14 @@ def run(
                     b_eff[switched] = (b_high if n_h > coupled_for else b_low)[switched]
                     coupled_for = n_h
                 ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
-                if uniform:
+                if rng is not None:
                     ds_i += noise[t - t0]
-                elif wiener:
-                    agg_eps = model.mu * dt + model.sigma * math.sqrt(dt) * float(rng.standard_normal())
-                    ds_i += agg_eps / (a * n)
                 dS = ordered_sum(ds_i)
                 dO = a * dS
                 O += dO
                 out_dS[t] = dS
                 out_nh[t] = n_h
-
                 history.append(dO)
-                if steady:  # 0.0 and -0.0 differ, and a NaN matches nothing
-                    same = dO == dO_prev and math.copysign(1.0, dO) == math.copysign(1.0, dO_prev)
-                    streak = streak + 1 if same else 0
                 dO_prev = dO
                 if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
                     diverged = True
@@ -529,8 +528,7 @@ def run(
         coupled = np.r_[0, np.flatnonzero(n_reactive[1:] != n_reactive[:-1]) + 1]
         lengths = np.diff(coupled, append=steps_run).tolist()
         run_counts = n_reactive[coupled].tolist()
-        rank = _switch_rank(config)
-        b_sums = {k: ordered_sum(np.where(rank < k, b_high, b_low)) for k in set(run_counts)}
+        b_sums = {k: ordered_sum(reactive_couplings(b_low, b_high, priority, k)) for k in set(run_counts)}
         b_total = np.repeat([b_sums[k] for k in run_counts], lengths)
         ab = a * b_total
     stability: list[Stability] = []
@@ -561,16 +559,6 @@ def run(
         diverged=diverged,
         truncated_at=steps_run - 1 if diverged else None,
     )
-
-
-def _switch_rank(config: CrowdConfig) -> np.ndarray:
-    """rank[i] is agent i's place in switch priority.
-
-    With n_h agents reactive the couplings are np.where(rank < n_h, b_high, b_low).
-    """
-    rank = np.empty(config.n, dtype=np.intp)
-    rank[switch_priority(config.b_high)] = np.arange(config.n)
-    return rank
 
 
 def window_reports(
@@ -682,15 +670,15 @@ def forced_ratio_samples(
             raise ValueError(f"noise_amp {float(np.max(noise_amp)):g} makes the width of the "
                              "uniform draw, 2*noise_amp, overflow")
     n = config.n
-    rank = _switch_rank(config)
+    priority = switch_priority(config.b_high)
     out = np.empty((len(points), trials))
     rows = 4 * max(1, _DRAW_BLOCK // (4 * n))
-
-    def base(i: int) -> np.ndarray:
-        """Point i's actions without noise."""
-        n_h = min(int(math.floor(points[i][0] * n + 0.5)), n)
-        with np.errstate(over="ignore"):  # an action that overflows fails the check in `fold`
-            return np.where(rank < n_h, config.b_high, config.b_low) * dO_drive
+    with np.errstate(over="ignore"):  # an action that overflows fails the check in `fold`
+        bases = [  # each point's actions without noise
+            reactive_couplings(config.b_low, config.b_high, priority, min(int(math.floor(ratio * n + 0.5)), n))
+            * dO_drive
+            for ratio, _ in points
+        ]
 
     def fold(acts: np.ndarray, into: np.ndarray) -> None:
         """Writes the order parameter of each row of `acts` (trials x N) into `into`; overwrites `acts`."""
@@ -709,7 +697,7 @@ def forced_ratio_samples(
         rng.bit_generator.advance(start * n // 4)
         with np.errstate(over="ignore", invalid="ignore"):
             acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
-            acts += base(i)  # in place: one block-sized array per thread
+            acts += bases[i]  # in place: one block-sized array per thread
         fold(acts, out[i, start:stop])
 
     tasks = []
@@ -717,7 +705,7 @@ def forced_ratio_samples(
         if np.any(noise_amp):
             tasks += [(i, start) for start in range(0, trials, rows)]
         else:  # no draw: each would be +0.0 (docstring)
-            fold((base(i) + 0.0)[None, :], out[i, :1])
+            fold((bases[i] + 0.0)[None, :], out[i, :1])
             out[i, 1:] = out[i, 0]
     if tasks:
         from concurrent.futures import ThreadPoolExecutor

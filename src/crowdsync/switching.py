@@ -109,6 +109,14 @@ def switch_priority(b_high: np.ndarray) -> np.ndarray:
     return np.argsort(-b_high, kind="stable")
 
 
+def reactive_couplings(b_low: np.ndarray, b_high: np.ndarray, priority: np.ndarray, n_h: int) -> np.ndarray:
+    """Each agent's coupling with `n_h` agents reactive: b_low, with b_high at priority[:n_h]."""
+    b = b_low.copy()
+    reactive = priority[:n_h]
+    b[reactive] = b_high[reactive]
+    return b
+
+
 def classify_stability(ab: float) -> Stability:
     """Classify the loop gain: contracting (|ab|<1), marginal (|ab|~1), amplifying.
 

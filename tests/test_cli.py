@@ -187,6 +187,15 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("values", [",", "", " , "])
+def test_sweep_refuses_values_with_no_number(values, tmp_path, capsys):
+    argv = ["sweep", "--scenario", write_scenario(tmp_path), "--param", "a",
+            "--values", values, "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert_one_line_error(capsys, f"error: --values must be one or more comma-separated numbers, got {values!r}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_rejects_fractional_n(tmp_path, capsys):
     argv = ["sweep", "--scenario", write_scenario(tmp_path), "--param", "n",
             "--values", "10.7", "--out", str(tmp_path / "out")]
@@ -293,6 +302,11 @@ MALFORMED_TABLES = {
     "short-row": (TABLE_HEAD + "1,0,0\n", "line 3: expected 13 fields, got 3"),
     "non-numeric": (TABLE_HEAD + "1,0,0,0,0,0,x,0,0,0,0,0,contracting\n",
                     "line 3: dO: could not convert string to float: 'x'"),
+    # windows are labelled by row position, so t must be the row index
+    "t-beyond-int64": (TABLE_HEAD.replace("\n0,", "\n18446744073709551616,") + "1,0,0,0,0,0,0,0,0,0,0,0,contracting\n",
+                       "line 2: t: expected row index 0, got '18446744073709551616'"),
+    "t-out-of-order": (TABLE_HEAD.replace("\n0,", "\n5,") + "3,0,0,0,0,0,0,0,0,0,0,0,contracting\n",
+                       "line 2: t: expected row index 0, got '5'"),
 }
 
 

@@ -572,6 +572,11 @@ _MALFORMED_BODIES = {
     "a bad t cell above a bad width": (["x" + _GOOD_ROW[1:], _GOOD_ROW + ",0"], "line 3: expected 13 fields, got 14"),
     "a bad t cell below a bad dO cell": ([_GOOD_ROW, "1," + _BAD_DO, "x" + _GOOD_ROW[1:]],
                                          "line 4: t: invalid literal for int() with base 10: 'x'"),
+    "a t cell beyond int64": (["18446744073709551616" + _GOOD_ROW[1:], "1" + _GOOD_ROW[1:]],
+                              "line 2: t: expected row index 0, got '18446744073709551616'"),
+    "t cells out of order": (["5" + _GOOD_ROW[1:], "3" + _GOOD_ROW[1:]], "line 2: t: expected row index 0, got '5'"),
+    "a t cell that is not its row index below one that is": ([_GOOD_ROW, "2" + _GOOD_ROW[1:]],
+                                                             "line 3: t: expected row index 1, got '2'"),
 }
 
 

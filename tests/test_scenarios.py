@@ -402,6 +402,18 @@ _NOISY_TIPPING = (CrowdConfig(n=3, a=1.0, b_low=0.0, b_high=1.0, c=[1.0, -0.3, 0
                               noise_model=UniformNoise()), SwitchRule(0.5, window=2),
                   ramp_profile(16, 0.7, 0, 16), 0, None, False)
 
+# The same crowd under Wiener noise, whose normal draws a block also takes at its start;
+# dt != 1, so the shock's operations round as they are ordered. O crosses 1e5 at step 10,
+# in mid-block, and the draws for steps 11-15 are never read.
+_WIENER_TIPPING = (CrowdConfig(n=3, a=1.0, b_low=0.0, b_high=1.0, c=[1.0, -0.3, 0.6], dt=0.3,
+                               noise_model=WienerNoise(mu=0.2, sigma=0.7)), *_NOISY_TIPPING[1:])
+
+# A contrarian crowd (b_low < 0) under dE = -0.0: each action is -0.0 + b*dO_prev, so
+# dO alternates -0.0, 0.0, -0.0, ... Every window holds zeros that are equal but differ
+# in sign, so no block may be filled with the step before it.
+_FLIPPING_ZERO = (CrowdConfig(n=1, a=1.0, b_low=-0.5, b_high=0.5, c=1.0), SwitchRule(1.0, window=2),
+                  explicit_profile(20, [-0.0] * 20), 0, None, False)
+
 _RUN_OPTIONS = st.fixed_dictionaries({
     "pinned_reactive": st.none() | st.integers(0, 6),  # capped at the drawn n
     "initial_dO": st.sampled_from([0.0, -0.0, 1.0]) | st.floats(-2.0, 2.0),
@@ -514,6 +526,10 @@ _OVERFLOWING_FILL = (CrowdConfig(n=1, a=1.0, b_low=0.0, b_high=1.0, c=1.0), Swit
 @example(case=_NOISY_TIPPING, options={**_SETTLED_OPTIONS, "divergence_ceiling": 1e5}, block_rows=8)  # steps 8-15
 @example(case=_OVERFLOWING_FILL, options={**_SETTLED_OPTIONS, "pinned_reactive": 1, "divergence_ceiling": 1.7e308},
          block_rows=1)
+@example(case=_WIENER_TIPPING, options={**_SETTLED_OPTIONS, "divergence_ceiling": 1e5}, block_rows=1)
+@example(case=_WIENER_TIPPING, options={**_SETTLED_OPTIONS, "divergence_ceiling": 1e5}, block_rows=8)  # steps 8-15
+@example(case=_FLIPPING_ZERO, options=_SETTLED_OPTIONS, block_rows=1)
+@example(case=_FLIPPING_ZERO, options=_SETTLED_OPTIONS, block_rows=8)
 def test_run_equals_a_per_step_loop(case, options, block_rows):
     """run(), in its default blocks and in blocks of `block_rows` rows, against `_per_step_run`, bit for bit.
 
@@ -661,7 +677,7 @@ def test_whole_run_window_equals_the_moments(case, options, block_rows):
 
 def _computed_steps(n):
     """A quiet-tailed step crowd of `n` agents, the steps its run computed (calls to the
-    switch rule), and the first block edge at or after the step whose streak first holds.
+    switch rule), and the first block edge at or after the step whose window first repeats one dO.
     """
     rule_fn = scenarios_module.update_reactive_count
     with mock.patch.object(scenarios_module, "update_reactive_count", wraps=rule_fn) as counted:
@@ -672,7 +688,7 @@ def _computed_steps(n):
 
 
 def test_quiet_steps_are_filled_not_stepped():
-    # dO is exactly 0 from step 16 on, so its streak holds at step 16 + window, and
+    # dO is exactly 0 from step 16 on, so its window repeats it at step 16 + window, and
     # every block after the one that holds that step is filled; in 40-row blocks,
     # the steps before 40 are computed, where a loop that computed each step
     # would call the switch rule 2000 times
@@ -682,7 +698,7 @@ def test_quiet_steps_are_filled_not_stepped():
 
 
 def test_wide_quiet_steps_are_filled_across_block_edges():
-    # N > 512 runs in 8-row blocks; no block after the one where the streak holds is computed
+    # N > 512 runs in 8-row blocks; no block after the one where the window repeats is computed
     result, computed, settle, edge = _computed_steps(600)
     assert settle < 40 and not np.any(result.dO[settle:])
     assert computed == edge == 24
