@@ -16,7 +16,7 @@ consecutive steps, one row per step. The block is a time-major array of
 as `metrics.step_block_rows` declares; it starts as c_i*dE(t) for all
 its steps in one outer product. A crowd with noise draws the block's
 noise at its start, one row per step: uniform noise as one (rows, N)
-uniform draw scaled by the half-widths, Wiener noise as one (rows, 1)
+`uniform_noise` draw of the half-widths, Wiener noise as one (rows, 1)
 normal draw z, each agent's share of the step's shock being
 (mu*dt + sigma*sqrt(dt)*z) / (a*N). Philox gives either draw the bits
 of one draw per step, in order. Only a crowd with noise builds its
@@ -69,9 +69,11 @@ gives the bits of `add` on its rows, and the fill takes sum |dS_i| of
 the row once.
 
 Runs are single-threaded and bit-deterministic per (config, rule,
-profile, seed). `forced_ratio_samples` draws the trials of all its points
-on one pool of threads, with bits that do not depend on them, and draws
-nothing for a point without noise. Each pool's module is imported where
+profile, seed). `forced_ratio_samples` draws the uniform noise of a
+point's trials as `run()` draws it, from the point's own stream read in
+order, a block of trials at a time. Each point that draws is one task on
+one pool of threads, so no bit depends on the pool; a point without
+noise draws nothing. Each pool's module is imported where
 the pool is made: the sampler's threads when a point draws, and `sweep`'s
 processes (and with them `multiprocessing`) only for more than one
 worker. Amplifying configurations are expected to blow up; a run
@@ -106,7 +108,7 @@ from .dynamics import (
     ruled,
 )
 from .metrics import CrowdMoments, SyncReport, order_ratio, step_block_rows, sync_report
-from .rng import make_generator
+from .rng import make_generator, uniform_noise
 from .switching import (
     Stability,
     SwitchRule,
@@ -120,9 +122,9 @@ SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 
 DEFAULT_DIVERGENCE_CEILING = 1e12
 
-#: Uniform draws per block in `forced_ratio_samples`: 512 KB. A block has at least 4
-#: rows, so it holds max(_DRAW_BLOCK, 4N) draws. The blocks of every point share one pool
-#: of min(blocks, usable CPUs) threads, and each thread holds one block at a time: the
+#: Uniform draws per block in `forced_ratio_samples`: 512 KB. A block holds max(1, _DRAW_BLOCK // N)
+#: rows, so at most max(_DRAW_BLOCK, N) draws. The points that draw share one pool of
+#: min(drawing points, usable CPUs) threads, and each thread holds one block at a time: the
 #: sampler's peak grows with the CPU count, not with the number of points.
 _DRAW_BLOCK = 2**16
 
@@ -480,8 +482,7 @@ def run(
             rows = np.multiply.outer(dE_arr[t0:t_end], c_vec, out=block[: t_end - t0])
             # one noise row per step, with the bits of one draw per step; rows past a divergence are never read
             if isinstance(model, UniformNoise):
-                noise = rng.uniform(-1.0, 1.0, rows.shape)
-                noise *= amp
+                noise = uniform_noise(rng, rows.shape, amp)
             elif isinstance(model, WienerNoise):  # the aggregate shock, shared equally by the agents
                 z = rng.standard_normal((len(rows), 1))
                 noise = (model.mu * dt + model.sigma * math.sqrt(dt) * z) / (a * n)
@@ -638,21 +639,21 @@ def forced_ratio_samples(
     normal. Each of its trials drives one step with observation increment
     `dO_drive` (finite), zero external force, and i.i.d. uniform noise of
     half-width `noise_amp` (one value, or one per agent, under the crowd's
-    noise_amp rule). Returns the (len(points), trials) order parameters.
-    Every point is checked before the first draw, and a half-width whose
-    draw range 2*noise_amp overflows is refused. A trial whose sum of
-    |actions| overflows is refused with a ValueError. `seed` must meet the
-    rule of the `ScenarioSpec` field of that name.
+    noise_amp rule), drawn as `run()` draws it. Returns the
+    (len(points), trials) order parameters. Every point is checked before
+    the first draw. A trial whose sum of |actions| overflows is refused
+    with a ValueError that names the drive and the point's largest
+    half-width. `seed` must meet the rule of the `ScenarioSpec` field of
+    that name.
 
-    Point i's trials are drawn as one stream, `make_generator(seed + i).uniform`
-    of shape (trials, N), cut into blocks of whole rows; the blocks of all
-    points are drawn on one pool of threads. A block starts at a multiple
-    of 4 rows, and Philox gives 4 draws per counter step, so the block's
-    copy of the stream is advanced to its first draw exactly; each row is
-    summed alone. So no bit of the result depends on the blocks or the
-    thread count. A point whose every half-width is 0 draws nothing: each
-    of its draws would be +0.0, so every trial is the row `base + 0.0`
-    (a -0.0 action becomes +0.0), summed once.
+    Point i builds `make_generator(seed + i)` once and reads it in order:
+    its trials are `uniform_noise(rng, (trials, N), noise_amp)` plus the
+    point's actions without noise, drawn in blocks of whole rows, and each
+    row is summed alone. So no bit of the result depends on the block size
+    or the thread count. Each point that draws is one task on one pool of
+    threads. A point whose every half-width is 0 draws nothing: each of its
+    noise values would be +0.0 or -0.0, which moves no |sum|, so every
+    trial has the order parameter of the row `base + 0.0`, summed once.
     """
     for ratio, _ in points:
         if not 0.0 <= ratio <= 1.0:
@@ -664,15 +665,10 @@ def forced_ratio_samples(
     check_fields(ScenarioSpec, {"seed": seed})
     for _, noise_amp in points:
         replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
-        with np.errstate(over="ignore"):
-            width = np.subtract(noise_amp, np.negative(noise_amp))  # what `uniform` computes, high - low
-        if not np.isfinite(width).all():
-            raise ValueError(f"noise_amp {float(np.max(noise_amp)):g} makes the width of the "
-                             "uniform draw, 2*noise_amp, overflow")
     n = config.n
     priority = switch_priority(config.b_high)
     out = np.empty((len(points), trials))
-    rows = 4 * max(1, _DRAW_BLOCK // (4 * n))
+    rows = max(1, _DRAW_BLOCK // n)
     with np.errstate(over="ignore"):  # an action that overflows fails the check in `fold`
         bases = [  # each point's actions without noise
             reactive_couplings(config.b_low, config.b_high, priority, min(int(math.floor(ratio * n + 0.5)), n))
@@ -680,38 +676,35 @@ def forced_ratio_samples(
             for ratio, _ in points
         ]
 
-    def fold(acts: np.ndarray, into: np.ndarray) -> None:
-        """Writes the order parameter of each row of `acts` (trials x N) into `into`; overwrites `acts`."""
+    def fold(acts: np.ndarray, i: int, start: int) -> None:
+        """Writes point i's order parameters from trial `start` on; `acts` is their noise (trials x N), overwritten."""
         with np.errstate(over="ignore", invalid="ignore"):  # per thread; the check below reports it
+            acts += bases[i]
             sums = acts.sum(axis=1)
             magnitudes = np.abs(acts, out=acts).sum(axis=1)
         if not np.isfinite(magnitudes).all():  # sum |x| bounds |sum x|: both are finite or this is not
-            raise ValueError(f"dO_drive={dO_drive:g} overflows the sum of a trial's actions")
-        into[:] = order_ratio(sums, magnitudes)
+            raise ValueError(f"the sum of a trial's actions at dO_drive={dO_drive:g} overflows "
+                             f"(largest noise half-width {float(np.max(points[i][1])):g})")
+        out[i, start : start + len(acts)] = order_ratio(sums, magnitudes)
 
-    def draw(task: tuple[int, int]) -> None:
-        i, start = task
-        stop = min(start + rows, trials)
-        noise_amp = points[i][1]
+    def draw(i: int) -> None:
+        """Point i's trials from its own stream, in order, one block alive at a time."""
         rng = make_generator(seed + i)
-        rng.bit_generator.advance(start * n // 4)
-        with np.errstate(over="ignore", invalid="ignore"):
-            acts = rng.uniform(-noise_amp, noise_amp, size=(stop - start, n))
-            acts += bases[i]  # in place: one block-sized array per thread
-        fold(acts, out[i, start:stop])
+        for start in range(0, trials, rows):
+            fold(uniform_noise(rng, (min(rows, trials - start), n), points[i][1]), i, start)
 
-    tasks = []
+    drawing = []
     for i, (_, noise_amp) in enumerate(points):
         if np.any(noise_amp):
-            tasks += [(i, start) for start in range(0, trials, rows)]
-        else:  # no draw: each would be +0.0 (docstring)
-            fold((bases[i] + 0.0)[None, :], out[i, :1])
+            drawing.append(i)
+        else:  # no draw (docstring)
+            fold(np.zeros((1, n)), i, 0)
             out[i, 1:] = out[i, 0]
-    if tasks:
+    if drawing:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(min(len(tasks), _usable_cpus())) as pool:
-            list(pool.map(draw, tasks))
+        with ThreadPoolExecutor(min(len(drawing), _usable_cpus())) as pool:
+            list(pool.map(draw, drawing))
     return out
 
 

@@ -1,6 +1,7 @@
 """The command-line entry point: exit codes, error lines, output locations."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -136,14 +137,24 @@ def test_curve_refuses_drive_whose_noise_range_overflows(tmp_path, capsys, scena
 
 
 def test_curve_refuses_noise_whose_draw_width_overflows(tmp_path, capsys):
-    """numpy's uniform(-1e308, 1e308) computes a width of inf and raises OverflowError."""
+    """Noise of half-width 1e308 is drawn finite; a crowd whose trial sums overflow with it is refused."""
     path = tmp_path / "wide.scenario"
-    path.write_text(SCENARIO.format(name="wide") + "crowd.noise = uniform\ncrowd.noise_amp = 1e308\n",
+    one_wide = ", ".join(["0.1"] * 9 + ["1e308"])
+    path.write_text(SCENARIO.format(name="wide") + f"crowd.noise = uniform\ncrowd.noise_amp = {one_wide}\n",
                     encoding="utf-8")
     out = tmp_path / "out"
     argv = ["curve", "--scenario", str(path), "--kind", "order-vs-ratio", "--points", "3", "--out", str(out)]
+    assert main(argv) == 0
+    with open(out / "wide_curve_order-vs-ratio.csv", newline="", encoding="utf-8") as fh:
+        assert all(math.isfinite(float(row["mean_R"])) for row in csv.DictReader(fh))
+    capsys.readouterr()
+    path.write_text(SCENARIO.format(name="wide") + "crowd.noise = uniform\ncrowd.noise_amp = 1e308\n",
+                    encoding="utf-8")
+    out = tmp_path / "out2"
+    argv = ["curve", "--scenario", str(path), "--kind", "order-vs-ratio", "--points", "3", "--out", str(out)]
     assert main(argv) == 1
-    assert_one_line_error(capsys, "error: noise_amp 1e+308 makes the width of the uniform draw, 2*noise_amp, overflow")
+    assert_one_line_error(capsys, "error: the sum of a trial's actions at dO_drive=1 overflows",
+                          "(largest noise half-width 1e+308)")
     assert not out.exists()
 
 

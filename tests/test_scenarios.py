@@ -314,9 +314,11 @@ def small_runs(draw):
     b_high = [max(lo, 0.0) + draw(st.floats(0.01, 2.0)) for lo in b_low]
     c = draw(st.lists(_COEF, min_size=n, max_size=n))
     noise_amp = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
-    noise = draw(st.sampled_from([NoNoise(), UniformNoise(), WienerNoise(mu=0.01, sigma=0.1)]))
+    # dt != 1 and drawn mu, sigma, so the per-step oracle pins the order of the Wiener shock's operations
+    wiener = st.builds(WienerNoise, mu=st.floats(-0.5, 0.5), sigma=st.floats(0.0, 1.0))
+    noise = draw(st.sampled_from([NoNoise(), UniformNoise()]) | wiener)
     cfg = CrowdConfig(n=n, a=draw(st.floats(0.01, 1.0)), b_low=b_low, b_high=b_high, c=c,
-                      noise_amp=noise_amp, noise_model=noise)
+                      noise_amp=noise_amp, noise_model=noise, dt=draw(st.floats(0.01, 4.0)))
     rule = SwitchRule(saturation_scale=draw(st.floats(0.01, 10.0)), window=draw(st.integers(1, 6)))
     profile = explicit_profile(steps, draw(st.lists(_COEF, min_size=steps, max_size=steps)))
     seed = draw(st.integers(0, 2**32))
@@ -783,12 +785,12 @@ def test_forced_ratio_validation():
 
 
 def sequential_forced_ratio(config, ratio, dO_drive, noise_amp, trials, seed):
-    """The sampler's trials as one draw of the stream, summed row by row."""
+    """The sampler's trials as one draw of the stream, as `run()` draws uniform noise, summed row by row."""
     n_h = min(int(math.floor(ratio * config.n + 0.5)), config.n)
     rank = np.empty(config.n, dtype=np.intp)
     rank[switch_priority(config.b_high)] = np.arange(config.n)
     base = np.where(rank < n_h, config.b_high, config.b_low) * dO_drive
-    acts = make_generator(seed).uniform(-noise_amp, noise_amp, (trials, config.n)) + base
+    acts = make_generator(seed).uniform(-1.0, 1.0, (trials, config.n)) * noise_amp + base
     return metrics_module.order_ratio(acts.sum(axis=1), np.abs(acts).sum(axis=1))
 
 
@@ -828,6 +830,33 @@ def test_forced_ratio_bits_do_not_depend_on_the_split(n, trials, cpus, block_row
         assert got[i].tobytes() == want.tobytes()
 
 
+def test_forced_ratio_refusal_names_the_noise_that_overflows_a_trial_sum():
+    """A finite drive with noise whose trial sums overflow: the one-line refusal names both."""
+    cfg = CrowdConfig(n=3, a=0.1, b_low=0.0, b_high=1.0, c=1.0)
+    message = "the sum of a trial's actions at dO_drive=1 overflows (largest noise half-width 8.9e+307)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        forced_ratio_samples(cfg, [(0.5, 8.9e307)], dO_drive=1.0, trials=50)
+
+
+class _InOrderPhilox(np.random.Philox):
+    """Philox whose stream may only be read in order."""
+
+    def advance(self, delta):
+        raise AssertionError(f"stream skipped ahead by {delta}")
+
+
+def test_forced_ratio_builds_one_generator_per_drawing_point():
+    """Each noisy point builds its stream once and reads it in order; a zero-width point builds none."""
+    cfg = CrowdConfig(n=500, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
+    points = [(1.0, float(amp)) for amp in np.linspace(0.0, 0.5, 11)]  # as the `tipping-sweep` curve
+    want = forced_ratio_samples(cfg, points, trials=2000, seed=5)
+    with mock.patch.object(np.random, "Philox", _InOrderPhilox), \
+            mock.patch.object(scenarios_module, "make_generator", wraps=scenarios_module.make_generator) as built:
+        got = forced_ratio_samples(cfg, points, trials=2000, seed=5)
+    assert sorted(call.args[0] for call in built.call_args_list) == list(range(6, 16))  # seed + i, i = 1..10
+    assert got.tobytes() == want.tobytes()
+
+
 def test_forced_ratio_checks_every_point_before_drawing():
     """A bad last point is refused before the first point draws."""
     cfg = simple_config(n=10)
@@ -836,16 +865,12 @@ def test_forced_ratio_checks_every_point_before_drawing():
             forced_ratio_samples(cfg, [(0.5, 0.3), (1.5, 0.3)])
         with pytest.raises(ValueError, match="noise_amp"):
             forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, -0.5)])
-        # `uniform` draws from a range of width 2*noise_amp, which must be finite
-        with pytest.raises(ValueError, match=r"^noise_amp 1e\+308 makes the width of the uniform draw"):
-            forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, 1e308)])
-        per_agent = np.full(10, 0.3)
-        per_agent[7] = 9e307  # 1.8e308 wide
-        with pytest.raises(ValueError, match=r"^noise_amp 9e\+307 makes"):
-            forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, per_agent)])
         assert np.all(forced_ratio_samples(cfg, [(1.0, 0.0), (1.0, np.zeros(10))], trials=3) == 1.0)
-    # a width of 1.78e308 is finite; one agent keeps the trial's sum finite too
-    assert np.isfinite(forced_ratio_samples(simple_config(n=1), [(0.5, 8.9e307)], trials=4)).all()
+    # noise of half-width a is drawn within [-a, a]: finite for any finite a, and so are these trials' sums
+    per_agent = np.full(10, 0.3)
+    per_agent[7] = 1e308
+    assert np.isfinite(forced_ratio_samples(cfg, [(0.5, 0.3), (0.5, per_agent)], trials=4)).all()
+    assert np.isfinite(forced_ratio_samples(simple_config(n=1), [(0.5, 1e308)], trials=4)).all()
 
 
 # ---------------------------------------------------------------------------
