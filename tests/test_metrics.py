@@ -530,7 +530,7 @@ def test_sync_report_allocates_no_n_by_n_matrix():
 
 
 def test_forced_ratio_samples_holds_one_draw_block():
-    """Each of 2 threads shifts and folds its block in place: one block-sized array per thread."""
+    """One point is one task, even with 2 threads: it shifts and folds each block in place, one block at a time."""
     n, trials = 500, 2000
     cfg = CrowdConfig(n=n, a=0.01, b_low=0.0, b_high=1.0, c=1.0)
     tracemalloc.start()  # it traces numpy's allocations on every thread
