@@ -50,10 +50,8 @@ from .scenarios import (
     zero_profile,
 )
 from .switching import (
-    DegenerateCouplingError,
     Stability,
     SwitchRule,
-    TippingPoint,
     classify_stability,
     critical_reactive_count,
     switch_priority,

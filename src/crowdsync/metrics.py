@@ -118,6 +118,11 @@ def order_parameter_closed_form(
 
     where B_H, B_L are the mean high/low couplings and B_0 the mean
     |low| coupling. The absolute value keeps R in [0, 1] when B_L < 0.
+
+    The population means are exact only for a homogeneous crowd. Agents
+    switch in switch priority, so in a crowd whose couplings differ the
+    reactive ones are not an average sample, and R departs from this
+    form (`forced_ratio_samples` draws the crowd itself).
     """
     if not 0.0 <= ratio <= 1.0:
         raise ValueError(f"reactive ratio must be in [0, 1], got {ratio}")

@@ -54,15 +54,12 @@ from .scenarios import (
     SweepPoint,
     build_profile,
 )
-from .switching import SwitchRule
+from .switching import Stability, SwitchRule
 
 TABLE_COLUMNS = ["t", "E", "dE", "S", "dS", "O", "dO", "N_H", "ratio", "B", "AB", "R", "stability"]
 
-SUMMARY_COLUMNS = [
-    "name", "steps_run", "diverged", "truncated_at", "seed",
-    "peak_O", "final_O", "peak_ratio", "final_ratio",
-    "mean_R", "rho_c", "sigma_c", "sigma_o", "t_d", "stability_final",
-]
+#: The summary's columns: the fields of `RunSummary`, in order.
+SUMMARY_COLUMNS = [f.name for f in fields(RunSummary)]
 
 CURVE_COLUMNS = ["x", "mean_R", "stderr_R"]
 
@@ -375,6 +372,16 @@ def _csv(header: list[str], rows: Iterable[list]) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
+def _text(value) -> str:
+    return "" if value is None else str(value)
+
+
+#: How a summary cell is written, by the type its `RunSummary` field declares. Any
+#: other type (str, int, int | None) is written as itself, and None as "".
+_CELL_TEXT = {float: _g17, bool: _fmt, Stability: operator.attrgetter("value")}
+_SUMMARY_CELLS = [_CELL_TEXT.get(hint, _text) for hint in map(get_type_hints(RunSummary).get, SUMMARY_COLUMNS)]
+
+
 def _write(text: str, destination: str | Path) -> Path:
     path = Path(destination)
     path.write_text(text, encoding="utf-8", newline="\n")
@@ -460,10 +467,8 @@ def format_summary(summary: RunSummary) -> str:
     return _csv(SUMMARY_COLUMNS, [_summary_row(summary)])
 
 
-def _summary_row(s: RunSummary) -> list:
-    floats = [_g17(getattr(s, column)) for column in SUMMARY_COLUMNS[5:-1]]  # peak_O to t_d
-    truncated = "" if s.truncated_at is None else s.truncated_at
-    return [s.name, s.steps_run, _fmt(s.diverged), truncated, s.seed, *floats, s.stability_final.value]
+def _summary_row(s: RunSummary) -> list[str]:
+    return [text(getattr(s, column)) for column, text in zip(SUMMARY_COLUMNS, _SUMMARY_CELLS)]
 
 
 def emit_summary(summary: RunSummary, destination: str | Path) -> Path:

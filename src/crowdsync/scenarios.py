@@ -37,10 +37,10 @@ kept matrix of the steps in the moments it gives their bits.
 
 The loop records only what a step decides: its dS, N_H and action row.
 It keeps dO and O as scalars, for the feedback and the ceiling. When
-N_H changes, it sets the couplings b_i of only the agents whose place
-in switch priority lies between the old count and the new one. After
-the loop, the other columns are derived once with the loop's
-floating-point operations: dO = a*dS, O as the left-to-right sum of dO
+N_H changes, it rebuilds the couplings b_i with `reactive_couplings`,
+the one rule of who is reactive (`switching`). After the loop, the
+other columns are derived once with the loop's floating-point
+operations: dO = a*dS, O as the left-to-right sum of dO
 from +0.0 (so a first dO of -0.0 gives O = +0.0, as in the loop), and
 B (the ordered sum of the couplings), a*B and its stability class once
 per distinct N_H.
@@ -114,6 +114,7 @@ from .switching import (
     SwitchRule,
     classify_stability,
     reactive_couplings,
+    round_count,
     switch_priority,
     update_reactive_count,
 )
@@ -438,8 +439,7 @@ def run(
     dO_prev = initial_dO
     O = 0.0
     n_h = pinned_reactive
-    b_eff = b_low.copy()
-    coupled_for = 0  # the N_H that b_eff is built for
+    coupled_for = None  # the N_H that the couplings b_eff are built for
     diverged = False
     steps_run = T
 
@@ -490,9 +490,7 @@ def run(
                 if pinned_reactive is None:
                     n_h = update_reactive_count(history, rule, n)
                 if n_h != coupled_for:
-                    # only the agents in priority between the two counts switch
-                    switched = priority[min(n_h, coupled_for) : max(n_h, coupled_for)]
-                    b_eff[switched] = (b_high if n_h > coupled_for else b_low)[switched]
+                    b_eff = reactive_couplings(b_low, b_high, priority, n_h)
                     coupled_for = n_h
                 ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
                 if rng is not None:
@@ -635,13 +633,13 @@ def forced_ratio_samples(
     """Order parameters of one driven step at pinned reactive fractions: one row per point.
 
     A point is (ratio, noise_amp). It bypasses the switch rule: the first
-    round(ratio*N) agents in switch priority are reactive, the rest
-    normal. Each of its trials drives one step with observation increment
-    `dO_drive` (finite), zero external force, and i.i.d. uniform noise of
-    half-width `noise_amp` (one value, or one per agent, under the crowd's
-    noise_amp rule), drawn as `run()` draws it. Returns the
-    (len(points), trials) order parameters. Every point is checked before
-    the first draw. A trial whose sum of |actions| overflows is refused
+    `round_count(ratio*N, N)` agents in switch priority (half away from
+    zero) are reactive, the rest normal. Each of its trials drives one
+    step with observation increment `dO_drive` (finite), zero external
+    force, and i.i.d. uniform noise of half-width `noise_amp` (one value,
+    or one per agent, under the crowd's noise_amp rule), drawn as `run()`
+    draws it. Returns the (len(points), trials) order parameters. Every
+    point is checked before the first draw. A trial whose sum of |actions| overflows is refused
     with a ValueError that names the drive and the point's largest
     half-width. `seed` must meet the rule of the `ScenarioSpec` field of
     that name.
@@ -671,8 +669,7 @@ def forced_ratio_samples(
     rows = max(1, _DRAW_BLOCK // n)
     with np.errstate(over="ignore"):  # an action that overflows fails the check in `fold`
         bases = [  # each point's actions without noise
-            reactive_couplings(config.b_low, config.b_high, priority, min(int(math.floor(ratio * n + 0.5)), n))
-            * dO_drive
+            reactive_couplings(config.b_low, config.b_high, priority, round_count(ratio * n, n)) * dO_drive
             for ratio, _ in points
         ]
 

@@ -1,23 +1,33 @@
-"""Two-state coupling: who is reactive, what that does to the loop gain.
+"""Two-state coupling: who is reactive, and what that does to the loop gain.
 
 Each agent couples to the observation with b_low in normal mode and
-b_high in reactive mode, so the aggregate coupling is a linear function
-of the reactive count:
+b_high in reactive mode, and b_high > b_low for every agent. One model
+says who is reactive: with N_H agents reactive, they are the first N_H
+in switch priority, largest b_high first (`switch_priority`), and each
+agent's coupling is given by `reactive_couplings`. The aggregate
+coupling B(N_H) is the fixed-order sum of those couplings, and the loop
+gain is a*B(N_H). The step loop, the forced-ratio sampler and the
+tipping count all read this model, and `round_count` is the one rule
+that turns a real count into agents.
 
-    B(N_H) = N_H * B_H + (N - N_H) * B_L
+The reactive count follows the trailing mean of |dO| (`SwitchRule`):
+crowds react to how much the observation has been moving.
 
-with B_H / B_L the population means of the two value sets. The reactive
-count itself follows the trailing mean of |dO|: crowds react to how much
-the observation has been moving. The loop gain a*B crosses 1 at the
-tipping point
+Switching one more agent raises its coupling, so B(N_H) and the gain
+grow with N_H. The tipping count N_HC (`critical_reactive_count`) is the
+smallest N_H at which the gain reaches 1; beyond it the crowd
+self-amplifies. Where b_low is one value, the strongest couplers switch
+first, so B(N_H) is concave and a spread of b_high tips the crowd
+earlier than its population means would. A homogeneous crowd has
+B(N_H) = N_H*b_high + (N - N_H)*b_low, and N_HC is the ceiling of the
+paper's
 
-    N_HC = (1 - a*N*B_L) / (a * (B_H - B_L))
-
-beyond which the crowd self-amplifies.
+    N_HC = (1 - a*N*b_low) / (a * (b_high - b_low))
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,26 +35,23 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import CrowdError, check_fields, ordered_sum, ruled
+from .dynamics import CrowdConfig, check_fields, ordered_sum, ruled
 
 #: Band around loop gain 1 classified as marginal.
 MARGINAL_TOL = 1e-9
-
-
-class DegenerateCouplingError(CrowdError):
-    """b_high equals b_low; the two states are indistinguishable."""
 
 
 @dataclass(frozen=True)
 class SwitchRule:
     """Reactive-count rule: N_H proportional to the trailing mean of |dO|.
 
-    N_H = clamp(round(n * mean(|dO| over last `window` steps) / saturation_scale), 0, n)
+    N_H = round_count(n * mean(|dO| over last `window` steps) / saturation_scale, n)
 
     saturation_scale is the trailing-mean magnitude at which the whole
-    population has switched. Rounding is half-away-from-zero (counts,
-    not banker's rounding). During warm-up only the available history is
-    averaged; an empty history keeps everyone normal.
+    population has switched. The count is capped at n and rounded half
+    away from zero (counts, not banker's rounding). During warm-up only
+    the available history is averaged; an empty history keeps everyone
+    normal.
     """
 
     saturation_scale: float = ruled(
@@ -54,15 +61,6 @@ class SwitchRule:
 
     def __post_init__(self) -> None:
         check_fields(SwitchRule, vars(self))
-
-
-@dataclass(frozen=True)
-class TippingPoint:
-    """Real-valued critical reactive count; unreachable when count > n."""
-
-    count: float
-    ratio: float
-    reachable: bool
 
 
 class Stability(Enum):
@@ -75,20 +73,6 @@ class Stability(Enum):
 # Operations
 # ---------------------------------------------------------------------------
 
-def critical_reactive_count(a: float, n: int, b_high_avg: float, b_low_avg: float) -> TippingPoint:
-    """Reactive count at which the loop gain reaches 1.
-
-    Returns the real-valued threshold; ``reachable`` is False when it
-    exceeds the population (a*N*B_H < 1: the crowd can never tip).
-    """
-    if not a > 0:
-        raise ValueError(f"observation sensitivity a must be > 0, got {a}")
-    if b_high_avg == b_low_avg:
-        raise DegenerateCouplingError("b_high equals b_low; no state distinction, no threshold")
-    count = (1.0 - a * n * b_low_avg) / (a * (b_high_avg - b_low_avg))
-    return TippingPoint(count=count, ratio=count / n, reachable=count <= n)
-
-
 def update_reactive_count(dO_history: Sequence[float], rule: SwitchRule, n: int) -> int:
     """Apply the switch rule to the trailing observation increments.
 
@@ -99,9 +83,15 @@ def update_reactive_count(dO_history: Sequence[float], rule: SwitchRule, n: int)
     if not mags:
         return 0
     mean_mag = ordered_sum(mags) / len(mags)
-    raw = n * mean_mag / rule.saturation_scale
-    # capped before rounding, because a tiny saturation_scale can make raw inf
-    return int(math.floor(min(raw, n) + 0.5))  # round half away from zero
+    return round_count(n * mean_mag / rule.saturation_scale, n)
+
+
+def round_count(real: float, n: int) -> int:
+    """A real count of agents (>= 0) as a whole one: capped at n, then rounded half away from zero.
+
+    It is capped before rounding, because a tiny saturation_scale can make it inf.
+    """
+    return int(math.floor(min(real, n) + 0.5))
 
 
 def switch_priority(b_high: np.ndarray) -> np.ndarray:
@@ -115,6 +105,28 @@ def reactive_couplings(b_low: np.ndarray, b_high: np.ndarray, priority: np.ndarr
     reactive = priority[:n_h]
     b[reactive] = b_high[reactive]
     return b
+
+
+def critical_reactive_count(config: CrowdConfig) -> int | None:
+    """The tipping count N_HC: the fewest reactive agents at which the loop gain is positive and reaches 1.
+
+    The gain at k reactive agents is a run's a*B(k): `config.a` times the
+    ordered sum of `reactive_couplings`. It reaches 1 when
+    `classify_stability` finds it marginal or amplifying, so a step of a
+    run has a positive gain that is not contracting exactly when its N_H
+    is at least N_HC. Returns None when the whole crowd stays below: it
+    never tips. Every agent's b_high exceeds its b_low and rounding is
+    monotone, so B(k) never falls as k grows, and N_HC is found by
+    bisection.
+    """
+    priority = switch_priority(config.b_high)
+
+    def tips(k: int) -> bool:
+        gain = config.a * ordered_sum(reactive_couplings(config.b_low, config.b_high, priority, k))
+        return gain > 0 and classify_stability(gain) is not Stability.CONTRACTING
+
+    k = bisect.bisect_left(range(config.n + 1), True, key=tips)
+    return k if k <= config.n else None
 
 
 def classify_stability(ab: float) -> Stability:

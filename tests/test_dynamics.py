@@ -6,8 +6,10 @@ observation increment of the first step, and an explicit profile supplies
 the force increments.
 """
 
+import ast
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from crowdsync.scenarios import explicit_profile, run
 from crowdsync.switching import SwitchRule
 
 RULE = SwitchRule(saturation_scale=1.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def kahan_sum(values):
@@ -184,6 +187,25 @@ def test_ordered_sum_is_left_to_right():
     for v in x:
         acc += v
     assert ordered_sum(x) == acc
+
+
+def test_source_never_sums_with_the_builtin_sum_or_fsum():
+    """`ordered_sum` is the one reduction of floats in `src/`.
+
+    The builtin `sum` compensates float rounding from Python 3.12 on, and
+    `math.fsum` always does, so either would give other bits than the
+    left-to-right sum. A name `sum` or `fsum`, an attribute `fsum`, or an
+    import of `fsum` fails here.
+    """
+    uses = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id in ("sum", "fsum")
+        or isinstance(node, ast.Attribute) and node.attr == "fsum"
+        or isinstance(node, ast.alias) and node.name == "fsum"
+    ]
+    assert uses == []
 
 
 def _bits(x: float) -> bytes:

@@ -736,6 +736,16 @@ def test_forced_ratio_fully_reactive_noiseless():
     assert forced_ratio_mean(cfg, 1.0) == 1.0
 
 
+def test_forced_ratio_rounds_half_way_counts_away_from_zero():
+    """ratio*N = 2.5 makes 3 agents reactive, as the switch rule rounds (not banker's 2).
+
+    Each reactive agent acts +1 and each normal one -1, so R = |2k - 10| / 10.
+    """
+    cfg = simple_config(n=10, b_low=-1.0, b_high=1.0)
+    assert forced_ratio_mean(cfg, 0.25) == 0.4  # k = 3; k = 2 gives 0.6
+    assert forced_ratio_mean(cfg, 0.2) == 0.6
+
+
 def test_forced_ratio_zero_with_symmetric_normals_decays_with_n():
     n = 10_000
     signs = make_generator(8).choice([-1.0, 1.0], n)

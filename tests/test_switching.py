@@ -1,4 +1,4 @@
-"""Two-state coupling: aggregation, switch rule, tipping point, stability.
+"""Two-state coupling: aggregation, switch rule, tipping count, stability.
 
 The coupling a run uses at a given reactive count is read from
 `run(..., pinned_reactive=k)`, which bypasses the switch rule.
@@ -8,13 +8,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from crowdsync.dynamics import CrowdConfig
-from crowdsync.scenarios import run, zero_profile
+from crowdsync.rng import make_generator
+from crowdsync.scenarios import run, run_spec, zero_profile
 from crowdsync.switching import (
-    DegenerateCouplingError,
     Stability,
     SwitchRule,
     classify_stability,
@@ -46,13 +46,18 @@ def brute_force_b_total(cfg, n_reactive):
     return sum(cfg.b_high[i] if i in reactive else cfg.b_low[i] for i in range(cfg.n))
 
 
-def sweep_for_critical_count(a, n, b_high, b_low):
-    """Oracle: smallest integer reactive count whose loop gain reaches 1."""
-    cfg = crowd(n, b_low, b_high, a)
-    for nh in range(n + 1):
-        if pinned(cfg, nh).ab[0] >= 1.0:
+def first_pinned_count_that_tips(cfg):
+    """Oracle: the smallest reactive count whose one pinned step has a positive gain that is not contracting."""
+    for nh in range(cfg.n + 1):
+        result = pinned(cfg, nh)
+        if result.ab[0] > 0 and result.stability_trace[0] is not Stability.CONTRACTING:
             return nh
     return None
+
+
+def paper_tipping_count(a, n, b_high, b_low):
+    """The paper's N_HC = (1 - a*N*B_L) / (a*(B_H - B_L)), from population means."""
+    return (1.0 - a * n * b_low) / (a * (b_high - b_low))
 
 
 # ---------------------------------------------------------------------------
@@ -113,42 +118,65 @@ def test_aggregate_coupling_empty_population():
 # ---------------------------------------------------------------------------
 
 def test_marginal_case_threshold_is_full_population():
-    tp = critical_reactive_count(a=0.01, n=100, b_high_avg=1.0, b_low_avg=0.0)
-    assert tp.count == 100.0
-    assert tp.reachable
-    assert sweep_for_critical_count(0.01, 100, 1.0, 0.0) == 100
+    assert paper_tipping_count(0.01, 100, 1.0, 0.0) == 100.0
+    assert critical_reactive_count(crowd(100, 0.0, 1.0, a=0.01)) == 100
 
 
 def test_threshold_for_supercritical_crowd():
-    tp = critical_reactive_count(a=0.0135, n=100, b_high_avg=1.0, b_low_avg=0.0)
-    assert tp.count == pytest.approx(100 / 1.35, rel=1e-12)
-    assert tp.ratio == pytest.approx(1 / 1.35, rel=1e-12)
-    # sweep oracle: first integer count at or past the threshold
-    assert sweep_for_critical_count(0.0135, 100, 1.0, 0.0) == math.ceil(tp.count)
+    count = critical_reactive_count(crowd(100, 0.0, 1.0, a=0.0135))
+    assert count == math.ceil(paper_tipping_count(0.0135, 100, 1.0, 0.0)) == 75
 
 
 def test_subcritical_crowd_is_unreachable():
-    tp = critical_reactive_count(a=0.005, n=100, b_high_avg=1.0, b_low_avg=0.0)
-    assert tp.count > 100
-    assert not tp.reachable
-    assert sweep_for_critical_count(0.005, 100, 1.0, 0.0) is None
+    assert paper_tipping_count(0.005, 100, 1.0, 0.0) > 100
+    assert critical_reactive_count(crowd(100, 0.0, 1.0, a=0.005)) is None
 
 
-def test_degenerate_states_error():
-    with pytest.raises(DegenerateCouplingError):
-        critical_reactive_count(a=0.01, n=100, b_high_avg=0.5, b_low_avg=0.5)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(lambda n: st.tuples(
+        hnp.arrays(np.float64, n, elements=st.floats(-2.0, 1.0)),
+        hnp.arrays(np.float64, n, elements=st.floats(0.01, 3.0)),
+    )),
+    st.floats(0.001, 1.0),
+)
+@example((np.full(4, -1.0), np.full(4, 3.0)), 1.0)  # gains -4, -1 (marginal), 2: tips at 2
+def test_threshold_consistency_with_aggregate_coupling(columns, a):
+    """The tipping count is the first pinned step whose gain is positive and not contracting."""
+    b_low, spread = columns
+    b_high = np.maximum(b_low + spread, 0.01)
+    cfg = crowd(b_low.size, b_low, b_high, a)
+    assert critical_reactive_count(cfg) == first_pinned_count_that_tips(cfg)
 
 
-def test_threshold_consistency_with_aggregate_coupling():
-    """The run's loop gain crosses 1 between floor and ceil of the critical count."""
-    for a, bh, bl in [(0.0135, 1.0, 0.0), (0.02, 0.9, -0.05), (0.011, 1.2, 0.1)]:
-        n = 100
-        tp = critical_reactive_count(a, n, bh, bl)
-        if not tp.reachable:
-            continue
-        cfg = crowd(n, bl, bh, a)
-        assert pinned(cfg, math.ceil(tp.count)).ab[0] >= 1.0 - 1e-9
-        assert pinned(cfg, math.floor(tp.count) - 1).ab[0] < 1.0
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tipping_count_of_a_lognormal_crowd_is_not_the_population_means_one(seed):
+    """The strongest couplers switch first, so a spread of b_high tips the crowd early.
+
+    b_high is lognormal with log-sd 1, scaled to mean 1.35 (fig5's crowd
+    otherwise). The population means put the count at ceil(74.07) = 75.
+    """
+    b_high = make_generator(seed).lognormal(0.0, 1.0, 100)
+    cfg = crowd(100, 0.0, 1.35 * b_high / b_high.mean(), a=0.01)
+    count = critical_reactive_count(cfg)
+    assert count == first_pinned_count_that_tips(cfg)
+    assert count < math.ceil(paper_tipping_count(0.01, 100, float(np.mean(cfg.b_high)), 0.0)) - 5
+
+
+@pytest.mark.parametrize("name, count, tips_at, diverges_at", [
+    ("fig4-stable", None, None, None),
+    ("fig5-unstable", 75, 11, 99),
+    ("fig6-bubble", 100, 153, None),
+])
+def test_golden_tips_where_its_reactive_count_reaches_the_tipping_count(golden, name, count, tips_at, diverges_at):
+    """The first step whose N_H reaches N_HC is the first step that is not contracting."""
+    result = run_spec(golden(name), keep_actions=False)
+    assert critical_reactive_count(result.config) == count
+    not_contracting = [t for t, s in enumerate(result.stability_trace) if s is not Stability.CONTRACTING]
+    assert not_contracting[:1] == ([] if tips_at is None else [tips_at])
+    if count is not None:
+        assert int(np.argmax(result.n_reactive >= count)) == tips_at
+    assert result.truncated_at == diverges_at
 
 
 # ---------------------------------------------------------------------------
