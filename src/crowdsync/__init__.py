@@ -22,7 +22,6 @@ from .metrics import (
     SyncReport,
     crowd_correlation,
     crowd_volatility,
-    observed_volatility,
     order_parameter,
     order_parameter_closed_form,
     sync_report,

@@ -26,8 +26,9 @@ fixed-order sum.
 
 `crowdsync.scenarios.run` is the one implementation of a step; this
 module holds what it is built from: the crowd's per-agent coefficient
-columns and the one check of their rules, the noise models, and the
-fixed-order sum every aggregate uses.
+columns and the one check of their rules, the noise models, and
+`ordered_sum`, the fixed-order sum of the step's aggregates (which
+outputs it fixes, and which it does not, is said there).
 
 A dataclass field with a value rule declares it once, with `ruled`:
 `__post_init__` raises the first field's message (`check_fields`), and
@@ -194,8 +195,15 @@ _FLOAT64 = np.dtype(np.float64)
 def ordered_sum(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
     """Sum in ascending index order (left to right), no reassociation.
 
-    The canonical reduction for every aggregate in the package; fixing
-    the order makes runs bit-identical across machines.
+    The step loop's reduction. A run's dS and sum |dS_i| (and so its
+    order parameter R) and the couplings' sum B are taken with it, and O
+    is the loop's left-to-right sum of dO; fixing the order makes these
+    bit-identical across machines and numpy or BLAS builds. The metrics
+    use numpy's own reductions: rho_c and sigma_c (`CrowdMoments`: its
+    sums along an axis, `einsum` and BLAS `@`), T_d, `summarize`'s
+    mean_R and the curve cells (numpy's pairwise sums), and the
+    `metrics` command's columns (`np.std`, `np.mean`). These may differ
+    in their last bits under another numpy or BLAS build.
 
     An array is summed along its last axis with `np.add.accumulate`,
     which applies + sequentially: a 1-D array gives a float, a 2-D array

@@ -59,6 +59,7 @@ bounds cannot be told from a constant one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,6 +225,11 @@ def crowd_correlation(panel: DecisionPanel) -> float:
 _STEP_BLOCK_BYTES = 2**15
 _STEP_BLOCK_MIN_ROWS = 8
 
+#: `CrowdMoments` merges a block as it is when its squared means and its m2 sum to at most
+#: _SQUARES_BOUND, and else rescales it to hold no action past 2**_RESCALED_EXP.
+_SQUARES_BOUND = 2.0**798
+_RESCALED_EXP = 336
+
 
 def step_block_rows(n: int, steps: int) -> int:
     """Steps in one block of N agents' actions: 32 KB, at least 8, at most `steps`."""
@@ -242,6 +248,21 @@ class CrowdMoments:
     sum of the agents' means. Memory is O(N) for any number of steps.
     The result rounds with the block edges; it agrees with the matrix
     form up to roundoff (tested).
+
+    The moments hold the actions times `scale`, a power of two that
+    stays 1.0 until the squares of the actions near the float64 limit
+    of about 2**1024. `add` checks each block in O(N): a block whose
+    means m_i and sums of squared deviations m2_i have
+    sum_i (m_i**2 + m2_i) <= 2**798 holds no action past 2**400 (each
+    is within sqrt(m2_i) of m_i). A block that fails takes one pass for
+    its largest action, and if that passes 2**336, the scale, the
+    running moments and the block drop by the power of two that brings
+    it below 2**336. So no action held passes 2**400, and no sum of up
+    to 2**53 steps of up to 2**40 agents overflows. `sync` divides
+    sigma_c by the scale. Scaling by a power of two is exact, so the
+    moments keep the bits they would have with an unbounded exponent,
+    short of the subnormal range: an action below 2**-1022 / scale
+    loses bits.
     """
 
     def __init__(self, n: int) -> None:
@@ -250,17 +271,30 @@ class CrowdMoments:
         self.m2 = np.zeros(n)
         self.comoment = np.zeros(n)
         self.agg_m2 = 0.0
+        self.scale = 1.0
 
     def add(self, rows: np.ndarray) -> None:
-        """Merge a k x N block (Chan, Golub & LeVeque's pairwise update)."""
+        """Merge a k x N block (Chan, Golub & LeVeque's pairwise update), rescaled if it must be.
+
+        A block whose squares overflow is summed once as it is, and numpy
+        reports that overflow unless the caller ignores it, as `run()` and
+        `window_sync` do: an `np.errstate` per block would cost more than
+        the check itself.
+        """
         k = rows.shape[0]
         if k == 0:
             return
-        block_mean = rows.sum(axis=0) / k
-        np.copyto(block_mean, rows[0], where=(rows == rows[0]).all(axis=0))  # constant agents
-        centred = rows - block_mean
-        agg = centred.sum(axis=1)
-        self._merge(block_mean, k, np.einsum("ti,ti->i", centred, centred), agg @ centred, float(agg @ agg))
+        if self.scale != 1.0:
+            rows = rows * self.scale
+        block = _block_sums(rows)
+        squares = float(block[0].dot(block[0])) + float(block[2].sum())  # inf or NaN on an overflow
+        if not squares <= _SQUARES_BOUND:  # or NaN
+            peak = float(np.abs(rows).max())
+            exp = _RESCALED_EXP - math.frexp(peak)[1]
+            if exp < 0 and peak < math.inf:  # a block with inf or NaN merges as it is
+                self._rescale(exp)
+                block = _block_sums(np.ldexp(rows, exp))
+        self._merge(*block)
 
     def add_repeats(self, row: np.ndarray, k: int) -> None:
         """Merge k copies of one finite row: the bits of `add(np.tile(row, (k, 1)))`, in O(N).
@@ -270,9 +304,20 @@ class CrowdMoments:
         the delta terms are left. They are still added to +0.0, so that a
         -0.0 term rounds as it does in `add`. An inf or NaN in the row
         would make its centred rows NaN in `add`, so the row must be finite.
+        The row is not checked against the scale's bound: it must be no
+        larger than a row `add` has merged (in `run()`, it is the last row
+        of the last block merged).
         """
         if k:
-            self._merge(row, k, 0.0, 0.0, 0.0)
+            self._merge(row * self.scale if self.scale != 1.0 else row, k, 0.0, 0.0, 0.0)
+
+    def _rescale(self, exp: int) -> None:
+        """Multiply the scale and the running moments' actions by 2**exp."""
+        self.scale = math.ldexp(self.scale, exp)
+        np.ldexp(self.mean, exp, out=self.mean)
+        for sums in (self.m2, self.comoment):
+            np.ldexp(sums, 2 * exp, out=sums)
+        self.agg_m2 = math.ldexp(self.agg_m2, 2 * exp)
 
     def _merge(self, block_mean, k: int, m2, comoment, agg_m2: float) -> None:
         """Merge a block of k steps with these mean and centred sums into the running moments."""
@@ -297,14 +342,24 @@ class CrowdMoments:
         n, t = self.m2.shape[0], self.count
         if not t:
             return 0.0, 0.0
-        sigma_c = float(np.sqrt(self.agg_m2 / t))
+        sigma_c = float(np.sqrt(self.agg_m2 / t))  # in the units of `scale`
         sigma = np.sqrt(self.m2 / t)
         rounding = _mean_rounding(sigma, np.abs(self.mean), t)
         if _constant_up_to_roundoff(sigma_c, sigma, rounding):
             return 0.0, 0.0
         rho = np.zeros(n)
         np.divide(self.comoment / t, sigma * sigma_c, out=rho, where=sigma > rounding)
-        return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c
+        return float(np.clip(rho.sum() / n, -1.0, 1.0)), sigma_c / self.scale
+
+
+def _block_sums(rows: np.ndarray) -> tuple:
+    """(mean, k, m2, comoment, agg_m2) of a k x N block, centred on its mean (constant agents on their first value)."""
+    k = rows.shape[0]
+    block_mean = rows.sum(axis=0) / k
+    np.copyto(block_mean, rows[0], where=(rows == rows[0]).all(axis=0))  # constant agents
+    centred = rows - block_mean
+    agg = centred.sum(axis=1)
+    return block_mean, k, np.einsum("ti,ti->i", centred, centred), agg @ centred, float(agg @ agg)
 
 
 def window_sync(actions) -> tuple[float, float]:
@@ -321,8 +376,9 @@ def window_sync(actions) -> tuple[float, float]:
     n, w = arr.shape
     moments = CrowdMoments(n)
     block_rows = step_block_rows(n, w)
-    for s in range(0, w, block_rows):
-        moments.add(np.ascontiguousarray(arr[:, s : s + block_rows].T))
+    with np.errstate(over="ignore", invalid="ignore"):  # a block whose squares overflow is rescaled
+        for s in range(0, w, block_rows):
+            moments.add(np.ascontiguousarray(arr[:, s : s + block_rows].T))
     return moments.sync()
 
 
@@ -357,15 +413,6 @@ def trendiness(dO_series) -> float:
     return float(order_ratio(arr.sum(), np.abs(arr).sum()))
 
 
-def observed_volatility(a: float, sigma_c: float) -> float:
-    """Volatility seen on the observation: sigma_O = a * sigma_c."""
-    if not a > 0:
-        raise ValueError(f"observation sensitivity a must be > 0, got {a}")
-    if sigma_c < 0:
-        raise ValueError(f"sigma_c must be >= 0, got {sigma_c}")
-    return a * sigma_c
-
-
 # ---------------------------------------------------------------------------
 # Window report
 # ---------------------------------------------------------------------------
@@ -375,8 +422,11 @@ class SyncReport:
     """Metrics for one analysis window [start, stop) of a run.
 
     rho_c and sigma_c come from the streaming form (`CrowdMoments`); both
-    are 0 when the window's aggregate action is constant. The per-step
-    order parameter is not repeated here: it is the run's `r_instant`.
+    are 0 when the window's aggregate action is constant. sigma_o is
+    a * sigma_c. `sync_report` builds the report of a window of actions,
+    and `scenarios.summarize` the whole-run one, from the run's moments.
+    The per-step order parameter is not repeated here: it is the run's
+    `r_instant`.
     """
 
     start: int
@@ -394,7 +444,7 @@ class SyncReport:
         """
         rho_c, sigma_c = sync
         t_d = trendiness(dO_window) if len(dO_window) else 0.0
-        return cls(start, start + len(dO_window), rho_c, sigma_c, observed_volatility(a, sigma_c), t_d)
+        return cls(start, start + len(dO_window), rho_c, sigma_c, a * sigma_c, t_d)
 
 
 def sync_report(

@@ -81,8 +81,8 @@ truncates once |O| crosses the divergence ceiling and is marked diverged
 rather than failing.
 
 The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
-sums into the per-step order parameter after the loop. `summarize`
-reads the whole-run rho_c and sigma_c from the moments, and
+sums into the per-step order parameter after the loop. `summarize` is
+the one reader of the moments: it builds the whole-run report.
 `window_reports` computes per-window ones from the kept action matrix
 for callers that ask for them.
 """
@@ -302,7 +302,8 @@ class ScenarioSpec:
     token (see `is_safe_name`); it can never point outside `--out`.
     It is keyword-only. The run length is `profile.length` (a file's
     `run.steps`). `metric_window` and `overlap` are the arguments of
-    `window_reports` for this scenario; no CLI command reads them.
+    `window_reports` for this scenario (a `metric_window` of None is one
+    window of every step); no CLI command reads them.
     """
 
     name: str = ruled(
@@ -337,7 +338,7 @@ class ScenarioResult:
     of per-agent increments, or None when the run was made with
     `keep_actions=False`. `moments` holds the whole-run moments of the
     actions, without the step at which a diverging O became inf or NaN
-    (its `count` is the number of steps merged).
+    (its `count` is the number of steps merged); `summarize` reads them.
     """
 
     config: CrowdConfig
@@ -358,8 +359,6 @@ class ScenarioResult:
     stability_trace: list[Stability]
     agent_actions: np.ndarray | None
     moments: CrowdMoments
-    peak_ratio: float
-    final_ratio: float
     diverged: bool
     truncated_at: int | None
 
@@ -388,8 +387,8 @@ def run(
     `pinned_reactive` bypasses the switch rule and holds the reactive
     count fixed (threshold experiments); `initial_dO` seeds the
     endogenous feedback with a nonzero observation increment. With
-    `keep_actions=False` no N x T action matrix is built; the result's
-    moments still give the whole-run metrics.
+    `keep_actions=False` no N x T action matrix is built; `summarize`
+    still gives the whole-run metrics, from the result's moments.
 
     `seed` and `divergence_ceiling` must meet the rules of the
     `ScenarioSpec` fields of those names. A run stops, marked diverged,
@@ -553,8 +552,6 @@ def run(
         stability_trace=stability,
         agent_actions=None if actions is None else actions[:, :steps_run],
         moments=moments,
-        peak_ratio=float(n_reactive.max()) / n,
-        final_ratio=float(n_reactive[-1]) / n,
         diverged=diverged,
         truncated_at=steps_run - 1 if diverged else None,
     )
@@ -563,31 +560,23 @@ def run(
 def window_reports(
     result: ScenarioResult, window: int | None = None, overlap: bool = False
 ) -> list[SyncReport]:
-    """Metric reports of a run's windows of `window` steps (None: the whole run).
+    """Metric reports of a run's windows of `window` steps (None: one window of every step).
 
-    The whole-run report is the one `summarize` gives, read from the
-    run's moments. Windows start every step when `overlap`, else every
-    `window` steps; a window longer than the run is cut to it. Windows
-    need the run's action matrix (`run(..., keep_actions=True)`).
+    Each window is read from the run's action matrix, so windows need
+    `run(..., keep_actions=True)`. Windows start every step when
+    `overlap`, else every `window` steps; a window longer than the run
+    is cut to it. The whole-run report is `summarize`'s.
     """
     check_fields(ScenarioSpec, {"metric_window": window})
-    T = result.steps_run
-    if window is None:
-        return [_whole_run_report(result)]
     if result.agent_actions is None:
         raise ValueError("window reports need the action matrix; run with keep_actions=True")
-    w = min(window, T)
+    T = result.steps_run
+    w = T if window is None else min(window, T)
     starts = range(0, T - w + 1) if overlap else range(0, T - w + 1, w)
     return [
         sync_report(result.agent_actions[:, s : s + w], result.dO[s : s + w], result.config.a, start=s)
         for s in starts
     ]
-
-
-def _whole_run_report(result: ScenarioResult) -> SyncReport:
-    """The report of the steps in the run's moments: all, or all but a non-finite last one."""
-    k = result.moments.count
-    return SyncReport.from_sync(result.moments.sync(), result.dO[:k], result.config.a)
 
 
 def run_spec(spec: ScenarioSpec, seed: int | None = None, **overrides) -> ScenarioResult:
@@ -740,16 +729,21 @@ class RunSummary:
 
 
 def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
-    """Digest a result: whole-run metrics plus divergence bookkeeping.
+    """Digest a result: the whole-run report plus divergence bookkeeping.
 
-    rho_c, sigma_c, sigma_o, t_d and mean_R cover the steps the run's
-    moments hold: every step, except the step at which a diverging O
-    became inf or NaN. So they stay finite for a run that overflows
-    (and are 0 when that was its first step). peak_O and final_O still
-    report how O ended, inf or NaN included.
+    This is the one reader of the run's moments. rho_c, sigma_c, sigma_o,
+    t_d and mean_R cover the steps the moments hold: every step, except
+    the step at which a diverging O became inf or NaN (all are 0 when
+    that was its first step). So rho_c, sigma_c and mean_R stay finite
+    for a run that overflows, and the moments' scale keeps sigma_c
+    finite where the squares of the actions overflow. T_d does not when
+    numpy's pairwise sum of the finite dO overflows. peak_O and final_O
+    report how O ended, inf or NaN included. peak_ratio and final_ratio
+    are the largest and the last N_H over N.
     """
-    report = _whole_run_report(result)
-    k = report.stop
+    k = result.moments.count
+    report = SyncReport.from_sync(result.moments.sync(), result.dO[:k], result.config.a)
+    n = result.config.n
     return RunSummary(
         name=name,
         steps_run=result.steps_run,
@@ -758,8 +752,8 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
         seed=result.seed,
         peak_O=float(result.O.max()),
         final_O=float(result.O[-1]),
-        peak_ratio=result.peak_ratio,
-        final_ratio=result.final_ratio,
+        peak_ratio=float(result.n_reactive.max()) / n,
+        final_ratio=float(result.n_reactive[-1]) / n,
         mean_R=float(result.r_instant[:k].mean()) if k else 0.0,
         rho_c=report.rho_c,
         sigma_c=report.sigma_c,

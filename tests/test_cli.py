@@ -55,6 +55,37 @@ def test_run_computes_the_whole_run_report_once(tmp_path, monkeypatch, scenario_
     assert calls == ["moments"]
 
 
+# Three agents whose actions' squares pass the float64 range: rho_c is 1/3 and sigma_c 3.5e199.
+_SQUARES_OVERFLOW = """
+name = squares
+crowd.n = 3
+crowd.a = 1e-250
+crowd.b_low = 0.0
+crowd.b_high = 1.0
+crowd.c = 1e200, -5e199, 2e199
+crowd.noise = none
+rule.saturation_scale = 1.0
+profile.kind = ramp
+profile.slope = 1.0
+profile.start = 0
+profile.end = 10
+run.steps = 20
+"""
+
+
+def test_run_of_actions_whose_squares_overflow_writes_their_metrics(tmp_path):
+    """Run in a fresh interpreter that turns every warning into an error."""
+    path = tmp_path / "squares.scenario"
+    path.write_text(_SQUARES_OVERFLOW, encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "crowdsync.cli", "run", "--scenario", str(path),
+                           "--out", str(tmp_path)], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    with open(tmp_path / "squares_summary.csv", newline="", encoding="utf-8") as f:
+        row = next(csv.DictReader(f))
+    assert (row["rho_c"], row["sigma_c"]) == ("0.33333333333333331", "3.5000000000000002e+199")
+
+
 def test_run_holds_no_action_matrix(tmp_path, capsys):
     """A 500-agent, 4000-step run's 16 MB action matrix is never built."""
     n, steps = 500, 4000

@@ -38,6 +38,7 @@ from crowdsync.scenarios import (
     ForceProfile,
     ScenarioSpec,
     build_profile,
+    explicit_profile,
     run_spec,
     summarize,
     run,
@@ -848,4 +849,15 @@ def test_parse_format_round_trip(spec):
     fields = ("name", "seed", "metric_window", "overlap", "divergence_ceiling")
     assert [getattr(parsed, f) for f in fields] == [getattr(spec, f) for f in fields]
     assert parsed.profile.kind == spec.profile.kind
+    assert np.array_equal(parsed.profile.increments, spec.profile.increments)
+
+
+def test_explicit_profile_of_equal_values_round_trips():
+    """An explicit series is written value by value, even when every value is equal (unlike an agent column)."""
+    spec = replace(parse_scenario(MINIMAL), profile=explicit_profile(80, [0.5] * 80))
+    text = format_scenario(spec)
+    assert "\nprofile.series = " + ", ".join(["0.5"] * 80) + "\n" in text
+    parsed = parse_scenario(text)
+    assert format_scenario(parsed) == text
+    assert parsed.profile.length == 80
     assert np.array_equal(parsed.profile.increments, spec.profile.increments)

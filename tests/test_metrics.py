@@ -1,5 +1,6 @@
 """Order parameter, crowd correlation, volatility, trendiness."""
 
+import math
 import sys
 import tracemalloc
 from pathlib import Path
@@ -21,7 +22,6 @@ from crowdsync.metrics import (
     InvalidPanelError,
     crowd_correlation,
     crowd_volatility,
-    observed_volatility,
     order_parameter,
     order_parameter_closed_form,
     order_ratio,
@@ -357,6 +357,18 @@ def test_aggregate_constant_up_to_roundoff_is_degenerate():
     assert window_sync(moved)[1] > 0.0 and _streamed(moved, 1)[1] > 0.0
 
 
+def test_a_block_past_the_range_of_squares_rescales_the_moments_before_it_exactly():
+    """Steps 12 on are 2**700 times larger: their squares overflow, so the moments of steps 0-11 are
+    rescaled by a power of two when they merge, and every bit is that of the rows times 2**-400."""
+    rows = make_generator(54).standard_normal((4, 30))
+    rows[:, 12:] = np.ldexp(rows[:, 12:], 700)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow `add` catches, ignored as `run()` does
+        rho_c, sigma_c = _streamed(rows, 12)
+    reference = _streamed(np.ldexp(rows, -400), 12)
+    assert (rho_c, sigma_c) == (reference[0], math.ldexp(reference[1], 400))
+    assert math.isfinite(sigma_c) and sigma_c > 2.0**690
+
+
 def test_agent_of_equal_actions_is_constant_in_every_form():
     # equal actions whose rounded mean over three steps is not their value:
     # centred on it, the agent varies by roundoff and takes a correlation of its
@@ -468,20 +480,11 @@ def test_trendiness_bounds_and_scale_invariance():
         assert trendiness(2.5 * w) == pytest.approx(td, abs=1e-12)
 
 
-def test_observed_volatility():
-    assert observed_volatility(1.0, 3.0) == 3.0
-    assert observed_volatility(0.5, 4.0) == 2.0
-    with pytest.raises(ValueError):
-        observed_volatility(0.0, 1.0)
-    with pytest.raises(ValueError):
-        observed_volatility(1.0, -1.0)
-
-
 def test_observed_volatility_expansion_path():
     """sigma_O expanded from per-agent volatilities and correlations matches the report."""
-    assert observed_volatility(2.0, crowd_volatility(np.ones(2), np.ones((2, 2)))) == 4.0
+    assert 2.0 * crowd_volatility(np.ones(2), np.ones((2, 2))) == 4.0
     panel = random_panel(make_generator(52), n=6, t=200)
-    expanded = observed_volatility(0.7, crowd_volatility(panel.per_agent_sigma, panel.corr))
+    expanded = 0.7 * crowd_volatility(panel.per_agent_sigma, panel.corr)
     report = sync_report(panel.series, 0.7 * panel.series.sum(axis=0), a=0.7)
     assert report.sigma_o == pytest.approx(expanded, rel=1e-12)
 

@@ -137,7 +137,7 @@ def test_quiescence():
     assert np.all(result.dS == 0.0)
     assert np.all(result.dO == 0.0)
     assert np.all(result.n_reactive == 0)
-    assert result.peak_ratio == 0.0
+    assert summarize(result).peak_ratio == 0.0
 
 
 def test_delayed_response_recursion_holds_in_engine(golden):
@@ -297,7 +297,6 @@ def test_run_without_actions_keeps_the_whole_run_report(golden):
     kept, streamed = run_spec(spec), run_spec(spec, keep_actions=False)
     assert streamed.agent_actions is None
     assert summarize(streamed) == summarize(kept)
-    assert window_reports(streamed) == window_reports(kept)
     with pytest.raises(ValueError, match="keep_actions=True"):
         window_reports(streamed, spec.metric_window)
 
@@ -651,10 +650,14 @@ _OVERFLOWING = (CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=0.5, c=[1.0, 0.5]), Sw
 
 
 def _assert_window_sync_gives_the_moments(result):
-    """The whole-run window over the kept matrix has the bits of the run's moments."""
+    """The whole-run window over the kept matrix has the bits of the run's moments, and of its summary."""
     k = result.moments.count
     if k == result.steps_run:
-        assert window_reports(result, k) == window_reports(result)
+        (whole,) = window_reports(result)
+        summary = summarize(result)
+        assert (whole.start, whole.stop) == (0, k)
+        assert (whole.rho_c, whole.sigma_c, whole.sigma_o, whole.t_d) == (
+            summary.rho_c, summary.sigma_c, summary.sigma_o, summary.t_d)
     elif k:  # the moments leave out the step at which O became inf or NaN
         assert window_sync(result.agent_actions[:, :k]) == result.moments.sync()
 
@@ -675,6 +678,34 @@ def test_whole_run_window_equals_the_moments(case, options, block_rows):
     options = _capped(options, cfg.n)
     with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=8 * cfg.n * block_rows, _STEP_BLOCK_MIN_ROWS=1):
         _assert_window_sync_gives_the_moments(run(cfg, rule, profile, seed, **options))
+
+
+def _ramped_trio(k):
+    """The summary of three agents with c = 1, -0.5, 0.2 times 2**k on a ramp of 10 of 20 steps.
+
+    a = 1e-300 keeps every agent normal, so each action is c_i * dE: rho_c is 1/3 and sigma_c 0.35 * 2**k.
+    """
+    cfg = CrowdConfig(n=3, a=1e-300, b_low=0.0, b_high=1.0, c=[math.ldexp(c, k) for c in (1.0, -0.5, 0.2)])
+    return summarize(run(cfg, SwitchRule(saturation_scale=1.0), ramp_profile(20, 1.0, 0, 10)))
+
+
+def test_summary_scales_exactly_past_the_range_of_squares():
+    """Scaling every c by 2**k leaves rho_c's bits and scales sigma_c by 2**k, though from k = 512 on
+    the squares of the actions pass the float64 range."""
+    base = _ramped_trio(0)
+    assert base.rho_c == pytest.approx(1 / 3, abs=1e-15) and base.sigma_c == pytest.approx(0.35, rel=1e-15)
+    for k in (100, 300, 500, 660, 800, 900):
+        scaled = _ramped_trio(k)
+        assert (scaled.rho_c, scaled.sigma_c) == (base.rho_c, math.ldexp(base.sigma_c, k)), k
+
+
+def test_summary_of_a_run_diverging_past_the_range_of_squares_is_finite():
+    cfg = CrowdConfig(n=4, a=1.0, b_low=0.0, b_high=1e100, c=1.0)
+    result = run(cfg, SwitchRule(saturation_scale=1e-300), step_profile(50, 1.0, 0), divergence_ceiling=1.7e308)
+    summary = summarize(result)
+    assert result.diverged and result.moments.count == 4
+    assert summary.sigma_c > 1e300
+    assert all(map(math.isfinite, (summary.rho_c, summary.sigma_c, summary.sigma_o, summary.t_d, summary.mean_R)))
 
 
 def _computed_steps(n):
@@ -717,10 +748,10 @@ def test_tripling_example_diverges_at_step_5():
 
 def test_golden_regimes_qualitative(golden):
     stable = run_spec(golden("fig4-stable"))
-    assert not stable.diverged and stable.final_ratio == 0.0
+    assert not stable.diverged and summarize(stable).final_ratio == 0.0
 
     unstable = run_spec(golden("fig5-unstable"))
-    assert unstable.diverged and unstable.peak_ratio == 1.0
+    assert unstable.diverged and summarize(unstable).peak_ratio == 1.0
 
     bubble = run_spec(golden("fig6-bubble"))
     assert not bubble.diverged
