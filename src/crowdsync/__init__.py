@@ -41,7 +41,6 @@ from .scenarios import (
     forced_ratio_samples,
     ramp_profile,
     run,
-    run_spec,
     step_profile,
     summarize,
     sweep,

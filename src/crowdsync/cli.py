@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import CrowdError, UniformNoise
-from .metrics import trendiness
+from .metrics import covered_steps, scaled_to_fit, trendiness
 from .scenario_io import (
     emit_curve_table,
     emit_summary,
@@ -86,10 +86,7 @@ def _load(args):
 
 def _cmd_run(args) -> int:
     spec = _load(args)
-    result = run_scenario(
-        spec.config, spec.rule, spec.profile, spec.seed,
-        divergence_ceiling=spec.divergence_ceiling, keep_actions=False,
-    )
+    result = run_scenario(spec, keep_actions=False)
     summary = summarize(result, name=spec.name)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -111,17 +108,7 @@ def _cmd_sweep(args) -> int:
     if not values:
         print(f"error: --values must be one or more comma-separated numbers, got {args.values!r}", file=sys.stderr)
         return 1
-    points = run_sweep(
-        spec.config,
-        spec.rule,
-        args.param,
-        values,
-        spec.profile,
-        seed_policy=args.seed_policy,
-        seed=spec.seed,
-        jobs=args.jobs,
-        divergence_ceiling=spec.divergence_ceiling,
-    )
+    points = run_sweep(spec, args.param, values, seed_policy=args.seed_policy, jobs=args.jobs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = emit_sweep_table(args.param, points, out / f"{spec.name}_sweep_{args.param}.csv")
@@ -136,15 +123,14 @@ def _cmd_metrics(args) -> int:
         return 1
     table = read_table(args.table, columns=("t", "dO", "R", "O"))  # perfbench traces count rows by "t"
     # a run that overflowed ends at a step whose O is inf or NaN; as in `summarize`, it is left out
-    O = table["O"]
-    steps = len(O) - 1 if len(O) and not math.isfinite(O[-1]) else len(O)
+    steps = covered_steps(table["O"])
     dO = table["dO"][:steps]
     r_col = table["R"][:steps]
     rows = []
     for start in range(0, len(dO) - w + 1, w):
         seg = slice(start, start + w)
-        rows.append((start, start + w, trendiness(dO[seg]), float(np.std(dO[seg])),
-                     float(np.mean(r_col[seg]))))
+        sigma_o, e = scaled_to_fit(np.std, dO[seg])  # 2**-e times the window's std
+        rows.append((start, start + w, trendiness(dO[seg]), math.ldexp(sigma_o, e), float(np.mean(r_col[seg]))))
     if args.out is None:
         sys.stdout.write(format_window_table(rows))
     else:

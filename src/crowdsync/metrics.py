@@ -401,16 +401,50 @@ def _constant_up_to_roundoff(sigma_c: float, sigma: np.ndarray, mean_rounding: n
     return sigma_c <= _gamma(n) * float(np.sqrt(n * (sigma @ sigma))) + float(mean_rounding.sum())
 
 
+def covered_steps(O) -> int:
+    """Steps a run's metrics cover, given its O column: every step but a last one at which O is inf or NaN."""
+    return len(O) - 1 if len(O) and not math.isfinite(O[-1]) else len(O)
+
+
+def scaled_to_fit(stat, values: np.ndarray) -> tuple:
+    """(stat(values * 2**-e), e), where e = 0 unless a sum inside `stat(values)` overflows.
+
+    `stat` takes an array and gives a float, or an array of floats, that is
+    inf or NaN only where a sum of the finite values in it overflowed, such
+    as a sum of magnitudes or a standard deviation. Its first try runs with
+    numpy's overflow warnings off, so that nothing is printed. Where it is
+    not finite while every value is, e is the exponent of the largest
+    |value|: the scaled values lie within 1, so their sums fit, and `stat`
+    is taken on them. Scaling by a power of two is exact short of the
+    subnormal range, so a ratio of the sums keeps its value, and a
+    statistic of degree 1, such as a standard deviation, is the result
+    times 2**e.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = stat(values)
+    if np.isfinite(out).all() or not np.isfinite(values).all():
+        return out, 0
+    e = math.frexp(float(np.abs(values).max()))[1]
+    return stat(np.ldexp(values, -e)), e
+
+
+def _trend_sums(arr: np.ndarray) -> tuple:
+    return arr.sum(), np.abs(arr).sum()
+
+
 def trendiness(dO_series) -> float:
     """Directional persistence of a window: |sum dO| / sum |dO|, in [0, 1].
 
     1 on a monotone window, 0 on exact cancellation, a quiet window or
-    a window with a NaN increment.
+    a window with a NaN increment. Where the sums of finite increments
+    overflow, they are taken on the increments scaled by a power of two
+    (`scaled_to_fit`).
     """
     arr = np.asarray(dO_series, dtype=np.float64)
     if arr.size < 1:
         raise ValueError("trendiness needs at least one increment")
-    return float(order_ratio(arr.sum(), np.abs(arr).sum()))
+    sums, _ = scaled_to_fit(_trend_sums, arr)
+    return float(order_ratio(*sums))
 
 
 # ---------------------------------------------------------------------------

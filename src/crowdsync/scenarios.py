@@ -68,8 +68,8 @@ block costs O(N): it merges through `CrowdMoments.add_repeats`, which
 gives the bits of `add` on its rows, and the fill takes sum |dS_i| of
 the row once.
 
-Runs are single-threaded and bit-deterministic per (config, rule,
-profile, seed). `forced_ratio_samples` draws the uniform noise of a
+Runs are single-threaded and bit-deterministic per spec.
+`forced_ratio_samples` draws the uniform noise of a
 point's trials as `run()` draws it, from the point's own stream read in
 order, a block of trials at a time. Each point that draws is one task on
 one pool of threads, so no bit depends on the pool; a point without
@@ -107,7 +107,7 @@ from .dynamics import (
     ordered_sum,
     ruled,
 )
-from .metrics import CrowdMoments, SyncReport, order_ratio, step_block_rows, sync_report
+from .metrics import CrowdMoments, SyncReport, covered_steps, order_ratio, step_block_rows, sync_report
 from .rng import make_generator, uniform_noise
 from .switching import (
     Stability,
@@ -294,16 +294,19 @@ def is_safe_name(name: str) -> bool:
     return bool(name) and name[0] in _NAME_START and set(name) <= _NAME_CHARS
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to reproduce one run.
+    """Everything needed to reproduce one run: `run(spec)` runs it.
 
-    `name` prefixes the output files, so it must be a safe file-name
-    token (see `is_safe_name`); it can never point outside `--out`.
-    It is keyword-only. The run length is `profile.length` (a file's
-    `run.steps`). `metric_window` and `overlap` are the arguments of
-    `window_reports` for this scenario (a `metric_window` of None is one
-    window of every step); no CLI command reads them.
+    Every field is checked when the spec is built, and a spec is frozen,
+    so a checked field cannot change later; `dataclasses.replace` builds
+    a new spec and checks it again. `name` prefixes the output files, so
+    it must be a safe file-name token (see `is_safe_name`); it can never
+    point outside `--out`. It is keyword-only. The run length is
+    `profile.length` (a file's `run.steps`). `metric_window` and `overlap`
+    are the arguments of `window_reports` for this scenario (a
+    `metric_window` of None is one window of every step); no CLI command
+    reads them.
     """
 
     name: str = ruled(
@@ -331,7 +334,7 @@ class ScenarioSpec:
 
 @dataclass
 class ScenarioResult:
-    """Trajectory of one run, as parallel arrays.
+    """Trajectory of one run of `spec`, as parallel arrays.
 
     Arrays cover the steps actually executed; a diverged run stops at
     `truncated_at` (inclusive). `agent_actions` is the N x steps matrix
@@ -341,10 +344,7 @@ class ScenarioResult:
     (its `count` is the number of steps merged); `summarize` reads them.
     """
 
-    config: CrowdConfig
-    rule: SwitchRule
-    profile: ForceProfile
-    seed: int
+    spec: ScenarioSpec
     t: np.ndarray
     dE: np.ndarray
     E: np.ndarray
@@ -363,6 +363,10 @@ class ScenarioResult:
     truncated_at: int | None
 
     @property
+    def config(self) -> CrowdConfig:
+        return self.spec.config
+
+    @property
     def steps_run(self) -> int:
         return len(self.t)
 
@@ -372,27 +376,24 @@ class ScenarioResult:
 # ---------------------------------------------------------------------------
 
 def run(
-    config: CrowdConfig,
-    rule: SwitchRule,
-    profile: ForceProfile,
-    seed: int = 0,
+    spec: ScenarioSpec,
     *,
-    divergence_ceiling: float = DEFAULT_DIVERGENCE_CEILING,
     pinned_reactive: int | None = None,
     initial_dO: float = 0.0,
     keep_actions: bool = True,
 ) -> ScenarioResult:
-    """Execute the canonical step loop for the profile's full length.
+    """Execute the canonical step loop of `spec` for its profile's full length.
 
+    The spec gives the crowd, the switch rule, the force profile, the
+    seed and the divergence ceiling; the result carries it.
     `pinned_reactive` bypasses the switch rule and holds the reactive
     count fixed (threshold experiments); `initial_dO` seeds the
     endogenous feedback with a nonzero observation increment. With
     `keep_actions=False` no N x T action matrix is built; `summarize`
     still gives the whole-run metrics, from the result's moments.
 
-    `seed` and `divergence_ceiling` must meet the rules of the
-    `ScenarioSpec` fields of those names. A run stops, marked diverged,
-    at the first step whose |O| exceeds `divergence_ceiling` or is NaN.
+    A run stops, marked diverged, at the first step whose |O| exceeds
+    the spec's `divergence_ceiling` or is NaN.
 
     The loop records each step's dS and N_H, and derives the other
     columns from them once it ends. A crowd without noise whose dO has
@@ -409,15 +410,15 @@ def run(
     mid-block leaves the rest of the block's draws unread. With no noise
     the generator is never built, and `numpy.random` is not imported.
     """
+    config, rule, profile, divergence_ceiling = spec.config, spec.rule, spec.profile, spec.divergence_ceiling
     n, a, dt = config.n, config.a, config.dt
     if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
         raise ValueError(f"pinned_reactive={pinned_reactive} outside [0, {n}]")
-    check_fields(ScenarioSpec, {"seed": seed, "divergence_ceiling": divergence_ceiling})
     b_low, b_high, c_vec, amp = config.b_low, config.b_high, config.c, config.noise_amp
     priority = switch_priority(b_high)
 
     model = config.noise_model
-    rng = None if isinstance(model, NoNoise) else make_generator(seed)  # only noise draws
+    rng = None if isinstance(model, NoNoise) else make_generator(spec.seed)  # only noise draws
 
     T = profile.length
     dE_arr = profile.increments
@@ -534,10 +535,7 @@ def run(
         stability += [classify_stability(gain)] * length
 
     return ScenarioResult(
-        config=config,
-        rule=rule,
-        profile=profile,
-        seed=seed,
+        spec=spec,
         t=np.arange(steps_run),
         dE=dE_arr[:steps_run].copy(),
         E=E,
@@ -563,26 +561,25 @@ def window_reports(
     """Metric reports of a run's windows of `window` steps (None: one window of every step).
 
     Each window is read from the run's action matrix, so windows need
-    `run(..., keep_actions=True)`. Windows start every step when
-    `overlap`, else every `window` steps; a window longer than the run
-    is cut to it. The whole-run report is `summarize`'s.
+    `run(..., keep_actions=True)`. The windows cover the steps the
+    summary covers: every step but a last one at which a diverging O
+    became inf or NaN (`covered_steps`); a run with none has no window.
+    Windows start every step when `overlap`, else every `window` steps; a
+    window longer than those steps is cut to them. The whole-run report is
+    `summarize`'s.
     """
     check_fields(ScenarioSpec, {"metric_window": window})
     if result.agent_actions is None:
         raise ValueError("window reports need the action matrix; run with keep_actions=True")
-    T = result.steps_run
+    T = covered_steps(result.O)
     w = T if window is None else min(window, T)
+    if not w:
+        return []
     starts = range(0, T - w + 1) if overlap else range(0, T - w + 1, w)
     return [
         sync_report(result.agent_actions[:, s : s + w], result.dO[s : s + w], result.config.a, start=s)
         for s in starts
     ]
-
-
-def run_spec(spec: ScenarioSpec, seed: int | None = None, **overrides) -> ScenarioResult:
-    """Run a parsed scenario; keyword overrides win over the spec."""
-    kwargs = {"divergence_ceiling": spec.divergence_ceiling, **overrides}
-    return run(spec.config, spec.rule, spec.profile, spec.seed if seed is None else seed, **kwargs)
 
 
 def aggregate_trajectory(
@@ -749,7 +746,7 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
         steps_run=result.steps_run,
         diverged=result.diverged,
         truncated_at=result.truncated_at,
-        seed=result.seed,
+        seed=result.spec.seed,
         peak_O=float(result.O.max()),
         final_O=float(result.O[-1]),
         peak_ratio=float(result.n_reactive.max()) / n,
@@ -769,21 +766,21 @@ class SweepPoint:
     summary: RunSummary
 
 
-def apply_sweep_value(
-    config: CrowdConfig, rule: SwitchRule, param: str, value: float
-) -> tuple[CrowdConfig, SwitchRule]:
-    """Return (config, rule) with one named parameter overridden.
+def apply_sweep_value(spec: ScenarioSpec, param: str, value: float) -> ScenarioSpec:
+    """The spec of one sweep point: `spec` with one named parameter overridden.
 
+    `saturation_scale` is the switch rule's; the others are the crowd's.
     Per-agent parameters (b_high, b_low, noise_amp) are set on every
     agent; resizing n gives every agent agent 0's coefficients.
     """
     _check_sweep_param(param)
+    config = spec.config
     if param == "saturation_scale":
-        return config, replace(rule, saturation_scale=float(value))
+        return replace(spec, rule=replace(spec.rule, saturation_scale=float(value)))
     if param == "n":
         agent_0 = {name: getattr(config, name)[0] for name in AGENT_COLUMNS}
-        return replace(config, n=_crowd_size(value), **agent_0), rule
-    return replace(config, **{param: float(value)}), rule
+        return replace(spec, config=replace(config, n=_crowd_size(value), **agent_0))
+    return replace(spec, config=replace(config, **{param: float(value)}))
 
 
 def _check_sweep_param(param: str) -> None:
@@ -798,26 +795,18 @@ def _crowd_size(value: float) -> int:
 
 
 def _sweep_one(args) -> SweepPoint:
-    (config, rule), param, value, profile, seed, ceiling = args
-    result = run(config, rule, profile, seed, divergence_ceiling=ceiling, keep_actions=False)
-    return SweepPoint(value=float(value), summary=summarize(result, name=f"{param}={value}"))
+    spec, param, value = args
+    return SweepPoint(value=float(value), summary=summarize(run(spec, keep_actions=False), name=f"{param}={value}"))
 
 
 def sweep(
-    config: CrowdConfig,
-    rule: SwitchRule,
-    param: str,
-    values: Sequence[float],
-    profile: ForceProfile,
-    seed_policy: str = "fixed",
-    seed: int = 0,
-    jobs: int = 1,
-    divergence_ceiling: float = DEFAULT_DIVERGENCE_CEILING,
+    spec: ScenarioSpec, param: str, values: Sequence[float], seed_policy: str = "fixed", jobs: int = 1
 ) -> list[SweepPoint]:
-    """One independent run per value; summaries in input order.
+    """One independent run of `spec` per value of `param`; summaries in input order.
 
-    seed_policy "fixed" reuses `seed` for every run; "per-value" uses
-    seed + index. The seed actually used is recorded in each point's summary.
+    Point i runs `apply_sweep_value(spec, param, values[i])`. seed_policy
+    "fixed" keeps the spec's seed for every run; "per-value" uses seed + i.
+    The seed actually used is recorded in each point's summary.
     Runs go to min(jobs, len(values), usable CPUs) worker processes when
     that is more than one; a CPU is usable when the process may run on it.
     Every value is applied, and so checked, before the first run. Only
@@ -827,17 +816,14 @@ def sweep(
     if seed_policy not in ("fixed", "per-value"):
         raise ValueError(f"seed_policy must be 'fixed' or 'per-value', got {seed_policy!r}")
     _check_sweep_param(param)  # the only check of `param` when there are no values
-    if param == "noise_amp" and not isinstance(config.noise_model, UniformNoise):
-        model = type(config.noise_model).__name__
-        raise ValueError(f"cannot sweep noise_amp: the crowd's noise model is {model}, "
+    model = spec.config.noise_model
+    if param == "noise_amp" and not isinstance(model, UniformNoise):
+        raise ValueError(f"cannot sweep noise_amp: the crowd's noise model is {type(model).__name__}, "
                          "and only uniform noise (crowd.noise = uniform) draws it")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    seeds = [seed if seed_policy == "fixed" else seed + i for i in range(len(values))]
-    tasks = [
-        (apply_sweep_value(config, rule, param, v), param, v, profile, s, divergence_ceiling)
-        for v, s in zip(values, seeds)
-    ]
+    seeds = [spec.seed if seed_policy == "fixed" else spec.seed + i for i in range(len(values))]
+    tasks = [(replace(apply_sweep_value(spec, param, v), seed=s), param, v) for v, s in zip(values, seeds)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only when a pool starts

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import settings
 
 from crowdsync.scenario_io import load_scenario
+from crowdsync.scenarios import ScenarioSpec
 
 # Fresh examples on every run, each failure printed with the blob that replays it:
 # pytest --hypothesis-profile=explore --hypothesis-seed=N. No example database, so N alone fixes the run.
@@ -12,6 +13,11 @@ settings.register_profile("explore", derandomize=False, database=None, print_blo
 REPO = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO / "scenarios"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def spec_of(config, rule, profile, **fields) -> ScenarioSpec:
+    """The spec of `config` under `rule` and `profile`; `fields` are its other fields, such as seed."""
+    return ScenarioSpec(config=config, rule=rule, profile=profile, **fields)
 
 
 @pytest.fixture

@@ -229,7 +229,7 @@ def test_sweep_rejects_jobs_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("values", [",", "", " , "])
+@pytest.mark.parametrize("values", [",", "", " , ", "1,x"])
 def test_sweep_refuses_values_with_no_number(values, tmp_path, capsys):
     argv = ["sweep", "--scenario", write_scenario(tmp_path), "--param", "a",
             "--values", values, "--out", str(tmp_path / "out")]
@@ -336,6 +336,41 @@ def test_metrics_leaves_out_the_step_at_which_o_overflowed(tmp_path, capsys):
     assert tables["2"] == head + "0,2,1,0.75,0.5\n2,4,1,0.375,1\n"  # windows before step 4, as before
     assert tables["4"] == head + "0,4,1,1.4402148277253641,0.75\n"
     assert tables["5"] == head  # steps 0-3 fill no window of 5
+
+
+# One agent, a = c = 1, whose dO alternates exactly +-1.5e308: O alternates 1.5e308 and 0, so
+# T_d is 0 and sigma_O 1.5e308, though numpy's sums of the finite dO overflow.
+ALTERNATING = """
+name = alternating
+crowd.n = 1
+crowd.a = 1.0
+crowd.b_low = 0.0
+crowd.b_high = 1e-300
+crowd.c = 1.0
+crowd.noise = none
+rule.saturation_scale = 1.0
+profile.kind = explicit
+profile.series = {series}
+run.steps = 16
+run.divergence_ceiling = 1.7e308
+""".format(series=", ".join(["1.5e308, -1.5e308"] * 8))
+
+
+def test_run_and_metrics_rescale_sums_of_finite_increments_that_overflow(tmp_path, capsys):
+    """T_d and sigma_O are finite, with no numpy warning (tier-1 makes a warning an error) and no stderr."""
+    path = tmp_path / "alternating.scenario"
+    path.write_text(ALTERNATING, encoding="utf-8")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(tmp_path / "alternating_summary.csv", newline="", encoding="utf-8") as f:
+        row = next(csv.DictReader(f))
+    assert (row["t_d"], row["sigma_c"], row["sigma_o"]) == ("0", "1.5e+308", "1.5e+308")
+    table = str(tmp_path / "alternating_timeseries.csv")
+    head = ",".join(WINDOW_COLUMNS) + "\n"
+    assert main(["metrics", "--table", table, "--window", "16"]) == 0
+    assert capsys.readouterr() == (head + "0,16,0,1.5e+308,1\n", "")
+    assert main(["metrics", "--table", table, "--window", "4"]) == 0
+    assert capsys.readouterr() == (head + "".join(f"{s},{s + 4},0,1.5e+308,1\n" for s in range(0, 16, 4)), "")
 
 
 TABLE_HEAD = ",".join(TABLE_COLUMNS) + "\n0,0,0,0,0,0,0,0,0,0,0,0,contracting\n"

@@ -29,6 +29,7 @@ from crowdsync.dynamics import (
 from crowdsync.rng import make_generator
 from crowdsync.scenarios import explicit_profile, run
 from crowdsync.switching import SwitchRule
+from conftest import spec_of
 
 RULE = SwitchRule(saturation_scale=1.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,8 +56,8 @@ def crowd(b_low, b_high, c, a=1.0, noise_amp=0.0, noise_model=None, dt=1.0):
 
 def drive(cfg, dE, dO_prev=0.0, reactive=0, seed=0, ceiling=1e300):
     """run() with the switch rule bypassed: `reactive` agents pinned, dE as the profile."""
-    return run(cfg, RULE, explicit_profile(len(dE), dE), seed, pinned_reactive=reactive,
-               initial_dO=dO_prev, divergence_ceiling=ceiling)
+    return run(spec_of(cfg, RULE, explicit_profile(len(dE), dE), seed=seed, divergence_ceiling=ceiling),
+               pinned_reactive=reactive, initial_dO=dO_prev)
 
 
 def gains(cfg, steps, dO_prev, reactive):
@@ -177,6 +178,8 @@ def test_aggregate_thousand_small_actions_vs_compensated_oracle():
 def test_aggregate_empty_is_error():
     with pytest.raises(EmptyPopulationError):
         ordered_sum([])
+    with pytest.raises(EmptyPopulationError):
+        ordered_sum(np.zeros(0))
 
 
 def test_ordered_sum_is_left_to_right():

@@ -39,12 +39,12 @@ from crowdsync.scenarios import (
     ScenarioSpec,
     build_profile,
     explicit_profile,
-    run_spec,
     summarize,
     run,
     zero_profile,
 )
 from crowdsync.switching import Stability, SwitchRule
+from conftest import spec_of
 
 MINIMAL = """
 name = minimal
@@ -441,7 +441,7 @@ def test_keys_foreign_to_the_profile_kind_are_reported_in_line_order():
 
 def quiescent_result(steps=3):
     cfg = CrowdConfig(n=4, a=1.0, b_low=0.0, b_high=1.0, c=1.0)
-    return run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(steps))
+    return run(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(steps)))
 
 
 def test_quiescent_table_layout():
@@ -457,14 +457,14 @@ def test_quiescent_table_layout():
 
 
 def test_table_emission_is_deterministic(tmp_path, golden):
-    result = run_spec(golden("fig4-stable"))
+    result = run(golden("fig4-stable"))
     p1 = emit_table(result, tmp_path / "a.csv")
     p2 = emit_table(result, tmp_path / "b.csv")
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_table_round_trips_floats_exactly(tmp_path, golden):
-    result = run_spec(golden("fig6-bubble"))
+    result = run(golden("fig6-bubble"))
     path = emit_table(result, tmp_path / "t.csv")
     table = read_table(path)
     assert np.array_equal(table["O"], result.O)
@@ -474,13 +474,13 @@ def test_table_round_trips_floats_exactly(tmp_path, golden):
 
 
 def test_bubble_table_peak_exceeds_final(tmp_path, golden):
-    result = run_spec(golden("fig6-bubble"))
+    result = run(golden("fig6-bubble"))
     table = read_table(emit_table(result, tmp_path / "bubble.csv"))
     assert table["O"].max() > table["O"][-1]
 
 
 def test_summary_row_shape(golden):
-    result = run_spec(golden("fig5-unstable"))
+    result = run(golden("fig5-unstable"))
     text = format_summary(summarize(result, name="fig5-unstable"))
     lines = text.strip().split("\n")
     assert len(lines) == 2
@@ -543,7 +543,7 @@ def _same_arrays(a: dict, b: dict) -> bool:
 
 
 def test_read_table_reads_crlf_and_a_missing_final_newline(tmp_path, golden):
-    lf = emit_table(run_spec(golden("fig6-bubble")), tmp_path / "lf.csv")
+    lf = emit_table(run(golden("fig6-bubble")), tmp_path / "lf.csv")
     text = lf.read_text(encoding="utf-8")
     (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
     (tmp_path / "open.csv").write_text(text.removesuffix("\n"), encoding="utf-8")
@@ -648,7 +648,7 @@ _CELL_FLOATS = (
 def _table_result(steps, n, columns, n_reactive, stability):
     """A quiet run's result with its table columns replaced."""
     cfg = CrowdConfig(n=n, a=1.0, b_low=0.0, b_high=1.0, c=1.0)
-    base = run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(steps))
+    base = run(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(steps)))
     floats = dict(zip(("E", "dE", "S", "dS", "O", "dO", "b_total", "ab", "r_instant"), columns))
     return replace(base, n_reactive=np.array(n_reactive, dtype=np.intp), stability_trace=stability, **floats)
 
@@ -718,7 +718,7 @@ def test_the_table_is_streamed_through_its_file(tmp_path, golden):
     """A 20 000-row settled table is never held whole: writing it, and reading back the columns
     `crowdsync metrics` reads, each peak below twice its size."""
     spec = golden("fig6-bubble")
-    result = run(spec.config, spec.rule, build_profile("bubble", spec.profile.params, 20_000), keep_actions=False)
+    result = run(replace(spec, profile=build_profile("bubble", spec.profile.params, 20_000)), keep_actions=False)
     path = tmp_path / "t.csv"
     peaks = []
     for call in (lambda: emit_table(result, path), lambda: read_table(path, columns=("t", "dO", "R", "O"))):
@@ -761,7 +761,7 @@ def test_read_table_inverts_emit_table(tmp_path_factory, result):
 
 @pytest.mark.parametrize("name", ["fig4-stable", "fig5-unstable", "fig6-bubble"])
 def test_golden_tables_read_back(name, tmp_path, golden):
-    _assert_table_reads_back(run_spec(golden(name)), tmp_path / "t.csv")
+    _assert_table_reads_back(run(golden(name)), tmp_path / "t.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from crowdsync.metrics import (
 )
 from crowdsync.rng import make_generator
 from crowdsync.scenario_io import load_scenario
-from crowdsync.scenarios import forced_ratio_samples, run_spec
+from crowdsync.scenarios import forced_ratio_samples, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 from workloads import generate  # noqa: E402
@@ -164,6 +164,9 @@ def test_closed_form_degenerate_denominator():
 def test_closed_form_rejects_inconsistent_low_stats():
     with pytest.raises(ValueError):
         order_parameter_closed_form(0.5, 1.0, 0.3, 0.2)
+    for ratio in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"reactive ratio must be in \[0, 1\]"):
+            order_parameter_closed_form(ratio, 1.0, 0.0, 0.0)
 
 
 def noisy_order_parameter(n, noise_amp, trials, seed):
@@ -204,6 +207,8 @@ def test_crowd_volatility_rejects_impossible_matrix():
     np.fill_diagonal(corr, 1.0)
     with pytest.raises(InvalidCorrelationError):
         crowd_volatility(np.ones(3), corr)
+    with pytest.raises(ValueError, match="sigma must be >= 0"):
+        crowd_volatility(np.array([1.0, -1.0]), np.eye(2))
 
 
 def test_crowd_volatility_upper_bound_and_equality_condition():
@@ -311,7 +316,7 @@ def test_window_sync_keeps_its_digits_on_a_long_window(seed, tmp_path):
     steps, rho_c and sigma_c stay within 1e-15.
     """
     workload = generate("long-horizon", seed, tmp_path / "in", tmp_path / "out")
-    actions = run_spec(load_scenario(workload.scenario_files[0])).agent_actions
+    actions = run(load_scenario(workload.scenario_files[0])).agent_actions
     assert actions.shape == (100, 20_000)
     rho_c, sigma_c = window_sync(actions)
     rho_ref, sigma_ref = _two_pass_sync(actions)
@@ -422,6 +427,11 @@ def test_crowd_correlation_all_zero_panel_is_error():
     with pytest.raises(InvalidPanelError):
         crowd_correlation(panel)
     assert window_sync(np.zeros((3, 50))) == (0.0, 0.0)
+    with pytest.raises(ValueError, match="must be N x T"):
+        DecisionPanel.from_series(np.zeros(50))
+    for shape in ((0, 50), (3, 0)):
+        with pytest.raises(ValueError, match="at least one agent and one step"):
+            DecisionPanel.from_series(np.zeros(shape))
 
 
 def test_panel_matrix_invariants():
@@ -450,6 +460,17 @@ def test_trendiness_examples():
     assert trendiness([1.0, 1.0, 1.0]) == 1.0
     assert trendiness([1.0, -1.0, 1.0, -1.0]) == 0.0
     assert trendiness([2.0, -1.0]) == pytest.approx(1 / 3, rel=1e-12)
+    with pytest.raises(ValueError, match="at least one increment"):
+        trendiness([])
+
+
+def test_trendiness_of_finite_increments_whose_sums_overflow():
+    """The sums are taken on the increments scaled by a power of two, with no numpy warning
+    (tier-1 makes a warning an error). numpy's pairwise sum of 16 alternating values gathers
+    the same sign in each of its 8 accumulators, so the signed sum is inf - inf at the parent."""
+    assert trendiness([1.5e308, -1.5e308] * 8) == 0.0
+    assert trendiness([1e308, -1e308, 1e308]) == pytest.approx(1 / 3, rel=1e-15)
+    assert trendiness([1e308, 1e308]) == 1.0
 
 
 def test_trendiness_quiet_window_convention():

@@ -22,6 +22,7 @@ from crowdsync.scenarios import (
     step_profile,
 )
 from crowdsync.switching import SwitchRule
+from conftest import spec_of
 
 ARRAYS = ("t", "dE", "E", "dS", "S", "dO", "O", "n_reactive",
           "b_total", "ab", "r_instant", "agent_actions")
@@ -41,19 +42,19 @@ def fingerprint(result) -> dict:
 def _wiener():
     cfg = CrowdConfig(n=5, a=0.3, b_low=0.1, b_high=0.5, c=[1.0, 0.5, -0.25, 2.0, 0.75],
                       noise_model=WienerNoise(mu=0.01, sigma=0.2), dt=0.5)
-    return run(cfg, SwitchRule(saturation_scale=1.0, window=3), ramp_profile(60, 0.1, 5, 30), seed=3)
+    return run(spec_of(cfg, SwitchRule(saturation_scale=1.0, window=3), ramp_profile(60, 0.1, 5, 30), seed=3))
 
 
 def _uniform_per_agent():
     cfg = CrowdConfig(n=6, a=0.2, b_low=0.0, b_high=[0.9, 0.7, 0.5, 0.8, 0.6, 0.4],
                       c=0.5, noise_amp=[0.0, 0.05, 0.1, 0.2, 0.4, 0.8], noise_model=UniformNoise())
     profile = bubble_profile(80, 0.05, 30, -0.1, 45, confusion_scale=0.3)
-    return run(cfg, SwitchRule(saturation_scale=0.5, window=4), profile, seed=11)
+    return run(spec_of(cfg, SwitchRule(saturation_scale=0.5, window=4), profile, seed=11))
 
 
 def _pinned_with_initial_dO():
     cfg = CrowdConfig(n=7, a=0.25, b_low=0.05, b_high=[0.6, 0.3, 0.9, 0.4, 0.7, 0.2, 0.5], c=1.0)
-    return run(cfg, SwitchRule(saturation_scale=1.0), step_profile(40, 0.5, 10), seed=0,
+    return run(spec_of(cfg, SwitchRule(saturation_scale=1.0), step_profile(40, 0.5, 10), seed=0),
                pinned_reactive=3, initial_dO=0.7)
 
 
@@ -61,25 +62,25 @@ def _signed_zeros():
     # negative c and b_low with zero (and negative-zero) increments: -0.0 actions
     cfg = CrowdConfig(n=4, a=0.5, b_low=-0.5, b_high=0.5, c=[-1.0, -2.0, -0.5, -0.0])
     series = [0.0, -0.0, 0.0, -0.0, 0.0, 0.0, 1.0, 0.0, -0.0, 0.0]
-    return run(cfg, SwitchRule(saturation_scale=2.0, window=2), explicit_profile(10, series))
+    return run(spec_of(cfg, SwitchRule(saturation_scale=2.0, window=2), explicit_profile(10, series)))
 
 
 def _tied_b_high():
     cfg = CrowdConfig(n=8, a=0.15, b_low=0.1,
                       b_high=[0.5, 0.8, 0.5, 0.8, 0.3, 0.8, 0.3, 0.5], c=0.5)
-    return run(cfg, SwitchRule(saturation_scale=0.05, window=5), ramp_profile(70, 0.05, 0, 40))
+    return run(spec_of(cfg, SwitchRule(saturation_scale=0.05, window=5), ramp_profile(70, 0.05, 0, 40)))
 
 
 def _ceiling_divergence():
     cfg = CrowdConfig(n=10, a=0.3, b_low=0.2, b_high=1.0, c=1.0)
-    return run(cfg, SwitchRule(saturation_scale=0.5), step_profile(200, 1.0, 2),
-               divergence_ceiling=1e6)
+    return run(spec_of(cfg, SwitchRule(saturation_scale=0.5), step_profile(200, 1.0, 2),
+                       divergence_ceiling=1e6))
 
 
 def _nan_run():
     cfg = CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=1.0, c=[1e308, -1e308])
     with np.errstate(all="ignore"):
-        return run(cfg, SwitchRule(saturation_scale=1.0), step_profile(3, 10.0, 0))
+        return run(spec_of(cfg, SwitchRule(saturation_scale=1.0), step_profile(3, 10.0, 0)))
 
 
 def _quiet_tail():
@@ -90,15 +91,15 @@ def _quiet_tail():
     series = np.zeros(900)
     series[10:300] = 0.02
     series[523] = -0.3
-    return run(cfg, SwitchRule(saturation_scale=0.05, window=4), explicit_profile(900, series))
+    return run(spec_of(cfg, SwitchRule(saturation_scale=0.05, window=4), explicit_profile(900, series)))
 
 
 def _marginal_ceiling():
     # gain a*B exactly 1 with all 64 agents pinned reactive: dO settles at 0.09
     # and O crosses the ceiling at step 557, the 46th row of the block 512-575
     cfg = CrowdConfig(n=64, a=1 / 64, b_low=0.0, b_high=1.0, c=np.linspace(0.1, 0.5, 64))
-    return run(cfg, SwitchRule(saturation_scale=0.25, window=3), step_profile(700, 0.3, 2),
-               divergence_ceiling=50.0, pinned_reactive=64)
+    return run(spec_of(cfg, SwitchRule(saturation_scale=0.25, window=3), step_profile(700, 0.3, 2),
+                       divergence_ceiling=50.0), pinned_reactive=64)
 
 
 CASES = {

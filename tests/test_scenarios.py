@@ -5,6 +5,7 @@ import os
 import re
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 from unittest import mock
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import crowdsync.metrics as metrics_module
 import crowdsync.scenarios as scenarios_module
 from crowdsync.dynamics import CrowdConfig, NoNoise, UniformNoise, WienerNoise, ordered_sum
-from crowdsync.metrics import CrowdMoments, order_parameter_closed_form, step_block_rows, window_sync
+from crowdsync.metrics import CrowdMoments, order_parameter_closed_form, step_block_rows
 from crowdsync.scenario_io import load_scenario
 from crowdsync.scenarios import (
     ForceProfile,
@@ -28,7 +29,6 @@ from crowdsync.scenarios import (
     forced_ratio_samples,
     ramp_profile,
     run,
-    run_spec,
     step_profile,
     summarize,
     sweep,
@@ -43,6 +43,7 @@ from crowdsync.switching import (
     update_reactive_count,
 )
 from crowdsync.rng import make_generator
+from conftest import spec_of
 
 
 def simple_config(n=100, a=0.01, b_low=0.0, b_high=0.5, c=1.0, **kw):
@@ -75,6 +76,10 @@ def test_step_profile_onset_bounds():
 def test_ramp_profile():
     inc = ramp_profile(8, 0.5, 2, 5).increments
     assert np.array_equal(inc, [0, 0, 0.5, 0.5, 0.5, 0, 0, 0])
+    with pytest.raises(ValueError, match=r"^start 8 outside \[0, 8\)$"):
+        ramp_profile(8, 0.5, 8, 8)
+    with pytest.raises(ValueError, match=r"^end 2 outside \(2, 8\]$"):
+        ramp_profile(8, 0.5, 2, 2)
 
 
 def test_bubble_profile_shape():
@@ -106,6 +111,10 @@ def test_bubble_profile_validation():
         bubble_profile(100, 0.1, 40, 0.5, 50)
     with pytest.raises(ValueError):
         bubble_profile(100, 0.1, 40, -0.5, 50, confusion_scale=1.0)
+    with pytest.raises(ValueError, match="confusion_decay must be in"):
+        bubble_profile(100, 0.1, 40, -0.5, 50, confusion_decay=1.0)
+    with pytest.raises(ValueError, match="confusion_wobble must be in"):
+        bubble_profile(100, 0.1, 40, -0.5, 50, confusion_wobble=1.0)
 
 
 def test_explicit_profile_roundtrip():
@@ -133,7 +142,7 @@ def test_build_profile_dispatch():
 
 def test_quiescence():
     cfg = simple_config(b_low=0.3, b_high=0.9)
-    result = run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(50))
+    result = run(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(50)))
     assert np.all(result.dS == 0.0)
     assert np.all(result.dO == 0.0)
     assert np.all(result.n_reactive == 0)
@@ -143,7 +152,7 @@ def test_quiescence():
 def test_delayed_response_recursion_holds_in_engine(golden):
     """Each dO equals (a*C)*dE + (a*B)*dO_prev with that step's coupling."""
     spec = golden("fig4-stable")
-    result = run_spec(spec)
+    result = run(spec)
     a = spec.config.a
     C = sum(spec.config.c.tolist())
     dO_prev = 0.0
@@ -157,7 +166,7 @@ def test_per_agent_loop_agrees_with_aggregate_recursion():
     """Pinned coupling, no noise: the two simulation paths coincide."""
     cfg = simple_config(n=37, b_low=0.0, b_high=0.9, c=1.3)
     prof = step_profile(60, height=2.0, onset=5)
-    result = run(cfg, SwitchRule(saturation_scale=1.0), prof, pinned_reactive=20)
+    result = run(spec_of(cfg, SwitchRule(saturation_scale=1.0), prof), pinned_reactive=20)
     b_total = 20 * 0.9
     c_total = 37 * 1.3
     reference = aggregate_trajectory(cfg.a, b_total, c_total, prof.increments)
@@ -168,29 +177,29 @@ def test_run_is_bit_deterministic():
     cfg = simple_config(noise_amp=0.05, noise_model=UniformNoise())
     rule = SwitchRule(saturation_scale=0.5)
     prof = step_profile(40, 1.0, 5)
-    r1 = run(cfg, rule, prof, seed=123)
-    r2 = run(cfg, rule, prof, seed=123)
+    r1 = run(spec_of(cfg, rule, prof, seed=123))
+    r2 = run(spec_of(cfg, rule, prof, seed=123))
     assert np.array_equal(r1.dO, r2.dO)
     assert np.array_equal(r1.dS, r2.dS)
     assert np.array_equal(r1.n_reactive, r2.n_reactive)
     assert np.array_equal(r1.agent_actions, r2.agent_actions)
-    r3 = run(cfg, rule, prof, seed=124)
+    r3 = run(spec_of(cfg, rule, prof, seed=124))
     assert not np.array_equal(r1.dO, r3.dO)
 
 
 def test_noiseless_run_builds_no_generator():
     """Only noise draws: a run without it never calls `make_generator`."""
-    args = (simple_config(), SwitchRule(saturation_scale=0.5), step_profile(40, 1.0, 5), 3)
-    expected = run(*args)
+    spec = spec_of(simple_config(), SwitchRule(saturation_scale=0.5), step_profile(40, 1.0, 5), seed=3)
+    expected = run(spec)
     with mock.patch.object(scenarios_module, "make_generator", side_effect=AssertionError("built")):
-        result = run(*args)
+        result = run(spec)
     assert result.dO.tobytes() == expected.dO.tobytes()
     assert np.array_equal(result.agent_actions, expected.agent_actions)
 
 
 def test_wiener_noise_preserves_record_invariants():
     cfg = simple_config(n=10, noise_model=WienerNoise(mu=0.01, sigma=0.1))
-    result = run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(50), seed=7)
+    result = run(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(50), seed=7))
     assert np.array_equal(result.dO, cfg.a * result.dS)
     assert np.allclose(result.dS, result.agent_actions.sum(axis=0), rtol=1e-12, atol=1e-15)
     assert np.any(result.dO != 0.0)
@@ -199,7 +208,7 @@ def test_wiener_noise_preserves_record_invariants():
 def test_divergence_truncates_and_marks():
     cfg = simple_config(b_high=1.5)  # peak gain 1.5
     rule = SwitchRule(saturation_scale=0.2)
-    result = run(cfg, rule, step_profile(500, 1.0, 0), divergence_ceiling=1e6)
+    result = run(spec_of(cfg, rule, step_profile(500, 1.0, 0), divergence_ceiling=1e6))
     assert result.diverged
     assert result.truncated_at == result.steps_run - 1
     assert abs(result.O[-1]) > 1e6
@@ -211,7 +220,7 @@ def test_nan_observation_counts_as_divergence():
     """Opposite overflowing agents make dS = inf - inf; the run stops there."""
     cfg = CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=1.0, c=[1e308, -1e308])
     with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
-        result = run(cfg, SwitchRule(saturation_scale=1.0), explicit_profile(3, [10.0, 0.0, 0.0]))
+        result = run(spec_of(cfg, SwitchRule(saturation_scale=1.0), explicit_profile(3, [10.0, 0.0, 0.0])))
     assert math.isnan(result.O[0])
     assert result.diverged and result.truncated_at == 0 and result.steps_run == 1
     # no finite step to summarize: the metrics take their quiescent values
@@ -223,7 +232,7 @@ def test_nan_observation_counts_as_divergence():
 def test_diverging_run_raises_no_numpy_warning(c):
     # no errstate here: tier-1 turns any numpy RuntimeWarning into an error
     cfg = CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=0.5, c=c)
-    result = run(cfg, SwitchRule(1.0), step_profile(100, 10.0, 5))
+    result = run(spec_of(cfg, SwitchRule(1.0), step_profile(100, 10.0, 5)))
     assert result.diverged and result.truncated_at == 5 and result.steps_run == 6
     assert not math.isfinite(result.O[-1])
     # the summary leaves out the overflowed step: its metrics cover steps 0-4
@@ -237,13 +246,13 @@ def test_diverging_run_raises_no_numpy_warning(c):
 @pytest.mark.parametrize("ceiling", [math.inf, math.nan, 0.0, -1.0])
 def test_non_finite_divergence_ceiling_rejected(ceiling):
     with pytest.raises(ValueError, match="divergence_ceiling"):
-        run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5),
-            divergence_ceiling=ceiling)
+        spec_of(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5),
+                divergence_ceiling=ceiling)
 
 
 def test_negative_seed_rejected_by_name():
     calls = [
-        lambda: run(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5), seed=-1),
+        lambda: spec_of(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5), seed=-1),
         lambda: forced_ratio_samples(simple_config(), [(0.5, 0.0)], seed=-1),
     ]
     for call in calls:
@@ -253,7 +262,7 @@ def test_negative_seed_rejected_by_name():
 
 def test_pinned_reactive_bypasses_rule():
     cfg = simple_config(b_high=1.0)
-    result = run(cfg, SwitchRule(saturation_scale=1e9), zero_profile(20),
+    result = run(spec_of(cfg, SwitchRule(saturation_scale=1e9), zero_profile(20)),
                  pinned_reactive=30, initial_dO=1.0)
     assert np.all(result.n_reactive == 30)
     # gain 0.3: geometric decay from the seeded increment
@@ -269,7 +278,7 @@ def test_long_run_memory_stays_near_the_action_matrix(golden):
     profile = bubble_profile(steps, **spec.profile.params)
     tracemalloc.start()
     try:
-        result = run(spec.config, spec.rule, profile)
+        result = run(replace(spec, profile=profile))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -279,7 +288,7 @@ def test_long_run_memory_stays_near_the_action_matrix(golden):
 
 def test_metric_windows_nonoverlapping_and_overlapping(golden):
     spec = golden("fig4-stable")
-    result = run_spec(spec)
+    result = run(spec)
     reports = window_reports(result, spec.metric_window, spec.overlap)
     assert [(w.start, w.stop) for w in reports] == [(0, 20), (20, 40), (40, 60), (60, 80)]
     assert len(window_reports(result, spec.metric_window, overlap=True)) == 80 - 20 + 1
@@ -294,7 +303,7 @@ def test_metric_windows_nonoverlapping_and_overlapping(golden):
 
 def test_run_without_actions_keeps_the_whole_run_report(golden):
     spec = golden("fig4-stable")
-    kept, streamed = run_spec(spec), run_spec(spec, keep_actions=False)
+    kept, streamed = run(spec), run(spec, keep_actions=False)
     assert streamed.agent_actions is None
     assert summarize(streamed) == summarize(kept)
     with pytest.raises(ValueError, match="keep_actions=True"):
@@ -352,7 +361,7 @@ def steady_runs(draw):
 @given(small_runs())
 def test_metrics_stay_in_range_on_generated_crowds(case):
     cfg, rule, profile, seed, window, overlap = case
-    result = run(cfg, rule, profile, seed)
+    result = run(spec_of(cfg, rule, profile, seed=seed))
     assert np.all((result.r_instant >= 0.0) & (result.r_instant <= 1.0))
     reports = window_reports(result, window, overlap)
     assert reports
@@ -434,6 +443,11 @@ def _capped(options, n):
     return {**options, "pinned_reactive": min(options["pinned_reactive"], n)}
 
 
+def _run(cfg, rule, profile, seed, divergence_ceiling, **options):
+    """run() of a drawn case's spec with the drawn ceiling; `options` are run()'s keywords."""
+    return run(spec_of(cfg, rule, profile, seed=seed, divergence_ceiling=divergence_ceiling), **options)
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -456,7 +470,7 @@ def test_step_records_are_internally_consistent(case, options):
     """Every column against a step-by-step form of its definition, bit for bit (signed zeros too)."""
     cfg, rule, profile, seed, _, _ = case
     options = _capped(options, cfg.n)
-    result = run(cfg, rule, profile, seed, **options)
+    result = _run(cfg, rule, profile, seed, **options)
     a, T, ceiling = cfg.a, result.steps_run, options["divergence_ceiling"]
     assert np.array_equal(result.t, np.arange(T))
     assert np.all((0 <= result.n_reactive) & (result.n_reactive <= cfg.n))
@@ -542,9 +556,9 @@ def test_run_equals_a_per_step_loop(case, options, block_rows):
     with np.errstate(over="ignore", invalid="ignore"):  # diverging crowds overflow on purpose
         steps, diverged = _per_step_run(cfg, rule, profile, seed, **options)
     dS, n_h, O, rows = zip(*steps)
-    results = [(run(cfg, rule, profile, seed, **options), step_block_rows(cfg.n, profile.length))]
+    results = [(_run(cfg, rule, profile, seed, **options), step_block_rows(cfg.n, profile.length))]
     with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=8 * cfg.n * block_rows, _STEP_BLOCK_MIN_ROWS=1):
-        results.append((run(cfg, rule, profile, seed, **options), step_block_rows(cfg.n, profile.length)))
+        results.append((_run(cfg, rule, profile, seed, **options), step_block_rows(cfg.n, profile.length)))
     # the moments hold every step but one at which O became inf or NaN
     merged = rows[: len(steps) - (not math.isfinite(O[-1]))]
     for result, rows_per_block in results:
@@ -631,11 +645,11 @@ def _result_bytes(result) -> dict:
 def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_rows):
     cfg, rule, profile, seed, _, _ = case
     options = _capped(options, cfg.n)
-    runs = [run(cfg, rule, profile, seed, **options)]  # default block size
+    runs = [_run(cfg, rule, profile, seed, **options)]  # default block size
     # one-row blocks, whose every edge a fill crosses; then blocks of `block_rows` rows
     for budget in (1, 8 * cfg.n * block_rows):
         with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=budget, _STEP_BLOCK_MIN_ROWS=1):
-            runs.append(run(cfg, rule, profile, seed, **options))
+            runs.append(_run(cfg, rule, profile, seed, **options))
     results = [_result_bytes(r) for r in runs]
     assert results[1] == results[0]
     assert results[2] == results[0]
@@ -648,28 +662,37 @@ def test_step_block_size_leaves_every_result_bit_unchanged(case, options, block_
 _OVERFLOWING = (CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=0.5, c=[1.0, 0.5]), SwitchRule(1.0),
                 explicit_profile(6, [1.0, -1.0, 2.0, 0.5, 1.5e308, 0.0]), 0, None, False)
 
+# Opposite overflowing actions make O NaN at step 0: the moments hold no step.
+_NAN_AT_ONCE = (CrowdConfig(n=2, a=1.0, b_low=0.0, b_high=1.0, c=[1e308, -1e308]), SwitchRule(1.0),
+                explicit_profile(3, [10.0, 0.0, 0.0]), 0, None, False)
+
 
 def _assert_window_sync_gives_the_moments(result):
-    """The whole-run window over the kept matrix has the bits of the run's moments, and of its summary."""
+    """The whole-run window over the kept matrix has the bits of the run's moments, and of its summary.
+
+    Both cover the steps the moments hold: every step but one at which O became inf or NaN.
+    """
     k = result.moments.count
-    if k == result.steps_run:
+    if k:
         (whole,) = window_reports(result)
         summary = summarize(result)
         assert (whole.start, whole.stop) == (0, k)
         assert (whole.rho_c, whole.sigma_c, whole.sigma_o, whole.t_d) == (
             summary.rho_c, summary.sigma_c, summary.sigma_o, summary.t_d)
-    elif k:  # the moments leave out the step at which O became inf or NaN
-        assert window_sync(result.agent_actions[:, :k]) == result.moments.sync()
+    else:
+        assert window_reports(result) == []
 
 
 @pytest.mark.parametrize("name", ["fig4-stable", "fig5-unstable", "fig6-bubble"])
 def test_whole_run_window_equals_the_moments_on_goldens(golden, name):
-    _assert_window_sync_gives_the_moments(run_spec(golden(name)))
+    _assert_window_sync_gives_the_moments(run(golden(name)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS, block_rows=st.integers(1, 8))
 @example(case=_OVERFLOWING, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
+         block_rows=3)
+@example(case=_NAN_AT_ONCE, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
          block_rows=3)
 @example(case=_WIDE_NOISY, options={"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": 1e12},
          block_rows=3)
@@ -677,7 +700,7 @@ def test_whole_run_window_equals_the_moments(case, options, block_rows):
     cfg, rule, profile, seed, _, _ = case
     options = _capped(options, cfg.n)
     with mock.patch.multiple(metrics_module, _STEP_BLOCK_BYTES=8 * cfg.n * block_rows, _STEP_BLOCK_MIN_ROWS=1):
-        _assert_window_sync_gives_the_moments(run(cfg, rule, profile, seed, **options))
+        _assert_window_sync_gives_the_moments(_run(cfg, rule, profile, seed, **options))
 
 
 def _ramped_trio(k):
@@ -686,7 +709,7 @@ def _ramped_trio(k):
     a = 1e-300 keeps every agent normal, so each action is c_i * dE: rho_c is 1/3 and sigma_c 0.35 * 2**k.
     """
     cfg = CrowdConfig(n=3, a=1e-300, b_low=0.0, b_high=1.0, c=[math.ldexp(c, k) for c in (1.0, -0.5, 0.2)])
-    return summarize(run(cfg, SwitchRule(saturation_scale=1.0), ramp_profile(20, 1.0, 0, 10)))
+    return summarize(run(spec_of(cfg, SwitchRule(saturation_scale=1.0), ramp_profile(20, 1.0, 0, 10))))
 
 
 def test_summary_scales_exactly_past_the_range_of_squares():
@@ -701,7 +724,7 @@ def test_summary_scales_exactly_past_the_range_of_squares():
 
 def test_summary_of_a_run_diverging_past_the_range_of_squares_is_finite():
     cfg = CrowdConfig(n=4, a=1.0, b_low=0.0, b_high=1e100, c=1.0)
-    result = run(cfg, SwitchRule(saturation_scale=1e-300), step_profile(50, 1.0, 0), divergence_ceiling=1.7e308)
+    result = run(spec_of(cfg, SwitchRule(saturation_scale=1e-300), step_profile(50, 1.0, 0), divergence_ceiling=1.7e308))
     summary = summarize(result)
     assert result.diverged and result.moments.count == 4
     assert summary.sigma_c > 1e300
@@ -714,7 +737,7 @@ def _computed_steps(n):
     """
     rule_fn = scenarios_module.update_reactive_count
     with mock.patch.object(scenarios_module, "update_reactive_count", wraps=rule_fn) as counted:
-        result = run(simple_config(n=n, a=1 / n), SwitchRule(0.3), step_profile(2000, 1.0, 5))
+        result = run(spec_of(simple_config(n=n, a=1 / n), SwitchRule(0.3), step_profile(2000, 1.0, 5)))
     settle = int(np.flatnonzero(result.dO)[-1]) + 1
     rows = step_block_rows(n, 2000)
     return result, counted.call_count, settle, -(-(settle + SwitchRule(0.3).window + 1) // rows) * rows
@@ -739,7 +762,7 @@ def test_wide_quiet_steps_are_filled_across_block_edges():
 
 def test_tripling_example_diverges_at_step_5():
     cfg, rule, profile, seed, _, _ = _TRIPLING
-    assert run(cfg, rule, profile, seed, **_TRIPLING_OPTIONS).truncated_at == 5
+    assert _run(cfg, rule, profile, seed, **_TRIPLING_OPTIONS).truncated_at == 5
 
 
 # ---------------------------------------------------------------------------
@@ -747,13 +770,13 @@ def test_tripling_example_diverges_at_step_5():
 # ---------------------------------------------------------------------------
 
 def test_golden_regimes_qualitative(golden):
-    stable = run_spec(golden("fig4-stable"))
+    stable = run(golden("fig4-stable"))
     assert not stable.diverged and summarize(stable).final_ratio == 0.0
 
-    unstable = run_spec(golden("fig5-unstable"))
+    unstable = run(golden("fig5-unstable"))
     assert unstable.diverged and summarize(unstable).peak_ratio == 1.0
 
-    bubble = run_spec(golden("fig6-bubble"))
+    bubble = run(golden("fig6-bubble"))
     assert not bubble.diverged
     assert bubble.O.max() > bubble.O[-1] > 0.0
 
@@ -920,29 +943,49 @@ def test_forced_ratio_checks_every_point_before_drawing():
 
 def test_sweep_empty_values():
     cfg = simple_config()
-    assert sweep(cfg, SwitchRule(saturation_scale=1.0), "a", [], zero_profile(10)) == []
+    assert sweep(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(10)), "a", []) == []
 
 
 def test_sweep_unknown_param_lists_valid_names():
     cfg = simple_config()
     with pytest.raises(ValueError, match="saturation_scale"):
-        sweep(cfg, SwitchRule(saturation_scale=1.0), "bogus", [1.0], zero_profile(10))
+        sweep(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(10)), "bogus", [1.0])
 
 
 def test_sweep_orders_results_and_records_seeds():
     cfg = simple_config()
     rule = SwitchRule(saturation_scale=0.5)
     prof = step_profile(40, 1.0, 5)
-    points = sweep(cfg, rule, "b_high", [0.2, 0.5, 0.8], prof, seed_policy="per-value", seed=10)
+    points = sweep(spec_of(cfg, rule, prof, seed=10), "b_high", [0.2, 0.5, 0.8], seed_policy="per-value")
     assert [p.value for p in points] == [0.2, 0.5, 0.8]
     assert [p.summary.seed for p in points] == [10, 11, 12]
     # stronger coupling holds the reactive phase longer
     assert points[0].summary.peak_ratio <= points[-1].summary.peak_ratio
 
 
+def test_sweep_refuses_an_unknown_seed_policy():
+    spec = spec_of(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5))
+    with pytest.raises(ValueError, match="^seed_policy must be 'fixed' or 'per-value', got 'random'$"):
+        sweep(spec, "a", [0.01], seed_policy="random")
+
+
+@pytest.mark.parametrize("param, values", [("saturation_scale", [0.1, 0.3, 2.0]), ("n", [50, 120]),
+                                           ("b_high", [0.3, 0.9])])
+def test_each_sweep_point_is_the_run_of_its_own_spec(param, values):
+    """A point's summary is `summarize(run(spec))` of its spec: the value applied, and seed + i under "per-value"."""
+    cfg = simple_config(noise_amp=0.05, noise_model=UniformNoise())
+    spec = spec_of(cfg, SwitchRule(saturation_scale=0.5), step_profile(40, 1.0, 5), seed=7)
+    points = sweep(spec, param, values, seed_policy="per-value")
+    for i, (value, point) in enumerate(zip(values, points)):
+        own = replace(apply_sweep_value(spec, param, value), seed=7 + i)
+        assert point.summary == summarize(run(own), name=f"{param}={value}")
+    rules = [apply_sweep_value(spec, param, v).rule.saturation_scale for v in values]
+    assert rules == (values if param == "saturation_scale" else [0.5] * len(values))
+
+
 def test_sweep_over_population_size_rebuilds_agents():
     cfg = simple_config(n=10)
-    new_cfg, _ = apply_sweep_value(cfg, SwitchRule(saturation_scale=1.0), "n", 25)
+    new_cfg = apply_sweep_value(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(5)), "n", 25).config
     assert new_cfg.n == 25 and new_cfg.b_high.shape == (25,)
     assert new_cfg.b_high[24] == cfg.b_high[0]
 
@@ -951,37 +994,35 @@ def test_sweep_parallel_matches_serial():
     cfg = simple_config()
     rule = SwitchRule(saturation_scale=0.5)
     prof = step_profile(30, 1.0, 5)
-    serial = sweep(cfg, rule, "a", [0.005, 0.01], prof)
-    parallel = sweep(cfg, rule, "a", [0.005, 0.01], prof, jobs=2)
+    serial = sweep(spec_of(cfg, rule, prof), "a", [0.005, 0.01])
+    parallel = sweep(spec_of(cfg, rule, prof), "a", [0.005, 0.01], jobs=2)
     for s, p in zip(serial, parallel):
         assert s.summary == p.summary
 
 
 def test_sweep_rejects_fractional_population_size(monkeypatch):
-    cfg = simple_config(n=10)
-    rule = SwitchRule(saturation_scale=1.0)
+    spec = spec_of(simple_config(n=10), SwitchRule(saturation_scale=1.0), zero_profile(5))
     with monkeypatch.context() as m:
         m.setattr(scenarios_module, "run", lambda *a, **kw: pytest.fail("ran before validating"))
         with pytest.raises(ValueError, match="whole numbers"):
-            sweep(cfg, rule, "n", [10, 10.7], zero_profile(5))
+            sweep(spec, "n", [10, 10.7])
     with pytest.raises(ValueError, match="whole numbers"):
-        apply_sweep_value(cfg, rule, "n", 10.7)
-    assert apply_sweep_value(cfg, rule, "n", 12.0)[0].n == 12
+        apply_sweep_value(spec, "n", 10.7)
+    assert apply_sweep_value(spec, "n", 12.0).config.n == 12
 
 
 def test_sweep_checks_every_value_before_any_run(monkeypatch):
-    cfg = simple_config(n=10)
-    rule = SwitchRule(saturation_scale=1.0)
+    spec = spec_of(simple_config(n=10), SwitchRule(saturation_scale=1.0), zero_profile(5))
     with monkeypatch.context() as m:
         m.setattr(scenarios_module, "run", lambda *a, **kw: pytest.fail("ran before validating"))
         for jobs in (1, 2):
             with pytest.raises(ValueError, match="b_high"):
-                sweep(cfg, rule, "b_high", [0.5, 0.8, -1.0], zero_profile(5), jobs=jobs)
+                sweep(spec, "b_high", [0.5, 0.8, -1.0], jobs=jobs)
 
 
 def test_sweep_rejects_jobs_below_one():
     with pytest.raises(ValueError, match="jobs"):
-        sweep(simple_config(), SwitchRule(saturation_scale=1.0), "a", [0.01], zero_profile(5), jobs=0)
+        sweep(spec_of(simple_config(), SwitchRule(saturation_scale=1.0), zero_profile(5)), "a", [0.01], jobs=0)
 
 
 def test_sweep_caps_worker_count(monkeypatch):
@@ -1004,19 +1045,17 @@ def test_sweep_caps_worker_count(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)  # imported where the pool is made
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)  # CPUs outside the affinity set do not count
-    cfg = simple_config(n=5)
-    rule = SwitchRule(saturation_scale=1.0)
-    prof = zero_profile(5)
-    serial = sweep(cfg, rule, "a", [0.01] * 5, prof)
+    spec = spec_of(simple_config(n=5), SwitchRule(saturation_scale=1.0), zero_profile(5))
+    serial = sweep(spec, "a", [0.01] * 5)
     assert seen == []
-    assert sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64) == serial
-    sweep(cfg, rule, "a", [0.01] * 2, prof, jobs=64)
-    sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=2)
+    assert sweep(spec, "a", [0.01] * 5, jobs=64) == serial
+    sweep(spec, "a", [0.01] * 2, jobs=64)
+    sweep(spec, "a", [0.01] * 5, jobs=2)
     assert seen == [3, 2, 2]
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # as on macOS and Windows
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64)
+    sweep(spec, "a", [0.01] * 5, jobs=64)
     assert seen == [3, 2, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    sweep(cfg, rule, "a", [0.01] * 5, prof, jobs=64)
+    sweep(spec, "a", [0.01] * 5, jobs=64)
     assert seen == [3, 2, 2, 4]

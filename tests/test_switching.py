@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from crowdsync.dynamics import CrowdConfig
 from crowdsync.rng import make_generator
-from crowdsync.scenarios import run, run_spec, zero_profile
+from crowdsync.scenarios import run, zero_profile
 from crowdsync.switching import (
     Stability,
     SwitchRule,
@@ -22,6 +22,7 @@ from crowdsync.switching import (
     switch_priority,
     update_reactive_count,
 )
+from conftest import spec_of
 
 
 def crowd(n, b_low, b_high, a=1.0):
@@ -31,7 +32,7 @@ def crowd(n, b_low, b_high, a=1.0):
 
 def pinned(cfg, n_reactive, dO_prev=0.0):
     """One step of a run with `n_reactive` agents held reactive."""
-    return run(cfg, SwitchRule(saturation_scale=1.0), zero_profile(1),
+    return run(spec_of(cfg, SwitchRule(saturation_scale=1.0), zero_profile(1)),
                pinned_reactive=n_reactive, initial_dO=dO_prev)
 
 
@@ -170,7 +171,7 @@ def test_tipping_count_of_a_lognormal_crowd_is_not_the_population_means_one(seed
 ])
 def test_golden_tips_where_its_reactive_count_reaches_the_tipping_count(golden, name, count, tips_at, diverges_at):
     """The first step whose N_H reaches N_HC is the first step that is not contracting."""
-    result = run_spec(golden(name), keep_actions=False)
+    result = run(golden(name), keep_actions=False)
     assert critical_reactive_count(result.config) == count
     not_contracting = [t for t, s in enumerate(result.stability_trace) if s is not Stability.CONTRACTING]
     assert not_contracting[:1] == ([] if tips_at is None else [tips_at])
