@@ -129,7 +129,7 @@ def _cmd_metrics(args) -> int:
     rows = []
     for start in range(0, len(dO) - w + 1, w):
         seg = slice(start, start + w)
-        sigma_o, e = scaled_to_fit(np.std, dO[seg])  # 2**-e times the window's std
+        (sigma_o,), e = scaled_to_fit(lambda x: (np.std(x),), dO[seg])  # 2**-e times the window's std
         rows.append((start, start + w, trendiness(dO[seg]), math.ldexp(sigma_o, e), float(np.mean(r_col[seg]))))
     if args.out is None:
         sys.stdout.write(format_window_table(rows))

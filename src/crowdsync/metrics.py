@@ -409,11 +409,11 @@ def covered_steps(O) -> int:
 def scaled_to_fit(stat, values: np.ndarray) -> tuple:
     """(stat(values * 2**-e), e), where e = 0 unless a sum inside `stat(values)` overflows.
 
-    `stat` takes an array and gives a float, or an array of floats, that is
-    inf or NaN only where a sum of the finite values in it overflowed, such
-    as a sum of magnitudes or a standard deviation. Its first try runs with
-    numpy's overflow warnings off, so that nothing is printed. Where it is
-    not finite while every value is, e is the exponent of the largest
+    `stat` takes an array and gives a tuple of floats, each inf or NaN
+    only where a sum of the finite values in it overflowed, such as a sum
+    of magnitudes or a standard deviation. Its first try runs with numpy's
+    overflow warnings off, so that nothing is printed. Where one of them
+    is not finite while every value is, e is the exponent of the largest
     |value|: the scaled values lie within 1, so their sums fit, and `stat`
     is taken on them. Scaling by a power of two is exact short of the
     subnormal range, so a ratio of the sums keeps its value, and a
@@ -422,14 +422,10 @@ def scaled_to_fit(stat, values: np.ndarray) -> tuple:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         out = stat(values)
-    if np.isfinite(out).all() or not np.isfinite(values).all():
+    if all(map(math.isfinite, out)) or not np.isfinite(values).all():
         return out, 0
     e = math.frexp(float(np.abs(values).max()))[1]
     return stat(np.ldexp(values, -e)), e
-
-
-def _trend_sums(arr: np.ndarray) -> tuple:
-    return arr.sum(), np.abs(arr).sum()
 
 
 def trendiness(dO_series) -> float:
@@ -443,7 +439,7 @@ def trendiness(dO_series) -> float:
     arr = np.asarray(dO_series, dtype=np.float64)
     if arr.size < 1:
         raise ValueError("trendiness needs at least one increment")
-    sums, _ = scaled_to_fit(_trend_sums, arr)
+    sums, _ = scaled_to_fit(lambda x: (x.sum(), np.abs(x).sum()), arr)
     return float(order_ratio(*sums))
 
 

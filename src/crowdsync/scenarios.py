@@ -68,17 +68,18 @@ block costs O(N): it merges through `CrowdMoments.add_repeats`, which
 gives the bits of `add` on its rows, and the fill takes sum |dS_i| of
 the row once.
 
-Runs are single-threaded and bit-deterministic per spec.
-`forced_ratio_samples` draws the uniform noise of a
-point's trials as `run()` draws it, from the point's own stream read in
-order, a block of trials at a time. Each point that draws is one task on
-one pool of threads, so no bit depends on the pool; a point without
-noise draws nothing. Each pool's module is imported where
-the pool is made: the sampler's threads when a point draws, and `sweep`'s
+Runs are single-threaded and bit-deterministic per spec, and a result
+carries the spec it ran. `forced_ratio_samples` draws the uniform noise
+of a point's trials as `run()` draws it, from the point's own stream
+read in order, a block of trials at a time. Each point that draws is one
+task on one pool of threads, so no bit depends on the pool; a point
+without noise draws nothing. Each pool's module is imported where the
+pool is made: the sampler's threads when a point draws, and `sweep`'s
 processes (and with them `multiprocessing`) only for more than one
-worker. Amplifying configurations are expected to blow up; a run
-truncates once |O| crosses the divergence ceiling and is marked diverged
-rather than failing.
+worker; a sweep hands each worker the spec of its point. Amplifying
+configurations are expected to blow up; a run truncates once |O|
+crosses the divergence ceiling and is marked diverged rather than
+failing.
 
 The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
 sums into the per-step order parameter after the loop. `summarize` is
@@ -733,8 +734,9 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
     the step at which a diverging O became inf or NaN (all are 0 when
     that was its first step). So rho_c, sigma_c and mean_R stay finite
     for a run that overflows, and the moments' scale keeps sigma_c
-    finite where the squares of the actions overflow. T_d does not when
-    numpy's pairwise sum of the finite dO overflows. peak_O and final_O
+    finite where the squares of the actions overflow; where the sums of
+    the finite dO overflow, `trendiness` keeps T_d finite by scaling them
+    by a power of two. The seed is the spec's. peak_O and final_O
     report how O ended, inf or NaN included. peak_ratio and final_ratio
     are the largest and the last N_H over N.
     """
