@@ -34,7 +34,6 @@ from .scenarios import (
     ScenarioResult,
     ScenarioSpec,
     SweepPoint,
-    aggregate_trajectory,
     build_profile,
     bubble_profile,
     explicit_profile,

@@ -84,14 +84,22 @@ def _load(args):
     return spec if args.seed is None else replace(spec, seed=args.seed)
 
 
+def _output(args, spec, what: str) -> Path:
+    """The path of the output file `what` (its extension included) of `spec`: `<--out>/<name>_<what>`.
+
+    It creates `--out`, so a command calls it only once its computation succeeded.
+    """
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out / f"{spec.name}_{what}"
+
+
 def _cmd_run(args) -> int:
     spec = _load(args)
     result = run_scenario(spec, keep_actions=False)
-    summary = summarize(result, name=spec.name)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = emit_table(result, out / f"{spec.name}_timeseries.csv")
-    summary_path = emit_summary(summary, out / f"{spec.name}_summary.csv")
+    summary = summarize(result)
+    table_path = emit_table(result, _output(args, spec, "timeseries.csv"))
+    summary_path = emit_summary(summary, _output(args, spec, "summary.csv"))
     status = "diverged" if result.diverged else "completed"
     print(f"{spec.name}: {status} after {result.steps_run} steps")
     print(f"wrote {table_path}")
@@ -109,9 +117,7 @@ def _cmd_sweep(args) -> int:
         print(f"error: --values must be one or more comma-separated numbers, got {args.values!r}", file=sys.stderr)
         return 1
     points = run_sweep(spec, args.param, values, seed_policy=args.seed_policy, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = emit_sweep_table(args.param, points, out / f"{spec.name}_sweep_{args.param}.csv")
+    path = emit_sweep_table(args.param, points, _output(args, spec, f"sweep_{args.param}.csv"))
     print(f"wrote {path} ({len(points)} runs)")
     return 0
 
@@ -168,9 +174,7 @@ def _cmd_curve(args) -> int:
     xs = [x for x, _, _ in points]
     means = [float(row.mean()) for row in samples]
     stderrs = [_stderr(row) for row in samples]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = emit_curve_table(xs, means, stderrs, out / f"{spec.name}_curve_{args.kind}.csv")
+    path = emit_curve_table(xs, means, stderrs, _output(args, spec, f"curve_{args.kind}.csv"))
     print(f"wrote {path}")
     return 0
 

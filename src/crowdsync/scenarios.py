@@ -82,10 +82,11 @@ crosses the divergence ceiling and is marked diverged rather than
 failing.
 
 The loop records the trajectory and sum |dS_i|; `order_ratio` turns the
-sums into the per-step order parameter after the loop. `summarize` is
-the one reader of the moments: it builds the whole-run report.
-`window_reports` computes per-window ones from the kept action matrix
-for callers that ask for them.
+sums into the per-step order parameter after the loop. A run's reports
+follow from its result and the spec it carries. `summarize` is the one
+reader of the moments: it builds the whole-run report, named after the
+spec. `window_reports` computes per-window ones from the kept action
+matrix, over the spec's `metric_window` and `overlap`.
 """
 
 from __future__ import annotations
@@ -305,9 +306,8 @@ class ScenarioSpec:
     it must be a safe file-name token (see `is_safe_name`); it can never
     point outside `--out`. It is keyword-only. The run length is
     `profile.length` (a file's `run.steps`). `metric_window` and `overlap`
-    are the arguments of `window_reports` for this scenario (a
-    `metric_window` of None is one window of every step); no CLI command
-    reads them.
+    set the windows of this scenario's metric reports (a `metric_window`
+    of None is one window of every step); `window_reports` reads them.
     """
 
     name: str = ruled(
@@ -556,54 +556,32 @@ def run(
     )
 
 
-def window_reports(
-    result: ScenarioResult, window: int | None = None, overlap: bool = False
-) -> list[SyncReport]:
-    """Metric reports of a run's windows of `window` steps (None: one window of every step).
+def window_reports(result: ScenarioResult) -> list[SyncReport]:
+    """Metric reports of the windows that a run's spec sets with `metric_window` and `overlap`.
 
     Each window is read from the run's action matrix, so windows need
     `run(..., keep_actions=True)`. The windows cover the steps the
     summary covers: every step but a last one at which a diverging O
     became inf or NaN (`covered_steps`); a run with none has no window.
-    Windows start every step when `overlap`, else every `window` steps; a
-    window longer than those steps is cut to them. The whole-run report is
-    `summarize`'s.
+    A window is `metric_window` steps (None: every step). Windows start
+    every step when `overlap`, else every `metric_window` steps; a
+    window longer than those steps is cut to them. The whole-run report
+    is `summarize`'s. Neither field changes a step of the run, so other
+    windows of the same run need no rerun:
+    `window_reports(replace(result, spec=replace(result.spec, metric_window=w)))`.
     """
-    check_fields(ScenarioSpec, {"metric_window": window})
     if result.agent_actions is None:
         raise ValueError("window reports need the action matrix; run with keep_actions=True")
     T = covered_steps(result.O)
+    window = result.spec.metric_window
     w = T if window is None else min(window, T)
     if not w:
         return []
-    starts = range(0, T - w + 1) if overlap else range(0, T - w + 1, w)
+    starts = range(0, T - w + 1) if result.spec.overlap else range(0, T - w + 1, w)
     return [
         sync_report(result.agent_actions[:, s : s + w], result.dO[s : s + w], result.config.a, start=s)
         for s in starts
     ]
-
-
-def aggregate_trajectory(
-    a: float,
-    b_total: float,
-    c_total: float,
-    dE: Sequence[float] | np.ndarray,
-    dO0: float = 0.0,
-) -> np.ndarray:
-    """Fast aggregate-path recursion dO(t+1) = a*C*dE(t) + a*B*dO(t).
-
-    Fixed coupling, no noise; returns the dO series. Must agree with the
-    per-agent loop at matching coupling (tested).
-    """
-    dE = np.asarray(dE, dtype=np.float64)
-    out = np.empty(dE.shape[0])
-    dO = dO0
-    ac = a * c_total
-    ab = a * b_total
-    for t in range(dE.shape[0]):
-        dO = ac * dE[t] + ab * dO
-        out[t] = dO
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -726,8 +704,8 @@ class RunSummary:
         check_fields(RunSummary, vars(self))
 
 
-def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
-    """Digest a result: the whole-run report plus divergence bookkeeping.
+def summarize(result: ScenarioResult) -> RunSummary:
+    """Digest a result: the whole-run report plus divergence bookkeeping, named after its spec.
 
     This is the one reader of the run's moments. rho_c, sigma_c, sigma_o,
     t_d and mean_R cover the steps the moments hold: every step, except
@@ -736,15 +714,15 @@ def summarize(result: ScenarioResult, name: str = "") -> RunSummary:
     for a run that overflows, and the moments' scale keeps sigma_c
     finite where the squares of the actions overflow; where the sums of
     the finite dO overflow, `trendiness` keeps T_d finite by scaling them
-    by a power of two. The seed is the spec's. peak_O and final_O
-    report how O ended, inf or NaN included. peak_ratio and final_ratio
-    are the largest and the last N_H over N.
+    by a power of two. The name and the seed are the spec's. peak_O and
+    final_O report how O ended, inf or NaN included. peak_ratio and
+    final_ratio are the largest and the last N_H over N.
     """
     k = result.moments.count
     report = SyncReport.from_sync(result.moments.sync(), result.dO[:k], result.config.a)
     n = result.config.n
     return RunSummary(
-        name=name,
+        name=result.spec.name,
         steps_run=result.steps_run,
         diverged=result.diverged,
         truncated_at=result.truncated_at,
@@ -797,8 +775,8 @@ def _crowd_size(value: float) -> int:
 
 
 def _sweep_one(args) -> SweepPoint:
-    spec, param, value = args
-    return SweepPoint(value=float(value), summary=summarize(run(spec, keep_actions=False), name=f"{param}={value}"))
+    spec, value = args
+    return SweepPoint(value=float(value), summary=summarize(run(spec, keep_actions=False)))
 
 
 def sweep(
@@ -808,7 +786,8 @@ def sweep(
 
     Point i runs `apply_sweep_value(spec, param, values[i])`. seed_policy
     "fixed" keeps the spec's seed for every run; "per-value" uses seed + i.
-    The seed actually used is recorded in each point's summary.
+    Each point's summary is named after the scenario and records the seed
+    actually used.
     Runs go to min(jobs, len(values), usable CPUs) worker processes when
     that is more than one; a CPU is usable when the process may run on it.
     Every value is applied, and so checked, before the first run. Only
@@ -825,7 +804,7 @@ def sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = [spec.seed if seed_policy == "fixed" else spec.seed + i for i in range(len(values))]
-    tasks = [(replace(apply_sweep_value(spec, param, v), seed=s), param, v) for v, s in zip(values, seeds)]
+    tasks = [(replace(apply_sweep_value(spec, param, v), seed=s), v) for v, s in zip(values, seeds)]
     workers = min(jobs, len(tasks), _usable_cpus())
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing loads only when a pool starts

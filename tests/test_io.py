@@ -481,7 +481,7 @@ def test_bubble_table_peak_exceeds_final(tmp_path, golden):
 
 def test_summary_row_shape(golden):
     result = run(golden("fig5-unstable"))
-    text = format_summary(summarize(result, name="fig5-unstable"))
+    text = format_summary(summarize(result))
     lines = text.strip().split("\n")
     assert len(lines) == 2
     header = lines[0].split(",")
@@ -495,7 +495,7 @@ def test_summary_row_shape(golden):
 @pytest.mark.parametrize("bad", ["a,b", 'say "hi"', "cr\rcr", "lf\nlf"])
 def test_summary_name_holds_no_comma_quote_or_line_break(bad):
     with pytest.raises(ValueError) as exc_info:
-        summarize(quiescent_result(), name=bad)
+        replace(summarize(quiescent_result()), name=bad)
     assert str(exc_info.value) == f"run name must hold no comma, quote, CR or LF; got {bad!r}"
 
 

@@ -8,6 +8,7 @@ from collections import deque
 from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
+from typing import Sequence
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,6 @@ from crowdsync.metrics import CrowdMoments, order_parameter_closed_form, step_bl
 from crowdsync.scenario_io import load_scenario
 from crowdsync.scenarios import (
     ForceProfile,
-    aggregate_trajectory,
     apply_sweep_value,
     bubble_profile,
     build_profile,
@@ -48,6 +48,29 @@ from conftest import spec_of
 
 def simple_config(n=100, a=0.01, b_low=0.0, b_high=0.5, c=1.0, **kw):
     return CrowdConfig(n=n, a=a, b_low=b_low, b_high=b_high, c=c, **kw)
+
+
+def aggregate_trajectory(
+    a: float,
+    b_total: float,
+    c_total: float,
+    dE: Sequence[float] | np.ndarray,
+    dO0: float = 0.0,
+) -> np.ndarray:
+    """Fast aggregate-path recursion dO(t+1) = a*C*dE(t) + a*B*dO(t).
+
+    Fixed coupling, no noise; returns the dO series. Must agree with the
+    per-agent loop at matching coupling (tested).
+    """
+    dE = np.asarray(dE, dtype=np.float64)
+    out = np.empty(dE.shape[0])
+    dO = dO0
+    ac = a * c_total
+    ab = a * b_total
+    for t in range(dE.shape[0]):
+        dO = ac * dE[t] + ab * dO
+        out[t] = dO
+    return out
 
 
 def forced_ratio_mean(config, ratio, noise_amp=0.0, **kw):
@@ -286,19 +309,48 @@ def test_long_run_memory_stays_near_the_action_matrix(golden):
     assert peak <= 1.2 * n * steps * 8, f"peak {peak / 1e6:.1f} MB"
 
 
+def _windows_of(result, **fields):
+    """`window_reports` of `result` under its spec with `fields` replaced: the same run, other windows."""
+    return window_reports(replace(result, spec=replace(result.spec, **fields)))
+
+
 def test_metric_windows_nonoverlapping_and_overlapping(golden):
     spec = golden("fig4-stable")
     result = run(spec)
-    reports = window_reports(result, spec.metric_window, spec.overlap)
+    reports = window_reports(result)
     assert [(w.start, w.stop) for w in reports] == [(0, 20), (20, 40), (40, 60), (60, 80)]
-    assert len(window_reports(result, spec.metric_window, overlap=True)) == 80 - 20 + 1
-    (whole,) = window_reports(result)
+    assert len(_windows_of(result, overlap=True)) == 80 - 20 + 1
+    (whole,) = _windows_of(result, metric_window=None)
     summary = summarize(result)
     assert (whole.rho_c, whole.sigma_c, whole.sigma_o) == (
         summary.rho_c, summary.sigma_c, summary.sigma_o)
-    assert [(w.start, w.stop) for w in window_reports(result, 500)] == [(0, 80)]
+    assert [(w.start, w.stop) for w in _windows_of(result, metric_window=500)] == [(0, 80)]
     with pytest.raises(ValueError, match="window"):
-        window_reports(result, 0)
+        replace(spec, metric_window=0)
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("fig4-stable", [(0, 20), (20, 40), (40, 60), (60, 80)]),
+    ("fig5-unstable", [(0, 25), (25, 50), (50, 75), (75, 100)]),
+    ("fig6-bubble", [(s, s + 30) for s in range(0, 240, 30)]),
+])
+def test_window_reports_read_the_golden_spec_window(golden, name, bounds):
+    """A run's windows are those of its own spec's `metric_window` and `overlap`."""
+    spec = golden(name)
+    assert (spec.metric_window, spec.overlap) == (bounds[0][1], False)
+    assert [(w.start, w.stop) for w in window_reports(run(spec))] == bounds
+
+
+_NAMED = spec_of(simple_config(), SwitchRule(saturation_scale=0.5), step_profile(20, 1.0, 5), name="crowd-7.b")
+
+
+def test_summary_is_named_after_the_spec():
+    assert summarize(run(_NAMED)).name == "crowd-7.b"
+
+
+def test_each_sweep_point_is_named_after_the_scenario():
+    points = sweep(_NAMED, "b_high", [0.2, 0.8], seed_policy="per-value")
+    assert [p.summary.name for p in points] == ["crowd-7.b", "crowd-7.b"]
 
 
 def test_run_without_actions_keeps_the_whole_run_report(golden):
@@ -307,7 +359,7 @@ def test_run_without_actions_keeps_the_whole_run_report(golden):
     assert streamed.agent_actions is None
     assert summarize(streamed) == summarize(kept)
     with pytest.raises(ValueError, match="keep_actions=True"):
-        window_reports(streamed, spec.metric_window)
+        window_reports(streamed)
 
 
 _COEF = st.floats(-2.0, 2.0)
@@ -361,9 +413,9 @@ def steady_runs(draw):
 @given(small_runs())
 def test_metrics_stay_in_range_on_generated_crowds(case):
     cfg, rule, profile, seed, window, overlap = case
-    result = run(spec_of(cfg, rule, profile, seed=seed))
+    result = run(spec_of(cfg, rule, profile, seed=seed, metric_window=window, overlap=overlap))
     assert np.all((result.r_instant >= 0.0) & (result.r_instant <= 1.0))
-    reports = window_reports(result, window, overlap)
+    reports = window_reports(result)
     assert reports
     for report in reports:
         assert 0.0 <= report.t_d <= 1.0
@@ -674,13 +726,13 @@ def _assert_window_sync_gives_the_moments(result):
     """
     k = result.moments.count
     if k:
-        (whole,) = window_reports(result)
+        (whole,) = _windows_of(result, metric_window=None)
         summary = summarize(result)
         assert (whole.start, whole.stop) == (0, k)
         assert (whole.rho_c, whole.sigma_c, whole.sigma_o, whole.t_d) == (
             summary.rho_c, summary.sigma_c, summary.sigma_o, summary.t_d)
     else:
-        assert window_reports(result) == []
+        assert _windows_of(result, metric_window=None) == []
 
 
 @pytest.mark.parametrize("name", ["fig4-stable", "fig5-unstable", "fig6-bubble"])
@@ -978,7 +1030,7 @@ def test_each_sweep_point_is_the_run_of_its_own_spec(param, values):
     points = sweep(spec, param, values, seed_policy="per-value")
     for i, (value, point) in enumerate(zip(values, points)):
         own = replace(apply_sweep_value(spec, param, value), seed=7 + i)
-        assert point.summary == summarize(run(own), name=f"{param}={value}")
+        assert point.summary == summarize(run(own))
     rules = [apply_sweep_value(spec, param, v).rule.saturation_scale for v in values]
     assert rules == (values if param == "saturation_scale" else [0.5] * len(values))
 
