@@ -198,7 +198,14 @@ def ordered_sum(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
     The step loop's reduction. A run's dS and sum |dS_i| (and so its
     order parameter R) and the couplings' sum B are taken with it, and O
     is the loop's left-to-right sum of dO; fixing the order makes these
-    bit-identical across machines and numpy or BLAS builds. The metrics
+    bit-identical across machines and numpy or BLAS builds, given the
+    same force increments. A bubble profile's increments are the
+    exception: its tail takes q**j with numpy's SIMD `power` loop, and
+    on numpy 2.4.6 the AVX-512 loop differs from libm's pow in about 100
+    of 2 000 elements, so its dE, and every column after it, depends on
+    the CPU features numpy dispatches to (`bubble_profile`). ROADMAP item
+    12 is the mend; it moves bytes that `perfbench/reference.json` pins,
+    so it needs a change that may re-pin that reference. The metrics
     use numpy's own reductions: rho_c and sigma_c (`CrowdMoments`: its
     sums along an axis, `einsum` and BLAS `@`), T_d, `summarize`'s
     mean_R and the curve cells (numpy's pairwise sums), and the

@@ -36,14 +36,17 @@ whole-run rho_c and sigma_c move in their last bits with it.
 kept matrix of the steps in the moments it gives their bits.
 
 The loop records only what a step decides: its dS, N_H and action row.
-It keeps dO and O as scalars, for the feedback and the ceiling. When
-N_H changes, it rebuilds the couplings b_i with `reactive_couplings`,
-the one rule of who is reactive (`switching`). After the loop, the
-other columns are derived once with the loop's floating-point
-operations: dO = a*dS, O as the left-to-right sum of dO
+It keeps dO and O as scalars, for the feedback and the ceiling. Who is
+reactive is the run's `SwitchState` (`switching`): each step applies
+the switch rule to its trailing dO (through this module's name
+`update_reactive_count`, once per computed step of a run whose count is
+not pinned), takes the couplings b_i of that count, which the state
+rebuilds only when N_H changes, and appends its dO to the trailing dO.
+After the loop, the other columns are derived once with the loop's
+floating-point operations: dO = a*dS, O as the left-to-right sum of dO
 from +0.0 (so a first dO of -0.0 gives O = +0.0, as in the loop), and
-B (the ordered sum of the couplings), a*B and its stability class once
-per distinct N_H.
+B (the ordered sum of the couplings) once per distinct N_H, with a*B
+and its stability class once per run of equal N_H (`SwitchState.gains`).
 
 Exact repeats. A step is a function of the trailing |dO| window (which
 gives N_H), dO_prev, dE(t) and the noise. So in a crowd without noise,
@@ -52,21 +55,21 @@ the next step with dE of the same bits as the last one's repeats it bit
 for bit: the same action row, dS and N_H, and O grows by the same dO.
 This is the crowd that has settled: a contracting crowd at rest (dO = 0)
 or a crowd whose loop gain is pinned at 1 carrying a constant dO. The
-loop's switch window holds those `rule.window` + 1 dO, one more than the
-rule reads. Before each block, if it is full and every entry has the
-bits of the newest (0.0 and -0.0 differ; a NaN dO has already ended the
-run), the loop fills every whole block before the one that holds the
-next step whose dE bits differ (found by a binary search in the run's
-change points of dE), or every block to the run's end, with the last
-computed step: its action row, dS and N_H. O is taken by
-`np.add.accumulate`, the same sequential additions as the loop's
-O += dO; if it would cross the ceiling, the fill stops at the edge of the
-block that holds the crossing, and that block is computed, so the loop
-finds the divergence as it would have. So a block is either computed or
-filled whole, and the block edges stay where N and T put them. A filled
-block costs O(N): it merges through `CrowdMoments.add_repeats`, which
-gives the bits of `add` on its rows, and the fill takes sum |dS_i| of
-the row once.
+switch state's trailing dO are those `rule.window` + 1, one more than
+the rule reads. Before each block, if they are settled
+(`SwitchState.settled`: all there, each with the bits of the newest;
+0.0 and -0.0 differ, and a NaN dO has already ended the run), the loop
+fills every whole block before the one that holds the next step whose
+dE bits differ (found by a binary search in the run's change points of
+dE), or every block to the run's end, with the last computed step: its
+action row, dS and N_H. O is taken by `np.add.accumulate`, the same
+sequential additions as the loop's O += dO; if it would cross the
+ceiling, the fill stops at the edge of the block that holds the
+crossing, and that block is computed, so the loop finds the divergence
+as it would have. So a block is either computed or filled whole, and the
+block edges stay where N and T put them. A filled block costs O(N): it
+merges through `CrowdMoments.add_repeats`, which gives the bits of `add`
+on its rows, and the fill takes sum |dS_i| of the row once.
 
 Runs are single-threaded and bit-deterministic per spec, and a result
 carries the spec it ran. `forced_ratio_samples` draws the uniform noise
@@ -93,7 +96,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -111,15 +113,7 @@ from .dynamics import (
 )
 from .metrics import CrowdMoments, SyncReport, covered_steps, order_ratio, step_block_rows, sync_report
 from .rng import make_generator, uniform_noise
-from .switching import (
-    Stability,
-    SwitchRule,
-    classify_stability,
-    reactive_couplings,
-    round_count,
-    switch_priority,
-    update_reactive_count,
-)
+from .switching import Stability, SwitchRule, SwitchState, round_count, update_reactive_count
 
 SWEEP_PARAMS = ("a", "b_high", "b_low", "n", "noise_amp", "saturation_scale")
 
@@ -208,6 +202,14 @@ def bubble_profile(
     shed its momentum: with gain exactly 1 the observation increment is
     preserved forever, so only opposing external increments can unlock
     the feedback loop.
+
+    The tail's q**j is numpy's SIMD `power`, so its bits depend on the
+    CPU: on numpy 2.4.6 the AVX-512 loop differs from libm's pow in 95 to
+    113 of 2 000 elements, and with AVX-512 dispatch disabled three
+    tier-1 pins fail. It is the one exception to the machine-independent
+    bits of `dynamics.ordered_sum`. ROADMAP item 12 is the mend; it moves
+    bytes that `perfbench/reference.json` pins, so it needs a change that
+    may re-pin that reference.
     """
     _check_length(length)
     if not 0 < peak_step < length:
@@ -397,11 +399,15 @@ def run(
     the spec's `divergence_ceiling` or is NaN.
 
     The loop records each step's dS and N_H, and derives the other
-    columns from them once it ends. A crowd without noise whose dO has
-    repeated bit for bit over a full switch-rule window repeats its last
-    step while dE keeps its bits; the whole blocks of such steps are
-    filled in bulk, at O(N) a block. Every bit is as a step-by-step loop
-    gives it (module docstring).
+    columns from them once it ends. The run's `SwitchState` holds who is
+    reactive: it checks `pinned_reactive` against [0, N], gives the
+    couplings of each step's N_H, keeps the trailing dO that the switch
+    rule reads, and gives B, a*B and the stability class of each N_H. A
+    crowd without noise whose dO has repeated bit for bit over a full
+    switch-rule window (the state is settled) repeats its last step
+    while dE keeps its bits; the whole blocks of such steps are filled
+    in bulk, at O(N) a block. Every bit is as a step-by-step loop gives
+    it (module docstring).
 
     Noise models: per-agent uniform noise enters each agent's action.
     Aggregate drift+diffusion noise enters the observation update, one
@@ -413,10 +419,9 @@ def run(
     """
     config, rule, profile, divergence_ceiling = spec.config, spec.rule, spec.profile, spec.divergence_ceiling
     n, a, dt = config.n, config.a, config.dt
-    if pinned_reactive is not None and not 0 <= pinned_reactive <= n:
-        raise ValueError(f"pinned_reactive={pinned_reactive} outside [0, {n}]")
-    b_low, b_high, c_vec, amp = config.b_low, config.b_high, config.c, config.noise_amp
-    priority = switch_priority(b_high)
+    # the switch rule reads the last `rule.window` dO; one more tells whether they are exact repeats
+    switch = SwitchState(config, rule.window, pinned_reactive)
+    c_vec, amp = config.c, config.noise_amp
 
     model = config.noise_model
     rng = None if isinstance(model, NoNoise) else make_generator(spec.seed)  # only noise draws
@@ -434,13 +439,9 @@ def run(
     block = np.empty((block_rows, n))
     fed_back = np.empty(n)
 
-    # The switch rule reads the last `rule.window` dO; one more tells whether they
-    # are exact repeats (module docstring).
-    history: deque[float] = deque(maxlen=rule.window + 1)
     dO_prev = initial_dO
     O = 0.0
-    n_h = pinned_reactive
-    coupled_for = None  # the N_H that the couplings b_eff are built for
+    n_h = switch.pinned
     diverged = False
     steps_run = T
 
@@ -455,11 +456,10 @@ def run(
     with np.errstate(over="ignore", invalid="ignore"):
         t0 = 0
         while t0 < steps_run:
-            # A full window whose every dO has the bits of the newest (== finds the repeats
-            # cheaply, float.hex tells 0.0 from -0.0, and a NaN dO has ended the run): each next
-            # step with dE's bits repeats the last one, so fill the whole blocks before the
-            # block of the next dE change, or to the run's end.
-            if rng is None and history.count(dO_prev) == history.maxlen and len(set(map(float.hex, history))) == 1:
+            # A settled window (a NaN dO has ended the run): each next step with dE's bits
+            # repeats the last one, so fill the whole blocks before the block of the next
+            # dE change, or to the run's end.
+            if rng is None and switch.settled():
                 change = np.searchsorted(dE_changes, t0)
                 stop = T if change == len(dE_changes) else int(dE_changes[change])
                 if stop < T:  # the block that holds the change is computed
@@ -488,12 +488,9 @@ def run(
                 z = rng.standard_normal((len(rows), 1))
                 noise = (model.mu * dt + model.sigma * math.sqrt(dt) * z) / (a * n)
             for t, ds_i in enumerate(rows, t0):
-                if pinned_reactive is None:
-                    n_h = update_reactive_count(history, rule, n)
-                if n_h != coupled_for:
-                    b_eff = reactive_couplings(b_low, b_high, priority, n_h)
-                    coupled_for = n_h
-                ds_i += np.multiply(b_eff, dO_prev, out=fed_back)
+                if switch.pinned is None:
+                    n_h = update_reactive_count(switch.trailing, rule, n)
+                ds_i += np.multiply(switch.couplings(n_h), dO_prev, out=fed_back)
                 if rng is not None:
                     ds_i += noise[t - t0]
                 dS = ordered_sum(ds_i)
@@ -501,7 +498,7 @@ def run(
                 O += dO
                 out_dS[t] = dS
                 out_nh[t] = n_h
-                history.append(dO)
+                switch.trailing.append(dO)
                 dO_prev = dO
                 if not abs(O) <= divergence_ceiling:  # a NaN O diverges too
                     diverged = True
@@ -523,17 +520,7 @@ def run(
         O_from_zero = np.zeros(steps_run + 1)
         O_from_zero[1:] = dO
         np.add.accumulate(O_from_zero, out=O_from_zero)  # the loop's O += dO, from +0.0
-        # the first step of each run of steps with one N_H, and the couplings'
-        # sum once per distinct N_H
-        coupled = np.r_[0, np.flatnonzero(n_reactive[1:] != n_reactive[:-1]) + 1]
-        lengths = np.diff(coupled, append=steps_run).tolist()
-        run_counts = n_reactive[coupled].tolist()
-        b_sums = {k: ordered_sum(reactive_couplings(b_low, b_high, priority, k)) for k in set(run_counts)}
-        b_total = np.repeat([b_sums[k] for k in run_counts], lengths)
-        ab = a * b_total
-    stability: list[Stability] = []
-    for gain, length in zip(ab[coupled].tolist(), lengths):
-        stability += [classify_stability(gain)] * length
+    b_total, ab, stability = switch.gains(n_reactive)
 
     return ScenarioResult(
         spec=spec,
@@ -629,14 +616,12 @@ def forced_ratio_samples(
     for _, noise_amp in points:
         replace(config, noise_amp=noise_amp)  # raises if noise_amp breaks the crowd's column rule
     n = config.n
-    priority = switch_priority(config.b_high)
+    switch = SwitchState(config)
     out = np.empty((len(points), trials))
     rows = max(1, _DRAW_BLOCK // n)
     with np.errstate(over="ignore"):  # an action that overflows fails the check in `fold`
-        bases = [  # each point's actions without noise
-            reactive_couplings(config.b_low, config.b_high, priority, round_count(ratio * n, n)) * dO_drive
-            for ratio, _ in points
-        ]
+        # each point's actions without noise
+        bases = [switch.couplings(round_count(ratio * n, n)) * dO_drive for ratio, _ in points]
 
     def fold(acts: np.ndarray, i: int, start: int) -> None:
         """Writes point i's order parameters from trial `start` on; `acts` is their noise (trials x N), overwritten."""

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import crowdsync.metrics as metrics_module
 import crowdsync.scenarios as scenarios_module
@@ -483,9 +483,16 @@ _RUN_OPTIONS = st.fixed_dictionaries({
 })
 
 
-_FIG4 = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "fig4-stable.scenario")
-_FIG4_CASE = (_FIG4.config, _FIG4.rule, _FIG4.profile, _FIG4.seed, None, False)
-_FIG4_OPTIONS = {"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": _FIG4.divergence_ceiling}
+def _golden_case(name):
+    """A golden scenario as a drawn case, with its own run options."""
+    spec = load_scenario(Path(__file__).resolve().parents[1] / "scenarios" / f"{name}.scenario")
+    case = (spec.config, spec.rule, spec.profile, spec.seed, None, False)
+    return case, {"pinned_reactive": None, "initial_dO": 0.0, "divergence_ceiling": spec.divergence_ceiling}
+
+
+_FIG4_CASE, _FIG4_OPTIONS = _golden_case("fig4-stable")
+_FIG5_CASE, _FIG5_OPTIONS = _golden_case("fig5-unstable")
+_FIG6_CASE, _FIG6_OPTIONS = _golden_case("fig6-bubble")
 
 
 def _capped(options, n):
@@ -818,6 +825,101 @@ def test_tripling_example_diverges_at_step_5():
 
 
 # ---------------------------------------------------------------------------
+# exact relations of a whole run
+# ---------------------------------------------------------------------------
+
+def _in_units_of_dO(cfg, rule, profile, options, k):
+    """The case with every input in the units of dO times 2**k: the force, the noise's
+    half-widths, the Wiener mu and sigma, the saturation scale, the ceiling and the initial dO."""
+    model = cfg.noise_model
+    if isinstance(model, WienerNoise):
+        model = WienerNoise(mu=math.ldexp(model.mu, k), sigma=math.ldexp(model.sigma, k))
+    options = {**options, "initial_dO": math.ldexp(options["initial_dO"], k),
+               "divergence_ceiling": math.ldexp(options["divergence_ceiling"], k)}
+    return (replace(cfg, noise_amp=np.ldexp(cfg.noise_amp, k), noise_model=model),
+            replace(rule, saturation_scale=math.ldexp(rule.saturation_scale, k)),
+            explicit_profile(profile.length, np.ldexp(profile.increments, k)), options)
+
+
+def _magnitudes(*values):
+    """The nonzero finite magnitudes among `values` (numbers and arrays)."""
+    flat = np.abs(np.concatenate([np.ravel(np.asarray(v, dtype=np.float64)) for v in values]))
+    return flat[np.isfinite(flat) & (flat > 0.0)]
+
+
+def _stays_normal(cfg, rule, profile, options, result, k):
+    """Whether the run and its copy at 2**k stay far inside the normal range.
+
+    Scaling by 2**k is exact while no value is subnormal or overflows. So the
+    case is kept only where every nonzero magnitude in the units of dO (the
+    inputs above and the run's actions, dS, dO and O) lies in [2**-400, 2**300]
+    at both scales, and every nonzero coefficient (a, b, c, dt) is at least
+    2**-100. Then each product of a coefficient and such a value is above
+    2**-500, each squared deviation of the moments above 2**-906 (a deviation
+    is at least an ulp, 2**-52 of its action), both above 2**-1022, and no
+    square nears the moments' rescaling bound of 2**798.
+    """
+    model = cfg.noise_model
+    wiener = (model.mu, model.sigma) if isinstance(model, WienerNoise) else ()
+    values = _magnitudes(profile.increments, cfg.noise_amp, *wiener, rule.saturation_scale,
+                         options["initial_dO"], options["divergence_ceiling"],
+                         result.agent_actions, result.dS, result.dO, result.O)
+    coefficients = _magnitudes(cfg.a, cfg.b_low, cfg.b_high, cfg.c, cfg.dt)
+    return (values.min() >= 2.0 ** (-400 - min(k, 0)) and values.max() <= 2.0 ** (300 - max(k, 0))
+            and coefficients.min() >= 2.0**-100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS, k=st.integers(-200, 200))
+@example(case=_FIG4_CASE, options=_FIG4_OPTIONS, k=-40)
+@example(case=_FIG5_CASE, options=_FIG5_OPTIONS, k=-40)
+@example(case=_FIG6_CASE, options=_FIG6_OPTIONS, k=-40)
+@example(case=_FIG6_CASE, options=_FIG6_OPTIONS, k=200)
+def test_a_run_scales_exactly_with_the_units_of_dO(case, options, k):
+    """Every input in the units of dO times 2**k scales each action, dS, dO, O, sigma_c and sigma_O by
+    2**k, and leaves the bits of N_H, R, a*B, the stability trace, rho_c, T_d and mean_R, and where the
+    run stops."""
+    cfg, rule, profile, seed, _, _ = case
+    options = _capped(options, cfg.n)
+    base = _run(cfg, rule, profile, seed, **options)
+    assume(_stays_normal(cfg, rule, profile, options, base, k))
+    *scaled_case, scaled_options = _in_units_of_dO(cfg, rule, profile, options, k)
+    scaled = _run(*scaled_case, seed, **scaled_options)
+    for column in ("agent_actions", "dS", "dO", "O"):
+        assert _bits(getattr(scaled, column)) == _bits(np.ldexp(getattr(base, column), k)), column
+    assert scaled.n_reactive.tolist() == base.n_reactive.tolist()
+    assert _bits(scaled.r_instant) == _bits(base.r_instant)
+    assert _bits(scaled.ab) == _bits(base.ab)
+    assert scaled.stability_trace == base.stability_trace
+    assert (scaled.steps_run, scaled.diverged) == (base.steps_run, base.diverged)
+    got, want = summarize(scaled), summarize(base)
+    assert _bits([got.rho_c, got.t_d, got.mean_R]) == _bits([want.rho_c, want.t_d, want.mean_R])
+    assert _bits([got.sigma_c, got.sigma_o]) == _bits(np.ldexp([want.sigma_c, want.sigma_o], k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=small_runs() | steady_runs(), options=_RUN_OPTIONS)
+@example(case=_FIG4_CASE, options=_FIG4_OPTIONS)
+@example(case=_FIG5_CASE, options=_FIG5_OPTIONS)
+@example(case=_FIG6_CASE, options=_FIG6_OPTIONS)
+def test_a_noiseless_run_is_odd_in_the_force(case, options):
+    """Negating the force and the initial dO of a crowd without noise negates each action, dS, dO and O
+    (by value: a sum of opposite terms is +0.0 either way), and leaves the bits of N_H, R, rho_c, sigma_c
+    and T_d."""
+    cfg, rule, profile, seed, _, _ = case
+    cfg, options = replace(cfg, noise_model=NoNoise()), _capped(options, cfg.n)
+    base = _run(cfg, rule, profile, seed, **options)
+    negated = _run(cfg, rule, explicit_profile(profile.length, -profile.increments), seed,
+                   **{**options, "initial_dO": -options["initial_dO"]})
+    for column in ("agent_actions", "dS", "dO", "O"):
+        assert np.array_equal(getattr(negated, column), -getattr(base, column), equal_nan=True), column
+    assert negated.n_reactive.tolist() == base.n_reactive.tolist()
+    assert _bits(negated.r_instant) == _bits(base.r_instant)
+    got, want = summarize(negated), summarize(base)
+    assert _bits([got.rho_c, got.sigma_c, got.t_d]) == _bits([want.rho_c, want.sigma_c, want.t_d])
+
+
+# ---------------------------------------------------------------------------
 # golden regimes (full assertions live in the acceptance suite)
 # ---------------------------------------------------------------------------
 
@@ -944,6 +1046,28 @@ def test_forced_ratio_bits_do_not_depend_on_the_split(n, trials, cpus, block_row
     for i, (ratio, noise_amp) in enumerate(widths):
         want = sequential_forced_ratio(cfg, ratio, drive, noise_amp, trials, seed + i)
         assert got[i].tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    trials=st.integers(1, 50),
+    points=st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from(_NOISE_KINDS)),
+                    min_size=1, max_size=3),
+    drive=st.sampled_from([1.3, -1.3]),
+    k=st.integers(-150, 150),
+    seed=st.integers(0, 2**32),
+)
+@example(n=7, trials=20, points=[(0.3, "scalar"), (1.0, "per-agent")], drive=1.3, k=-30, seed=0)
+@example(n=7, trials=20, points=[(0.3, "scalar"), (1.0, "per-agent")], drive=-1.3, k=150, seed=1)
+def test_forced_ratio_bits_do_not_depend_on_the_units_of_dO(n, trials, points, drive, k, seed):
+    """The drive and every noise half-width times 2**k scale each action by 2**k, which leaves the
+    bits of each order parameter: every action and sum stays inside the normal range for |k| <= 150."""
+    cfg = CrowdConfig(n=n, a=0.01, b_low=np.r_[0.0, np.linspace(-0.5, 0.4, n - 1)], b_high=1.0, c=1.0)
+    widths = [(ratio, _half_width(kind, n)) for ratio, kind in points]
+    want = forced_ratio_samples(cfg, widths, drive, trials, seed)
+    scaled = [(ratio, np.ldexp(noise_amp, k)) for ratio, noise_amp in widths]
+    assert forced_ratio_samples(cfg, scaled, math.ldexp(drive, k), trials, seed).tobytes() == want.tobytes()
 
 
 def test_forced_ratio_refusal_names_the_noise_that_overflows_a_trial_sum():
